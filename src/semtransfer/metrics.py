@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .core import CategoryScoreMatrix, DatasetSplit, ValidationError
 
@@ -26,6 +25,18 @@ def _as_bool(positives) -> np.ndarray:
     if arr.ndim != 1:
         raise ValidationError(f"positives must be 1-d, got shape {arr.shape}")
     return arr
+
+
+def _average_ranks(s: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``s``, tied values sharing the mean of their ranks."""
+    order = np.argsort(s, kind="stable")
+    sorted_s = s[order]
+    first = np.r_[True, sorted_s[1:] != sorted_s[:-1]]
+    starts = np.flatnonzero(first)
+    ends = np.r_[starts[1:], s.size]
+    ranks = np.empty(s.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
 
 
 def roc_auc(scores: Sequence[float], positives: Sequence[bool]) -> float:
@@ -40,7 +51,7 @@ def roc_auc(scores: Sequence[float], positives: Sequence[bool]) -> float:
     n_neg = int(pos.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("degenerate AUC: need at least one positive and one negative")
-    ranks = rankdata(s)
+    ranks = _average_ranks(s)
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist
 
 from .core import (
     AttributeScoreMatrix,
@@ -25,6 +25,8 @@ from .core import (
 )
 
 KERNELS = ("gaussian", "cosine")
+# Similarity values held per row block of the kNN build (~32 MB of float64).
+_BLOCK_VALUES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -88,12 +90,23 @@ def _median_heuristic(vectors: np.ndarray) -> float:
 def build_knn_graph(vectors, k: int, kernel: str = "gaussian",
                     sigma: float | None = None) -> SimilarityGraph:
     """Mutual-max kNN graph: each node keeps its k most similar neighbors,
-    and an edge survives if either endpoint selected it."""
+    and an edge survives if either endpoint selected it.
+
+    Neighbors are ranked by similarity descending, then by index ascending,
+    so ties go to the lower index. Rows are processed in blocks of about
+    ``_BLOCK_VALUES / n`` rows, so memory is O(block * n + n * k) rather
+    than O(n^2). Gaussian weights of selected neighbors are floored at the
+    smallest normal float, so an outlier far from everything keeps its k
+    edges instead of underflowing to an isolated node; a cosine similarity
+    of 0 is genuine isolation and still raises.
+    """
     if isinstance(vectors, AttributeScoreMatrix):
         vectors = vectors.values
     X = np.asarray(vectors, dtype=float)
     if X.ndim != 2:
         raise ValidationError(f"vectors must be 2-d, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValidationError("vectors must be finite")
     n = X.shape[0]
     if n < 2:
         raise ValidationError(f"graph needs at least 2 nodes, got {n}")
@@ -106,20 +119,43 @@ def build_knn_graph(vectors, k: int, kernel: str = "gaussian",
     if kernel == "gaussian":
         if sigma is None:
             sigma = _median_heuristic(X)
-        d2 = squareform(pdist(X, "sqeuclidean"))
-        sim = np.exp(-d2 / (2.0 * sigma * sigma))
+        scale = -2.0 * sigma * sigma
     else:
         norms = np.linalg.norm(X, axis=1, keepdims=True)
         safe = np.where(norms < 1e-12, 1.0, norms)
         unit = X / safe
-        sim = np.clip(unit @ unit.T, 0.0, None)
-    np.fill_diagonal(sim, -np.inf)
 
+    block = max(1, _BLOCK_VALUES // n)
+    cols = np.empty((n, k), dtype=np.intp)
+    vals = np.empty((n, k))
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        if kernel == "gaussian":
+            sim = cdist(X[lo:hi], X, "sqeuclidean")
+            np.divide(sim, scale, out=sim)
+            np.exp(sim, out=sim)
+        else:
+            sim = unit[lo:hi] @ unit.T
+            np.clip(sim, 0.0, None, out=sim)
+        local = np.arange(hi - lo)
+        sim[local, lo + local] = -np.inf
+        # Every value at or above the k-th largest is a candidate; sorting
+        # only those by (-similarity, index) resolves ties exactly.
+        kth = np.partition(sim, n - k, axis=1)[:, n - k]
+        r, c = np.divmod(np.flatnonzero(sim >= kth[:, None]), n)
+        v = sim[r, c]
+        order = np.lexsort((c, -v, r))
+        # order keeps r's row grouping, so a position minus its row's first
+        # position is the rank within the row
+        rank = np.arange(r.size) - np.searchsorted(r, local)[r]
+        keep = order[rank < k]
+        cols[lo:hi] = c[keep].reshape(-1, k)
+        vals[lo:hi] = v[keep].reshape(-1, k)
+
+    if kernel == "gaussian":
+        np.maximum(vals, np.finfo(float).tiny, out=vals)
     rows = np.repeat(np.arange(n), k)
-    cols = np.argsort(-sim, axis=1, kind="stable")[:, :k].ravel()
-    vals = sim[rows, cols]
-    vals = np.where(np.isfinite(vals), np.maximum(vals, 0.0), 0.0)
-    W = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    W = sp.csr_matrix((vals.ravel(), (rows, cols.ravel())), shape=(n, n))
     W = W.maximum(W.T)
     W.eliminate_zeros()
 

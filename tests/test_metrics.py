@@ -74,6 +74,17 @@ class TestRocAuc:
         with pytest.raises(ValidationError):
             roc_auc([0.1, 0.2], [False, False])
 
+    def test_average_ranks_match_scipy_rankdata(self):
+        from scipy.stats import rankdata
+        from semtransfer.metrics import _average_ranks
+        rng = np.random.default_rng(17)
+        for trial in range(200):
+            n = int(rng.integers(1, 80))
+            s = rng.integers(0, int(rng.integers(1, 8)), size=n).astype(float)
+            if trial % 2:
+                s = s + rng.normal(size=n) * (rng.random(n) < 0.5)
+            assert np.array_equal(_average_ranks(s), rankdata(s))
+
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(32)
         scores = rng.normal(size=20)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.spatial.distance import pdist, squareform
 
 from semtransfer import (
     CategoryScoreMatrix,
@@ -13,7 +15,57 @@ from semtransfer import (
     pst,
     seed_from_zeroshot,
 )
-from semtransfer.propagate import SeedLabels
+from semtransfer.propagate import _BLOCK_VALUES, SeedLabels, _median_heuristic
+
+
+def dense_knn_oracle(X, ks, kernel):
+    """Reference construction: full n x n similarities, stable argsort.
+
+    Cosine similarities come from BLAS, whose rounding for one entry can
+    differ between the full product (a SYRK call) and a row-block product
+    (GEMM), so the oracle assembles them from the same row blocks as the
+    build; Gaussian similarities come from the dense pdist matrix.
+    """
+    n = X.shape[0]
+    if kernel == "gaussian":
+        sigma = _median_heuristic(X)
+        d2 = squareform(pdist(X, "sqeuclidean"))
+        sim = np.exp(-d2 / (2.0 * sigma * sigma))
+    else:
+        norms = np.linalg.norm(X, axis=1, keepdims=True)
+        unit = X / np.where(norms < 1e-12, 1.0, norms)
+        block = max(1, _BLOCK_VALUES // n)
+        sim = np.vstack([unit[lo:lo + block] @ unit.T for lo in range(0, n, block)])
+        sim = np.clip(sim, 0.0, None)
+    np.fill_diagonal(sim, -np.inf)
+    order = np.argsort(-sim, axis=1, kind="stable")
+    graphs = {}
+    for k in ks:
+        k = min(k, n - 1)
+        rows = np.repeat(np.arange(n), k)
+        cols = order[:, :k].ravel()
+        vals = sim[rows, cols]
+        vals = np.where(np.isfinite(vals), np.maximum(vals, 0.0), 0.0)
+        W = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        W = W.maximum(W.T)
+        W.eliminate_zeros()
+        D = sp.diags(1.0 / np.sqrt(np.asarray(W.sum(axis=1)).ravel()))
+        graphs[k] = W, (D @ W @ D).tocsr()
+    return graphs
+
+
+def _oracle_inputs():
+    rng = np.random.default_rng(31)
+    plain = rng.normal(size=(300, 3))
+    dup = rng.normal(size=(120, 3))
+    dup = np.vstack([dup, dup[:40], dup[:40]])  # exact duplicate rows
+    tied = np.round(rng.normal(size=(400, 2)), 1) + 3.0  # heavy ties, no zero rows
+    # n > 2048 and not a multiple of the block height: several blocks, ragged last
+    large = np.round(rng.random((2100, 2)), 2) + 0.5
+    return {"plain": plain, "duplicates": dup, "rounded": tied, "large": large}
+
+
+ORACLE_INPUTS = _oracle_inputs()
 
 
 class TestPropagationConfig:
@@ -115,6 +167,35 @@ class TestKnnGraph:
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ValidationError):
             build_knn_graph(np.zeros((1, 2)), k=1)
+
+    def test_non_finite_vectors_rejected(self):
+        X = np.array([[0.0, 1.0], [np.nan, 0.5], [1.0, 1.0]])
+        with pytest.raises(ValidationError, match="finite"):
+            build_knn_graph(X, k=1)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
+    @pytest.mark.parametrize("kernel", ["gaussian", "cosine"])
+    def test_blocked_build_matches_dense_oracle_bitwise(self, name, kernel):
+        X = ORACLE_INPUTS[name]
+        for k, (W, S) in dense_knn_oracle(X, (1, 10, 15), kernel).items():
+            graph = build_knn_graph(X, k=k, kernel=kernel)
+            assert np.array_equal(graph.W.indptr, W.indptr)
+            assert np.array_equal(graph.W.indices, W.indices)
+            assert np.array_equal(graph.W.data, W.data)
+            assert np.array_equal(graph.S.indptr, S.indptr)
+            assert np.array_equal(graph.S.indices, S.indices)
+            assert np.array_equal(graph.S.data, S.data)
+
+    def test_gaussian_far_outlier_keeps_its_edges(self):
+        # exp(-d^2 / 2 sigma^2) underflows to 0 for every neighbor of the
+        # outlier; the floored weights keep it connected
+        rng = np.random.default_rng(11)
+        X = np.vstack([rng.random((50, 4)), np.full((1, 4), 100.0)])
+        graph = build_knn_graph(X, k=5)
+        row = graph.W.getrow(50)
+        assert row.nnz >= 5
+        assert row.data.min() == np.finfo(float).tiny
+        assert np.isfinite(graph.S.data).all()
 
 
 class TestSeeds:
