@@ -13,7 +13,6 @@ from .core import (
     DatasetSplit,
     FeatureMatrix,
     ParseError,
-    Registry,
     RelatednessMatrix,
     ValidationError,
     clean_identifier,
@@ -81,7 +80,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssociationMatrix", "AttributeScoreMatrix", "CategoryScoreMatrix",
-    "DatasetSplit", "FeatureMatrix", "ParseError", "Registry",
+    "DatasetSplit", "FeatureMatrix", "ParseError",
     "RelatednessMatrix", "ValidationError", "clean_identifier", "validate_split",
     "CorpusIndex", "Taxonomy", "binarize", "build_corpus_index",
     "dice_hitcount", "dice_snippet", "esa_relatedness", "fuse_measures",

@@ -12,12 +12,11 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-
-import numpy as np
 
 from . import io
 from .classify import TrainConfig, predict_attribute_scores, train_attribute_classifiers
@@ -26,12 +25,18 @@ from .core import (
     AttributeScoreMatrix,
     CategoryScoreMatrix,
     ParseError,
-    RelatednessMatrix,
     ValidationError,
+    validate_split,
 )
 from .metrics import evaluate_zero_shot
 from .propagate import PropagationConfig, pst
-from .relatedness import binarize, build_corpus_index, mine_relatedness, tfidf_associations
+from .relatedness import (
+    binarize,
+    build_corpus_index,
+    mine_relatedness,
+    signature_relatedness,
+    tfidf_associations,
+)
 from .synth import SynthConfig, corpus_plan_from_associations, gen_corpus, gen_dataset
 from .transfer import (
     attribute_prior_from_associations,
@@ -76,20 +81,8 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _load_json(path) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected a JSON object")
-    return doc
-
-
 def _load_terms(path) -> tuple[list[str], list[str]]:
-    doc = _load_json(path)
+    doc = io.read_json(path)
     for key in ("categories", "attributes"):
         if key not in doc or not isinstance(doc[key], list):
             raise ParseError(f"{path}: terms file needs a {key!r} list")
@@ -100,6 +93,28 @@ def _check_keys(section: dict, allowed: set[str], where: str) -> None:
     unknown = set(section) - allowed
     if unknown:
         raise ValidationError(f"unknown {where} keys: {sorted(unknown)}")
+
+
+def _section(cfg: dict, name: str, allowed: set[str]) -> dict:
+    sec = cfg.get(name, {})
+    if not isinstance(sec, dict):
+        raise ValidationError(f"config section {name!r} must be a JSON object")
+    _check_keys(sec, allowed, name)
+    return dict(sec)
+
+
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "None": type(None)}
+
+
+def _from_section(cls, sec: dict, where: str):
+    """Build a config dataclass, rejecting values whose JSON type does not
+    match the field's annotation."""
+    for f in dataclasses.fields(cls):
+        value = sec.get(f.name)
+        if f.name in sec and (isinstance(value, bool) or not isinstance(
+                value, tuple(_JSON_TYPES[t] for t in f.type.split(" | ")))):
+            raise ValidationError(f"{where} {f.name} must be {f.type}, got {value!r}")
+    return cls(**sec)
 
 
 # ---------------------------------------------------------------------------
@@ -248,24 +263,9 @@ def _sub_association(assoc: AssociationMatrix, categories) -> AssociationMatrix:
                              assoc.values[rows], binary=assoc.binary)
 
 
-def _signature_relatedness(assoc: AssociationMatrix, novel, known) -> RelatednessMatrix:
-    # Dice overlap of binary attribute signatures, novel rows x known columns.
-    if not assoc.binary:
-        raise ValidationError("similarity transfer needs binary associations")
-    V = assoc.values
-    idx = {c: i for i, c in enumerate(assoc.categories)}
-    out = np.zeros((len(novel), len(known)))
-    for i, nc in enumerate(novel):
-        for j, kc in enumerate(known):
-            a, b = V[idx[nc]], V[idx[kc]]
-            denom = a.sum() + b.sum()
-            out[i, j] = 2.0 * float((a * b).sum()) / denom if denom > 0 else 0.0
-    return RelatednessMatrix(tuple(novel), tuple(known), out, measure="fused")
-
-
 def run_pipeline(config_path, out_dir_override, strict: bool) -> int:
     with _stage("config"):
-        cfg = _load_json(config_path)
+        cfg = io.read_json(config_path)
         _check_keys(cfg, _TOP_KEYS, "config")
         # paths inside the config resolve against the config file itself;
         # the --out-dir flag resolves against the working directory as usual
@@ -277,16 +277,17 @@ def run_pipeline(config_path, out_dir_override, strict: bool) -> int:
         else:
             raise ValidationError("no output directory (config output_dir or --out-dir)")
         out.mkdir(parents=True, exist_ok=True)
-        seed = int(cfg.get("seed", 0))
+        seed = cfg.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ValidationError(f"seed must be an integer, got {seed!r}")
 
     with _stage("data"):
         if ("synth" in cfg) == ("data" in cfg):
             raise ValidationError("config needs exactly one of 'synth' or 'data'")
         if "synth" in cfg:
-            sec = dict(cfg["synth"])
-            _check_keys(sec, _SYNTH_KEYS, "synth")
+            sec = _section(cfg, "synth", _SYNTH_KEYS)
             sec.setdefault("seed", seed)
-            ds = gen_dataset(SynthConfig(**sec))
+            ds = gen_dataset(_from_section(SynthConfig, sec, "synth"))
             features, labels = ds.features, ds.labels
             base_assoc, split = ds.associations, ds.split
             io.write_features(out / "features.tsv", features)
@@ -294,8 +295,7 @@ def run_pipeline(config_path, out_dir_override, strict: bool) -> int:
             io.write_association(out / "associations.tsv", base_assoc)
             io.write_split(out / "split.json", split)
         else:
-            sec = dict(cfg["data"])
-            _check_keys(sec, {"features", "labels", "associations", "split"}, "data")
+            sec = _section(cfg, "data", {"features", "labels", "associations", "split"})
             for key in ("features", "labels", "associations", "split"):
                 if key not in sec:
                     raise ValidationError(f"data section needs {key!r}")
@@ -303,12 +303,15 @@ def run_pipeline(config_path, out_dir_override, strict: bool) -> int:
             labels = io.read_labels(base / sec["labels"])
             base_assoc = io.read_association(base / sec["associations"])
             split = io.read_split(base / sec["split"])
+        violations = validate_split(split, base_assoc)
+        if violations:
+            raise ValidationError(f"{len(violations)} split violations: "
+                                  + "; ".join(violations[:5]))
 
     corpus = None
     with _stage("corpus"):
         if "corpus" in cfg:
-            sec = dict(cfg["corpus"])
-            _check_keys(sec, {"path", "docs_per_pair", "filler_docs"}, "corpus")
+            sec = _section(cfg, "corpus", {"path", "docs_per_pair", "filler_docs"})
             if "path" in sec:
                 corpus = io.read_corpus_jsonl(base / sec["path"])
             else:
@@ -325,8 +328,8 @@ def run_pipeline(config_path, out_dir_override, strict: bool) -> int:
         if "mine" in cfg:
             if corpus is None:
                 raise ValidationError("mining needs a corpus section")
-            sec = dict(cfg["mine"])
-            _check_keys(sec, {"measure", "window", "taxonomy_edges", "taxonomy_probs"}, "mine")
+            sec = _section(cfg, "mine",
+                           {"measure", "window", "taxonomy_edges", "taxonomy_probs"})
             measure = sec.get("measure", "dice_hit")
             taxonomy = None
             if measure == "lin":
@@ -345,8 +348,7 @@ def run_pipeline(config_path, out_dir_override, strict: bool) -> int:
         if rel is not None:
             if "assoc" not in cfg:
                 raise ValidationError("mined relatedness needs an assoc section to binarize")
-            sec = dict(cfg["assoc"])
-            _check_keys(sec, {"policy", "k", "threshold"}, "assoc")
+            sec = _section(cfg, "assoc", {"policy", "k", "threshold"})
             if "policy" not in sec:
                 raise ValidationError("assoc section needs a policy")
             assoc = binarize(rel, sec["policy"], k=sec.get("k"),
@@ -358,9 +360,8 @@ def run_pipeline(config_path, out_dir_override, strict: bool) -> int:
             assoc = base_assoc
 
     with _stage("train"):
-        sec = dict(cfg.get("train", {}))
-        _check_keys(sec, {"l2", "lr", "max_iters", "tol"}, "train")
-        tconfig = TrainConfig(seed=seed, **sec)
+        sec = _section(cfg, "train", {"l2", "lr", "max_iters", "tol"})
+        tconfig = _from_section(TrainConfig, {**sec, "seed": seed}, "train")
         model = train_attribute_classifiers(features, split.train_instances, assoc, tconfig)
         io.save_model(out / "model.json", model)
         stuck = _unconverged_attributes(model)
@@ -370,9 +371,8 @@ def run_pipeline(config_path, out_dir_override, strict: bool) -> int:
         io.write_attribute_scores(out / "attribute_scores.tsv", attr_scores)
 
     with _stage("transfer"):
-        sec = dict(cfg.get("transfer", {}))
-        _check_keys(sec, {"method", "top_k", "taxonomy_edges", "taxonomy_probs",
-                          "attachments", "mode"}, "transfer")
+        sec = _section(cfg, "transfer", {"method", "top_k", "taxonomy_edges",
+                                         "taxonomy_probs", "attachments", "mode"})
         method = sec.get("method", "dap")
         known = [c for c in assoc.categories if c in split.known_categories]
         novel = [c for c in assoc.categories if c in split.novel_categories]
@@ -385,7 +385,7 @@ def run_pipeline(config_path, out_dir_override, strict: bool) -> int:
             zeroshot = dap_scores(attr_scores, novel_assoc, prior)
         elif method == "sim":
             known_scores = dap_scores(attr_scores, known_assoc, prior)
-            rel_nk = _signature_relatedness(assoc, novel, known)
+            rel_nk = signature_relatedness(assoc, novel, known)
             zeroshot = direct_similarity_scores(known_scores, rel_nk,
                                                 top_k=int(sec.get("top_k", 5)))
         elif method == "hier":
@@ -404,10 +404,9 @@ def run_pipeline(config_path, out_dir_override, strict: bool) -> int:
     pst_result = None
     with _stage("pst"):
         if "pst" in cfg:
-            sec = dict(cfg["pst"])
-            _check_keys(sec, {"k", "kernel", "sigma", "alpha", "tol", "max_iters", "rho"},
-                        "pst")
-            pconfig = PropagationConfig(**sec)
+            sec = _section(cfg, "pst",
+                           {"k", "kernel", "sigma", "alpha", "tol", "max_iters", "rho"})
+            pconfig = _from_section(PropagationConfig, sec, "pst")
             rows = [inst for inst in features.instances
                     if inst in split.fewshot_instances or inst in split.test_instances]
             if not rows:
@@ -423,8 +422,7 @@ def run_pipeline(config_path, out_dir_override, strict: bool) -> int:
             io.write_labels(out / "pst_predictions.tsv", pst_result.predictions)
 
     with _stage("eval"):
-        sec = dict(cfg.get("eval", {}))
-        _check_keys(sec, {"protocol"}, "eval")
+        sec = _section(cfg, "eval", {"protocol"})
         protocol = sec.get("protocol", "novel_only")
         if protocol not in ("novel_only", "with_distractors", "both"):
             raise ValidationError(f"unknown protocol: {protocol!r}")

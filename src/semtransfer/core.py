@@ -1,4 +1,4 @@
-"""Shared domain types: identifier registries, matrix containers, dataset splits."""
+"""Shared domain types: identifiers, matrix containers, dataset splits."""
 
 from __future__ import annotations
 
@@ -23,51 +23,6 @@ def clean_identifier(identifier: str) -> str:
     if not ident:
         raise ValidationError("empty identifier")
     return ident
-
-
-class Registry:
-    """Assigns dense integer indices to string identifiers in first-add order.
-
-    The identifier <-> index mapping is a bijection and is stable for a
-    given construction order.
-    """
-
-    def __init__(self, identifiers: Iterable[str] = ()):
-        self._index: dict[str, int] = {}
-        self._ids: list[str] = []
-        for ident in identifiers:
-            self.add(ident)
-
-    def add(self, identifier: str) -> int:
-        """Register an identifier, returning its index (existing or new)."""
-        ident = clean_identifier(identifier)
-        if ident in self._index:
-            return self._index[ident]
-        idx = len(self._ids)
-        self._index[ident] = idx
-        self._ids.append(ident)
-        return idx
-
-    def index(self, identifier: str) -> int:
-        try:
-            return self._index[identifier]
-        except KeyError:
-            raise ValidationError(f"unknown identifier: {identifier!r}") from None
-
-    def identifier(self, index: int) -> str:
-        if not 0 <= index < len(self._ids):
-            raise ValidationError(f"index out of range: {index}")
-        return self._ids[index]
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(self._ids)
-
-    def __contains__(self, identifier: str) -> bool:
-        return identifier in self._index
-
-    def __len__(self) -> int:
-        return len(self._ids)
 
 
 def _clean_ids(ids: Iterable[str], axis: str) -> tuple[str, ...]:

@@ -25,6 +25,24 @@ from .core import (
 )
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def read_json(path) -> dict:
+    """Read a file holding one JSON object."""
+    try:
+        doc = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    return doc
+
+
 def format_number(value: float) -> str:
     return f"{value:.9g}"
 
@@ -50,11 +68,7 @@ def write_matrix_tsv(path, row_ids: Sequence[str], col_ids: Sequence[str],
 
 def read_matrix_tsv(path):
     """Read a matrix TSV, returning (row_ids, col_ids, values, tags)."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+    text = _read_text(path)
     tags: dict[str, str] = {}
     header = None
     row_ids: list[str] = []
@@ -149,11 +163,7 @@ def write_labels(path, labels: Mapping[str, str]) -> None:
 
 
 def read_labels(path) -> dict[str, str]:
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+    text = _read_text(path)
     labels: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#") or line.startswith("\t"):
@@ -174,11 +184,7 @@ def write_corpus_jsonl(path, documents: Sequence[tuple[str, str]]) -> None:
 
 
 def read_corpus_jsonl(path) -> list[tuple[str, str]]:
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+    text = _read_text(path)
     docs: list[tuple[str, str]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -206,12 +212,7 @@ def read_taxonomy(edges_path, probs_path):
     from .relatedness import Taxonomy
 
     parent: dict[str, str | None] = {}
-    edges_path = Path(edges_path)
-    try:
-        edge_text = edges_path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {edges_path}: {exc}") from exc
-    for lineno, line in enumerate(edge_text.splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(edges_path).splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         cells = line.split("\t")
@@ -225,13 +226,8 @@ def read_taxonomy(edges_path, probs_path):
     for node in list(parent):
         parent.setdefault(node, None)
 
-    probs_path = Path(probs_path)
-    try:
-        prob_text = probs_path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {probs_path}: {exc}") from exc
     prob: dict[str, float] = {}
-    for lineno, line in enumerate(prob_text.splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(probs_path).splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         cells = line.split("\t")
@@ -256,17 +252,18 @@ def write_split(path, split: DatasetSplit) -> None:
 
 
 def read_split(path) -> DatasetSplit:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    doc = read_json(path)
     required = {"known_categories", "novel_categories", "train_instances", "test_instances"}
     missing = required - set(doc)
     if missing:
         raise ParseError(f"{path}: missing split fields: {sorted(missing)}")
+    for key in ("known_categories", "novel_categories"):
+        if not isinstance(doc[key], list) or not all(isinstance(c, str) for c in doc[key]):
+            raise ParseError(f"{path}: {key} must be a list of category names")
+    for key in ("train_instances", "test_instances", "fewshot_instances"):
+        labels = doc.get(key, {})
+        if not isinstance(labels, dict) or not all(isinstance(c, str) for c in labels.values()):
+            raise ParseError(f"{path}: {key} must map instance names to category names")
     return DatasetSplit(
         known_categories=frozenset(doc["known_categories"]),
         novel_categories=frozenset(doc["novel_categories"]),
@@ -294,24 +291,16 @@ def save_model(path, model) -> None:
 def load_model(path):
     from .classify import AttributeModel
 
-    path = Path(path)
+    doc = read_json(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        return AttributeModel(
-            attributes=tuple(doc["attributes"]),
-            weights=np.array(doc["weights"], dtype=float),
-            biases=np.array(doc["biases"], dtype=float),
-            feature_mean=np.array(doc["feature_mean"], dtype=float),
-            feature_std=np.array(doc["feature_std"], dtype=float),
-            metadata=doc.get("metadata", {}),
-        )
+        attributes = tuple(doc["attributes"])
+        arrays = {key: np.array(doc[key], dtype=float)
+                  for key in ("weights", "biases", "feature_mean", "feature_std")}
     except KeyError as exc:
         raise ParseError(f"{path}: missing model field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed model field: {exc}") from exc
+    return AttributeModel(attributes=attributes, metadata=doc.get("metadata", {}), **arrays)
 
 
 def report_to_dict(report) -> dict:
@@ -325,31 +314,3 @@ def report_to_dict(report) -> dict:
         "counts": dict(sorted(report.counts.items())),
     }
 
-
-def write_report(path, report) -> None:
-    Path(path).write_text(
-        json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-
-
-def write_report_tsv(path, report) -> None:
-    """Flat per-category metrics: category, auc, ap."""
-    lines = ["\tauc\tap"]
-    for cat in sorted(report.per_category_auc):
-        auc = format_number(report.per_category_auc[cat])
-        ap = format_number(report.per_category_ap.get(cat, float("nan")))
-        lines.append(f"{cat}\t{auc}\t{ap}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_graph_edges(path, graph, instance_ids: Sequence[str] | None = None) -> None:
-    """Export the symmetric weight matrix as an (i, j, weight) TSV edge list."""
-    coo = graph.W.tocoo()
-    lines = []
-    for i, j, w in zip(coo.row, coo.col, coo.data):
-        if i < j:
-            a = instance_ids[i] if instance_ids is not None else str(i)
-            b = instance_ids[j] if instance_ids is not None else str(j)
-            lines.append(f"{a}\t{b}\t{format_number(w)}")
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")

@@ -8,7 +8,11 @@ Four pluggable measures over different evidence sources:
                        annotated taxonomy.
 * ``esa``           -- cosine of tf-idf concept vectors.
 
-plus a tf*idf association miner for per-category script text, fusion of
+The corpus measures share one sparse token x document count matrix. Dice
+works on 0/1 term x context rows, a context being a document or a sliding
+window, and fills a whole matrix with one sparse product;
+``dice_snippet`` without a window is ``dice_hit``. The module also has
+a tf*idf association miner for per-category script text, fusion of
 several measures into one matrix, and binarization policies that turn a
 real-valued relatedness matrix into a binary association matrix.
 """
@@ -18,10 +22,10 @@ from __future__ import annotations
 import math
 import string
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .core import AssociationMatrix, RelatednessMatrix, ValidationError, clean_identifier
 
@@ -43,9 +47,15 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True, eq=False)
 class CorpusIndex:
+    """Tokenized documents plus their token x document count matrix.
+
+    ``postings`` maps each token to its row of ``counts``.
+    """
+
     doc_ids: tuple[str, ...]
     doc_tokens: tuple[tuple[str, ...], ...]
-    postings: Mapping[str, frozenset[int]]
+    postings: Mapping[str, int]
+    counts: sp.csr_array
 
     @property
     def n_docs(self) -> int:
@@ -58,21 +68,24 @@ def build_corpus_index(documents: Sequence[tuple[str, str]]) -> CorpusIndex:
         raise ValidationError("empty corpus")
     doc_ids: list[str] = []
     doc_tokens: list[tuple[str, ...]] = []
-    postings: dict[str, set[int]] = {}
+    postings: dict[str, int] = {}
+    rows: list[int] = []
+    cols: list[int] = []
     seen: set[str] = set()
     for doc_id, text in documents:
         doc_id = clean_identifier(doc_id)
         if doc_id in seen:
             raise ValidationError(f"duplicate document id: {doc_id!r}")
         seen.add(doc_id)
-        idx = len(doc_ids)
         toks = tuple(tokenize(text))
+        rows.extend(postings.setdefault(tok, len(postings)) for tok in toks)
+        cols.extend([len(doc_ids)] * len(toks))
         doc_ids.append(doc_id)
         doc_tokens.append(toks)
-        for tok in set(toks):
-            postings.setdefault(tok, set()).add(idx)
-    frozen = {tok: frozenset(ixs) for tok, ixs in postings.items()}
-    return CorpusIndex(tuple(doc_ids), tuple(doc_tokens), frozen)
+    # repeated (token, document) entries are summed into in-document counts
+    counts = sp.csr_array((np.ones(len(rows)), (rows, cols)),
+                          shape=(len(postings), len(doc_ids)))
+    return CorpusIndex(tuple(doc_ids), tuple(doc_tokens), postings, counts)
 
 
 def _term_tokens(term: str) -> list[str]:
@@ -82,73 +95,103 @@ def _term_tokens(term: str) -> list[str]:
     return toks
 
 
-def _term_docs(index: CorpusIndex, term: str) -> frozenset[int]:
-    # A document matches a multi-word term when it contains every token.
-    toks = _term_tokens(term)
-    docs = index.postings.get(toks[0], frozenset())
-    for tok in toks[1:]:
-        docs = docs & index.postings.get(tok, frozenset())
-        if not docs:
-            break
-    return docs
+def _select_tokens(index: CorpusIndex, terms: Sequence[str]):
+    """Token lists of ``terms``, their distinct tokens that occur in the
+    corpus, and the terms x those tokens matrix of token multiplicities."""
+    toks = [_term_tokens(t) for t in terms]
+    tokens = sorted({t for ts in toks for t in ts if t in index.postings})
+    col = {t: j for j, t in enumerate(tokens)}
+    pairs = [(i, col[t]) for i, ts in enumerate(toks) for t in ts if t in col]
+    i, j = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    select = sp.csr_array((np.ones(len(pairs)), (i, j)), shape=(len(terms), len(tokens)))
+    return toks, tokens, select
+
+
+def _token_rows(index: CorpusIndex, tokens: Sequence[str]) -> sp.csr_array:
+    return index.counts[[index.postings[t] for t in tokens]]
+
+
+def _window_contexts(index: CorpusIndex, tokens: Sequence[str], window: int) -> sp.csr_array:
+    """0/1 matrix of ``tokens`` x every sliding window of the corpus.
+
+    A document of n tokens has max(1, n - window + 1) windows, numbered
+    consecutively across documents; an empty document has none. Only the
+    positions of these tokens are scanned.
+    """
+    lengths = np.fromiter(map(len, index.doc_tokens), np.int64, index.n_docs)
+    n_win = np.where(lengths > 0, np.maximum(lengths - window + 1, 1), 0)
+    first = np.cumsum(n_win) - n_win
+    local = {t: i for i, t in enumerate(tokens)}
+    occ: list[tuple[int, int, int]] = []
+    for d in np.unique(_token_rows(index, tokens).indices):
+        occ.extend((local[t], d, p) for p, t in enumerate(index.doc_tokens[d]) if t in local)
+    tok, doc, pos = np.array(occ, dtype=np.int64).reshape(-1, 3).T
+    order = np.argsort(tok, kind="stable")
+    tok, doc, pos = tok[order], doc[order], pos[order]
+    # the windows holding position p of a document are p - window + 1 .. p,
+    # clipped to the document; per token both ends never decrease, so
+    # starting each span after the previous one's end removes overlaps
+    lo = first[doc] + np.maximum(pos - window + 1, 0)
+    hi = first[doc] + np.minimum(pos, n_win[doc] - 1)
+    same = tok[1:] == tok[:-1]
+    lo[1:][same] = np.maximum(lo[1:][same], hi[:-1][same] + 1)
+    size = np.maximum(hi - lo + 1, 0)
+    ids = np.repeat(lo - (np.cumsum(size) - size), size) + np.arange(size.sum())
+    per_token = np.bincount(tok, weights=size, minlength=len(tokens)).astype(np.int64)
+    indptr = np.concatenate([[0], np.cumsum(per_token)])
+    return sp.csr_array((np.ones(len(ids)), ids, indptr), shape=(len(tokens), int(n_win.sum())))
+
+
+def _term_contexts(index: CorpusIndex, terms: Sequence[str],
+                  window: int | None) -> sp.csr_array:
+    """0/1 matrix of ``terms`` x contexts: whole documents when ``window`` is
+    None, else sliding windows of ``window`` tokens. A multi-word term is in
+    a context when every one of its tokens is."""
+    toks, tokens, select = _select_tokens(index, terms)
+    if window is None:
+        contexts = _token_rows(index, tokens)
+        contexts.data[:] = 1.0
+    else:
+        contexts = _window_contexts(index, tokens, window)
+    hits = select @ contexts
+    need = np.repeat([len(ts) for ts in toks], np.diff(hits.indptr))
+    hits.data = (hits.data == need).astype(float)
+    hits.eliminate_zeros()
+    return hits
+
+
+def _dice(a, b) -> np.ndarray:
+    """Dice coefficient 2|x & y| / (|x| + |y|) of every 0/1 row x of ``a``
+    with every row y of ``b``; zero where both rows are empty."""
+    a, b = sp.csr_array(a), sp.csr_array(b)
+    both = (a @ b.T).toarray()
+    size = a.sum(axis=1)[:, None] + b.sum(axis=1)[None, :]
+    out = np.zeros(both.shape)
+    np.divide(2.0 * both, size, out=out, where=size > 0)
+    return out
 
 
 def dice_hitcount(index: CorpusIndex, a: str, b: str) -> float:
-    da = _term_docs(index, a)
-    db = _term_docs(index, b)
-    denom = len(da) + len(db)
-    if denom == 0:
-        return 0.0
-    return 2.0 * len(da & db) / denom
-
-
-@lru_cache(maxsize=8)
-def _token_windows(index: CorpusIndex, window: int | None) -> dict[str, frozenset[int]]:
-    """Map token -> global ids of sliding windows containing it.
-
-    ``window=None`` treats each whole document as a single window. Windows
-    shorter than ``window`` occur only for documents shorter than the window.
-    """
-    occupancy: dict[str, set[int]] = {}
-    next_id = 0
-    for toks in index.doc_tokens:
-        if window is None:
-            spans = [toks] if toks else []
-        else:
-            n = len(toks)
-            spans = [toks[i:i + window] for i in range(max(1, n - window + 1))] if n else []
-        for span in spans:
-            for tok in set(span):
-                occupancy.setdefault(tok, set()).add(next_id)
-            next_id += 1
-    return {tok: frozenset(ids) for tok, ids in occupancy.items()}
-
-
-def _term_windows(index: CorpusIndex, term: str, window: int | None) -> frozenset[int]:
-    toks = _term_tokens(term)
-    table = _token_windows(index, window)
-    wins = table.get(toks[0], frozenset())
-    for tok in toks[1:]:
-        wins = wins & table.get(tok, frozenset())
-        if not wins:
-            break
-    return wins
+    """Dice coefficient over the documents that contain each term."""
+    return float(mine_relatedness(index, [a], [b], "dice_hit").values[0, 0])
 
 
 def dice_snippet(index: CorpusIndex, a: str, b: str, window: int | None = 20) -> float:
     """Dice coefficient over sliding windows of ``window`` tokens.
 
-    ``window=None`` degrades to whole documents and agrees exactly with
-    :func:`dice_hitcount`.
+    ``window=None`` degrades to whole documents, which is :func:`dice_hitcount`.
     """
-    if window is not None and window < 1:
-        raise ValidationError(f"window must be >= 1 or None, got {window}")
-    wa = _term_windows(index, a, window)
-    wb = _term_windows(index, b, window)
-    denom = len(wa) + len(wb)
-    if denom == 0:
-        return 0.0
-    return 2.0 * len(wa & wb) / denom
+    return float(mine_relatedness(index, [a], [b], "dice_snippet", window=window).values[0, 0])
+
+
+def signature_relatedness(assoc: AssociationMatrix, rows: Sequence[str],
+                          cols: Sequence[str]) -> RelatednessMatrix:
+    """Dice overlap of binary attribute signatures, ``rows`` x ``cols`` categories."""
+    if not assoc.binary:
+        raise ValidationError("similarity transfer needs binary associations")
+    at = {c: i for i, c in enumerate(assoc.categories)}
+    values = _dice(assoc.values[[at[c] for c in rows]], assoc.values[[at[c] for c in cols]])
+    return RelatednessMatrix(tuple(rows), tuple(cols), values, measure="fused")
 
 
 # ---------------------------------------------------------------------------
@@ -274,49 +317,32 @@ def lin_relatedness(tax: Taxonomy, a: str, b: str) -> float:
 # ESA: concept-vector cosine
 
 
-@lru_cache(maxsize=8)
-def _tfidf_table(index: CorpusIndex) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Per-token tf-idf document vectors; tf is the raw in-document count."""
-    n = index.n_docs
-    counts: dict[str, np.ndarray] = {}
-    for j, toks in enumerate(index.doc_tokens):
-        for tok in toks:
-            vec = counts.get(tok)
-            if vec is None:
-                vec = np.zeros(n)
-                counts[tok] = vec
-            vec[j] += 1.0
-    table = {}
-    for tok, vec in counts.items():
-        df = len(index.postings[tok])
-        idf = math.log(n / df)
-        table[tok] = vec * idf
-    return table, np.zeros(n)
+def _esa(index: CorpusIndex, rows: Sequence[str], cols: Sequence[str]) -> np.ndarray:
+    """Cosine of summed tf-idf concept vectors, clipped to [0, 1].
 
-
-def _concept_vector(index: CorpusIndex, term: str) -> np.ndarray:
-    toks = _term_tokens(term)
-    table, zero = _tfidf_table(index)
-    vec = zero.copy()
-    for tok in toks:
-        tv = table.get(tok)
-        if tv is not None:
-            vec += tv
-    return vec
+    A term's concept vector sums the tf-idf document rows of its tokens (tf
+    is the raw in-document count, idf is log(#docs / df)). Terms with equal
+    token lists give exactly 1 and terms without any weight give 0.
+    """
+    toks, tokens, select = _select_tokens(index, [*rows, *cols])
+    tfidf = _token_rows(index, tokens)
+    df = np.diff(tfidf.indptr)
+    tfidf.data *= np.repeat([math.log(index.n_docs / d) for d in df], df)
+    vectors = select @ tfidf
+    norms = np.sqrt((vectors * vectors).sum(axis=1))
+    n = len(rows)
+    denom = np.outer(norms[:n], norms[n:])
+    cos = np.zeros(denom.shape)
+    np.divide((vectors[:n] @ vectors[n:].T).toarray(), denom, out=cos, where=denom > 0)
+    cos = np.clip(cos, 0.0, 1.0)
+    same = np.array([[ta == tb for tb in toks[n:]] for ta in toks[:n]], dtype=bool)
+    cos[same.reshape(denom.shape) & (denom > 0)] = 1.0
+    return cos
 
 
 def esa_relatedness(index: CorpusIndex, a: str, b: str) -> float:
     """Cosine similarity of summed tf-idf concept vectors, clipped to [0, 1]."""
-    va = _concept_vector(index, a)
-    vb = _concept_vector(index, b)
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    if _term_tokens(a) == _term_tokens(b):
-        return 1.0
-    cos = float(va @ vb) / (na * nb)
-    return min(max(cos, 0.0), 1.0)
+    return float(mine_relatedness(index, [a], [b], "esa").values[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -395,22 +421,22 @@ def mine_relatedness(index: CorpusIndex, categories: Sequence[str],
         raise ValidationError("duplicate category term")
     if len(set(attributes)) != len(attributes):
         raise ValidationError("duplicate attribute term")
-    values = np.zeros((len(categories), len(attributes)))
-    if measure == "dice_hit":
-        fn = lambda c, a: dice_hitcount(index, c, a)
-    elif measure == "dice_snippet":
-        fn = lambda c, a: dice_snippet(index, c, a, window)
+    if measure in ("dice_hit", "dice_snippet"):
+        if measure == "dice_hit":
+            window = None
+        elif window is not None and window < 1:
+            raise ValidationError(f"window must be >= 1 or None, got {window}")
+        contexts = _term_contexts(index, categories + attributes, window)
+        values = _dice(contexts[:len(categories)], contexts[len(categories):])
     elif measure == "esa":
-        fn = lambda c, a: esa_relatedness(index, c, a)
+        values = _esa(index, categories, attributes)
     elif measure == "lin":
         if taxonomy is None:
             raise ValidationError("lin measure needs a taxonomy")
-        fn = lambda c, a: lin_relatedness(taxonomy, c, a)
+        values = np.array([[lin_relatedness(taxonomy, c, a) for a in attributes]
+                           for c in categories]).reshape(len(categories), len(attributes))
     else:
         raise ValidationError(f"unknown relatedness measure: {measure!r}")
-    for i, cat in enumerate(categories):
-        for j, att in enumerate(attributes):
-            values[i, j] = fn(cat, att)
     return RelatednessMatrix(categories, attributes, values, measure=measure)
 
 

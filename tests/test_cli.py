@@ -270,3 +270,64 @@ class TestPipeline:
         code, err = run(capsys, "pipeline", "--config", config)
         assert code == 3
         assert last_error(err)["stage"] == "data"
+
+
+def data_config(data_dir, split="split.json", **overrides):
+    cfg = {
+        "output_dir": "run",
+        "seed": 5,
+        "data": {"features": "features.tsv", "labels": "labels.tsv",
+                 "associations": "associations.tsv", "split": split},
+        "train": {"max_iters": 50},
+        "transfer": {"method": "dap"},
+        "pst": {"k": 8, "rho": 0.15, "alpha": 0.8},
+        "eval": {"protocol": "novel_only"},
+    }
+    cfg.update(overrides)
+    path = data_dir / "config.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+class TestInputValidation:
+    def test_fewshot_instance_in_test_pool_exits_3(self, synth_dir, capsys):
+        doc = json.loads((synth_dir / "split.json").read_text())
+        inst, cat = next(iter(doc["fewshot_instances"].items()))
+        doc["test_instances"][inst] = cat
+        (synth_dir / "leaky.json").write_text(json.dumps(doc))
+        code, err = run(capsys, "pipeline", "--config", data_config(synth_dir, "leaky.json"))
+        assert code == 3
+        payload = last_error(err)
+        assert payload["stage"] == "data"
+        assert inst in payload["error"]
+
+    @staticmethod
+    def _split_with_list(d):
+        doc = json.loads((d / "split.json").read_text())
+        doc["train_instances"] = list(doc["train_instances"])
+        (d / "bad_split.json").write_text(json.dumps(doc))
+        return ["pipeline", "--config", data_config(d, "bad_split.json")]
+
+    @staticmethod
+    def _model(d, doc):
+        (d / "model.json").write_text(json.dumps(doc))
+        return ["zeroshot", "--model", d / "model.json", "--features", d / "features.tsv",
+                "--assoc", d / "associations.tsv", "--out", d / "zs.tsv"]
+
+    @pytest.mark.parametrize("case", ["split_list", "ragged_weights", "model_list",
+                                      "string_max_iters"])
+    def test_malformed_input_gives_one_json_error(self, synth_dir, capsys, case):
+        model = {"attributes": ["a0", "a1"], "weights": [[0.0, 1.0], [2.0]],
+                 "biases": [0.0, 0.0], "feature_mean": [0.0, 0.0], "feature_std": [1.0, 1.0]}
+        argv = {
+            "split_list": lambda: self._split_with_list(synth_dir),
+            "ragged_weights": lambda: self._model(synth_dir, model),
+            "model_list": lambda: self._model(synth_dir, [model]),
+            "string_max_iters": lambda: ["pipeline", "--config", data_config(
+                synth_dir, train={"max_iters": "x"})],
+        }[case]()
+        code, err = run(capsys, *argv)
+        assert code in (2, 3)
+        lines = err.strip().splitlines()
+        assert len(lines) == 1, err
+        assert json.loads(lines[0])["code"] == code

@@ -7,7 +7,6 @@ from semtransfer import (
     CategoryScoreMatrix,
     DatasetSplit,
     FeatureMatrix,
-    Registry,
     RelatednessMatrix,
     ValidationError,
     clean_identifier,
@@ -25,35 +24,6 @@ class TestIdentifiers:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             clean_identifier("   ")
-
-
-class TestRegistry:
-    def test_indices_are_dense_and_first_add_order(self):
-        reg = Registry()
-        for name in ["c", "a", "b"]:
-            reg.add(name)
-        assert [reg.index(n) for n in ["c", "a", "b"]] == [0, 1, 2]
-        assert reg.ids == ("c", "a", "b")
-
-    def test_add_is_idempotent(self):
-        reg = Registry()
-        assert reg.add("x") == reg.add("x") == 0
-        assert len(reg) == 1
-
-    def test_bijection(self):
-        reg = Registry()
-        names = [f"t{i}" for i in range(50)]
-        for n in names:
-            reg.add(n)
-        for n in names:
-            assert reg.identifier(reg.index(n)) == n
-
-    def test_unknown_lookup_raises(self):
-        reg = Registry()
-        with pytest.raises(ValidationError):
-            reg.index("missing")
-        with pytest.raises(ValidationError):
-            reg.identifier(0)
 
 
 class TestAssociationMatrix:

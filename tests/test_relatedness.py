@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -85,10 +87,17 @@ class TestDiceHitcount:
         for d in range(60):
             n = rng.integers(1, 9)
             docs.append((f"d{d}", " ".join(rng.choice(vocab, size=n))))
+        docs += [("empty", ""), ("punct", "... !!")]
         idx = build_corpus_index(docs)
         for _ in range(100):
             a, b = rng.choice(vocab, size=2)
             assert dice_hitcount(idx, a, b) == brute_dice_docs(docs, a, b)
+        # the whole-matrix path, with multi-word and absent terms
+        terms = vocab + ["w1 w2", "w3 w4 w5", "yeti", "w0 yeti"]
+        rel = mine_relatedness(idx, terms, terms[::-1], "dice_hit")
+        for i, a in enumerate(terms):
+            for j, b in enumerate(terms[::-1]):
+                assert rel.values[i, j] == brute_dice_docs(docs, a, b)
 
     def test_symmetry_and_unit_range(self):
         rng = np.random.default_rng(7)
@@ -139,11 +148,18 @@ class TestDiceSnippet:
         vocab = [f"w{i}" for i in range(10)]
         docs = [(f"d{d}", " ".join(rng.choice(vocab, size=rng.integers(1, 15))))
                 for d in range(40)]
+        # empty documents, and documents shorter than every window above 2
+        docs[3:3] = [("empty", ""), ("punct", "--"), ("short", "w1 w2"), ("one", "w3")]
         idx = build_corpus_index(docs)
+        terms = vocab + ["w1 w2", "w2 w1 w3", "yeti", "w0 yeti"]
         for window in (1, 3, 5, None):
             for _ in range(40):
                 a, b = rng.choice(vocab, size=2)
                 assert dice_snippet(idx, a, b, window) == brute_dice_windows(docs, a, b, window)
+            rel = mine_relatedness(idx, terms, terms[::-1], "dice_snippet", window=window)
+            for i, a in enumerate(terms):
+                for j, b in enumerate(terms[::-1]):
+                    assert rel.values[i, j] == brute_dice_windows(docs, a, b, window)
 
     def test_unbounded_window_equals_hitcount(self):
         rng = np.random.default_rng(55)
@@ -319,6 +335,15 @@ class TestMineRelatedness:
         idx = build_corpus_index([("d0", "a")])
         with pytest.raises(ValidationError):
             mine_relatedness(idx, ["a"], ["b"], "lin")
+
+    def test_index_is_collected_after_mining(self):
+        idx = build_corpus_index([("d0", "bear claw"), ("d1", "otter fin bear")])
+        for measure in ("dice_hit", "dice_snippet", "esa"):
+            mine_relatedness(idx, ["bear", "otter"], ["claw", "fin"], measure, window=2)
+        ref = weakref.ref(idx)
+        del idx
+        gc.collect()
+        assert ref() is None
 
 
 class TestFusion:
