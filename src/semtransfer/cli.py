@@ -106,14 +106,22 @@ def _section(cfg: dict, name: str, allowed: set[str]) -> dict:
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str, "None": type(None)}
 
 
+def _typed(sec: dict, key: str, default, annotation: str, where: str):
+    """``sec[key]`` (or ``default``), rejected unless its JSON type matches
+    ``annotation``, such as ``"int | None"``."""
+    value = sec.get(key, default)
+    if isinstance(value, bool) or not isinstance(
+            value, tuple(_JSON_TYPES[t] for t in annotation.split(" | "))):
+        raise ValidationError(f"{where} {key} must be {annotation}, got {value!r}")
+    return value
+
+
 def _from_section(cls, sec: dict, where: str):
     """Build a config dataclass, rejecting values whose JSON type does not
     match the field's annotation."""
     for f in dataclasses.fields(cls):
-        value = sec.get(f.name)
-        if f.name in sec and (isinstance(value, bool) or not isinstance(
-                value, tuple(_JSON_TYPES[t] for t in f.type.split(" | ")))):
-            raise ValidationError(f"{where} {f.name} must be {f.type}, got {value!r}")
+        if f.name in sec:
+            _typed(sec, f.name, None, f.type, where)
     return cls(**sec)
 
 
@@ -151,10 +159,28 @@ def cmd_assoc(args) -> int:
     return EXIT_OK
 
 
-def _unconverged_attributes(model) -> list[str]:
-    iters = model.metadata.get("iterations", [])
-    limit = model.metadata.get("config", {}).get("max_iters")
-    return [a for a, n in zip(model.attributes, iters) if limit is not None and n >= limit]
+def _cap_warnings(model=None, propagation=None) -> list[str]:
+    """One line, with numbers, for each stage that stopped at its iteration cap."""
+    lines = []
+    if model is not None:
+        meta = model.metadata
+        cap = meta["config"]["max_iters"]
+        capped = sum(n >= cap for n in meta["iterations"])
+        if capped:
+            lines.append(f"{capped} of {len(meta['iterations'])} attribute classifiers hit "
+                         f"max_iters={cap}; largest gradient norm "
+                         f"{max(meta['grad_norm']):.3g} (tol {meta['config']['tol']:g})")
+    if propagation is not None and not propagation.converged:
+        lines.append(f"propagation stopped after {propagation.iterations} sweeps "
+                     "without converging")
+    return lines
+
+
+def _report_caps(warnings: list[str], strict: bool) -> int:
+    """Print each cap warning; under --strict any of them means exit 4."""
+    for line in warnings:
+        _warn(line)
+    return EXIT_NO_CONVERGENCE if warnings and strict else EXIT_OK
 
 
 def cmd_train(args) -> int:
@@ -165,12 +191,7 @@ def cmd_train(args) -> int:
                          tol=args.tol, seed=args.seed)
     model = train_attribute_classifiers(features, labels, assoc, config)
     io.save_model(args.out, model)
-    stuck = _unconverged_attributes(model)
-    if stuck:
-        _warn(f"{len(stuck)} attribute classifiers hit the iteration cap: {stuck[:5]}")
-        if args.strict:
-            return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+    return _report_caps(_cap_warnings(model=model), args.strict)
 
 
 def cmd_zeroshot(args) -> int:
@@ -196,11 +217,7 @@ def cmd_pst(args) -> int:
     io.write_category_scores(args.out, result.scores)
     if args.predictions:
         io.write_labels(args.predictions, result.predictions)
-    if not result.converged:
-        _warn(f"propagation stopped after {result.iterations} sweeps without converging")
-        if args.strict:
-            return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+    return _report_caps(_cap_warnings(propagation=result), args.strict)
 
 
 def cmd_eval(args) -> int:
@@ -317,8 +334,8 @@ def run_pipeline(config_path, out_dir_override, strict: bool) -> int:
             else:
                 plan = corpus_plan_from_associations(
                     base_assoc,
-                    docs_per_pair=int(sec.get("docs_per_pair", 3)),
-                    filler_docs=int(sec.get("filler_docs", 0)),
+                    docs_per_pair=_typed(sec, "docs_per_pair", 3, "int", "corpus"),
+                    filler_docs=_typed(sec, "filler_docs", 0, "int", "corpus"),
                     seed=seed)
                 corpus = gen_corpus(plan)
                 io.write_corpus_jsonl(out / "corpus.jsonl", corpus)
@@ -338,8 +355,7 @@ def run_pipeline(config_path, out_dir_override, strict: bool) -> int:
                 taxonomy = io.read_taxonomy(base / sec["taxonomy_edges"],
                                             base / sec["taxonomy_probs"])
             index = build_corpus_index(corpus)
-            window = sec.get("window", 20)
-            window = None if window in (0, None) else int(window)
+            window = _typed(sec, "window", 20, "int | None", "mine") or None  # 0: whole document
             rel = mine_relatedness(index, base_assoc.categories, base_assoc.attributes,
                                    measure, window=window, taxonomy=taxonomy)
             io.write_relatedness(out / "relatedness.tsv", rel)
@@ -351,8 +367,8 @@ def run_pipeline(config_path, out_dir_override, strict: bool) -> int:
             sec = _section(cfg, "assoc", {"policy", "k", "threshold"})
             if "policy" not in sec:
                 raise ValidationError("assoc section needs a policy")
-            assoc = binarize(rel, sec["policy"], k=sec.get("k"),
-                             threshold=sec.get("threshold"))
+            assoc = binarize(rel, sec["policy"], k=_typed(sec, "k", None, "int | None", "assoc"),
+                             threshold=_typed(sec, "threshold", None, "float | None", "assoc"))
             io.write_association(out / "associations_mined.tsv", assoc)
         else:
             if "assoc" in cfg:
@@ -364,7 +380,6 @@ def run_pipeline(config_path, out_dir_override, strict: bool) -> int:
         tconfig = _from_section(TrainConfig, {**sec, "seed": seed}, "train")
         model = train_attribute_classifiers(features, split.train_instances, assoc, tconfig)
         io.save_model(out / "model.json", model)
-        stuck = _unconverged_attributes(model)
 
     with _stage("score"):
         attr_scores = predict_attribute_scores(model, features)
@@ -387,7 +402,7 @@ def run_pipeline(config_path, out_dir_override, strict: bool) -> int:
             known_scores = dap_scores(attr_scores, known_assoc, prior)
             rel_nk = signature_relatedness(assoc, novel, known)
             zeroshot = direct_similarity_scores(known_scores, rel_nk,
-                                                top_k=int(sec.get("top_k", 5)))
+                                                top_k=_typed(sec, "top_k", 5, "int", "transfer"))
         elif method == "hier":
             for key in ("taxonomy_edges", "taxonomy_probs", "attachments"):
                 if key not in sec:
@@ -438,7 +453,7 @@ def run_pipeline(config_path, out_dir_override, strict: bool) -> int:
         report = {
             "seed": seed,
             "converged": {
-                "train": not stuck,
+                "train": not _cap_warnings(model=model),
                 "pst": None if pst_result is None else pst_result.converged,
             },
             "results": results,
@@ -446,12 +461,7 @@ def run_pipeline(config_path, out_dir_override, strict: bool) -> int:
         (out / "report.json").write_text(
             json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
-    unconverged = bool(stuck) or (pst_result is not None and not pst_result.converged)
-    if unconverged:
-        _warn("some stages stopped at their iteration caps (see report.json)")
-        if strict:
-            return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+    return _report_caps(_cap_warnings(model, pst_result), strict)
 
 
 def cmd_pipeline(args) -> int:

@@ -42,10 +42,6 @@ def _clean_values(values, shape: tuple[int, int], what: str) -> np.ndarray:
     return arr
 
 
-def _index_of(ids: tuple[str, ...]) -> dict[str, int]:
-    return {ident: i for i, ident in enumerate(ids)}
-
-
 @dataclass(frozen=True, eq=False)
 class AssociationMatrix:
     """Category x attribute association strengths in [0, 1].
@@ -77,16 +73,19 @@ class AssociationMatrix:
         object.__setattr__(self, "categories", cats)
         object.__setattr__(self, "attributes", attrs)
         object.__setattr__(self, "values", vals)
+        # lookup maps built once; training looks up one category per label
+        object.__setattr__(self, "_category_rows", {c: i for i, c in enumerate(cats)})
+        object.__setattr__(self, "_attribute_columns", {a: j for j, a in enumerate(attrs)})
 
     def category_index(self, category: str) -> int:
         try:
-            return _index_of(self.categories)[category]
+            return self._category_rows[category]
         except KeyError:
             raise ValidationError(f"unknown category: {category!r}") from None
 
     def attribute_index(self, attribute: str) -> int:
         try:
-            return _index_of(self.attributes)[attribute]
+            return self._attribute_columns[attribute]
         except KeyError:
             raise ValidationError(f"unknown attribute: {attribute!r}") from None
 
@@ -191,12 +190,6 @@ class CategoryScoreMatrix:
         object.__setattr__(self, "instances", insts)
         object.__setattr__(self, "categories", cats)
         object.__setattr__(self, "values", vals)
-
-    def instance_index(self, instance: str) -> int:
-        try:
-            return _index_of(self.instances)[instance]
-        except KeyError:
-            raise ValidationError(f"unknown instance: {instance!r}") from None
 
 
 @dataclass(frozen=True, eq=False)

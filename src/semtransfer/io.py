@@ -274,16 +274,14 @@ def read_split(path) -> DatasetSplit:
 
 
 def save_model(path, model) -> None:
-    """Serialize an AttributeModel to JSON (loss histories are not persisted)."""
-    meta = dict(model.metadata)
-    meta.pop("loss_history", None)
+    """Serialize an AttributeModel to JSON."""
     doc = {
         "attributes": list(model.attributes),
         "weights": model.weights.tolist(),
         "biases": model.biases.tolist(),
         "feature_mean": model.feature_mean.tolist(),
         "feature_std": model.feature_std.tolist(),
-        "metadata": meta,
+        "metadata": dict(model.metadata),
     }
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 

@@ -12,6 +12,7 @@ from semtransfer import (
     train_attribute_classifiers,
 )
 from semtransfer.classify import AttributeModel
+from semtransfer.synth import SynthConfig, gen_dataset
 
 
 def fd_gradient(w, b, X, t, l2, h=1e-5):
@@ -96,13 +97,13 @@ class TestTraining:
         assert np.array_equal(m1.weights, m2.weights)
         assert np.array_equal(m1.biases, m2.biases)
 
-    def test_loss_history_decreases(self):
+    def test_final_loss_does_not_increase_with_iterations(self):
         features, labels, assoc = _training_setup([[1.0], [0.0]])
-        model = train_attribute_classifiers(features, labels, assoc,
-                                            TrainConfig(max_iters=200))
-        history = model.metadata["loss_history"][0]
-        diffs = np.diff(history)
-        assert (diffs <= 1e-12).all()
+        losses = [train_attribute_classifiers(features, labels, assoc,
+                                              TrainConfig(max_iters=m)).metadata["final_loss"][0]
+                  for m in (0, 10, 50, 200)]
+        assert losses[0] == pytest.approx(np.log(2), abs=1e-15)
+        assert (np.diff(losses) <= 1e-12).all()
 
     def test_reaches_convex_optimum(self):
         features, labels, assoc = _training_setup([[1.0], [0.0]])
@@ -167,6 +168,97 @@ class TestTraining:
         features, _, assoc = _training_setup([[1.0], [0.0]])
         with pytest.raises(ValidationError):
             train_attribute_classifiers(features, {}, assoc)
+
+
+def per_attribute_gd_oracle(features, labels, assoc, config):
+    """Oracle: an independent gradient descent per attribute, one matrix-vector
+    pair per step. Returns (weights, biases, iterations, final_losses)."""
+    inst_index = {inst: i for i, inst in enumerate(features.instances)}
+    rows = [inst_index[inst] for inst in labels]
+    targets_all = assoc.values[[assoc.category_index(c) for c in labels.values()]]
+    X_raw = features.values[rows]
+    mu = X_raw.mean(axis=0)
+    sd = X_raw.std(axis=0)
+    sd = np.where(sd < 1e-12, 1.0, sd)
+    X = (X_raw - mu) / sd
+
+    n_attr = len(assoc.attributes)
+    dim = features.dim
+    weights = np.zeros((n_attr, dim))
+    biases = np.zeros(n_attr)
+    iterations: list[int] = []
+    final_losses: list[float] = []
+    for j in range(n_attr):
+        t = targets_all[:, j]
+        w = np.zeros(dim)
+        b = 0.0
+        steps = 0
+        for _ in range(config.max_iters):
+            _, gw, gb = logistic_loss_and_grad(w, b, X, t, config.l2)
+            gnorm = float(np.sqrt(gw @ gw + gb * gb))
+            if gnorm < config.tol:
+                break
+            w = w - config.lr * gw
+            b = b - config.lr * gb
+            steps += 1
+        final_loss, _, _ = logistic_loss_and_grad(w, b, X, t, config.l2)
+        weights[j] = w
+        biases[j] = b
+        iterations.append(steps)
+        final_losses.append(final_loss)
+    return weights, biases, iterations, final_losses
+
+
+def _multi_attribute_setup(targets):
+    features, labels, _ = _training_setup([[1.0], [0.0]])
+    targets = np.asarray(targets, dtype=float)
+    attrs = tuple(f"a{j}" for j in range(targets.shape[1]))
+    return features, labels, AssociationMatrix(("p", "q"), attrs, targets)
+
+
+def _synth_setup():
+    ds = gen_dataset(SynthConfig())
+    return ds.features, ds.split.train_instances, ds.associations
+
+
+class TestBatchedMatchesPerAttributeOracle:
+    # batched GEMM and per-attribute GEMV round differently in the last bits,
+    # so parameters agree to a few ulps, not bitwise
+    @pytest.mark.parametrize("case, config", [
+        ("synth", TrainConfig(max_iters=500)),
+        ("degenerate", TrainConfig(max_iters=200)),
+        ("soft", TrainConfig(max_iters=200)),
+        ("synth", TrainConfig(max_iters=0)),
+        ("synth", TrainConfig(max_iters=2000, tol=1e-2)),
+    ], ids=["synth", "degenerate", "soft", "zero_iters", "staggered_stops"])
+    def test_matches_oracle(self, case, config):
+        features, labels, assoc = {
+            "synth": _synth_setup,
+            "degenerate": lambda: _multi_attribute_setup([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0]]),
+            "soft": lambda: _multi_attribute_setup([[0.9, 0.3], [0.2, 0.7]]),
+        }[case]()
+        model = train_attribute_classifiers(features, labels, assoc, config)
+        weights, biases, iterations, final_losses = per_attribute_gd_oracle(
+            features, labels, assoc, config)
+        assert model.metadata["iterations"] == iterations
+        np.testing.assert_allclose(model.weights, weights, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(model.biases, biases, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(model.metadata["final_loss"], final_losses,
+                                   rtol=1e-12, atol=1e-14)
+        if config.tol == 1e-2:
+            # rows leave the active set at different steps, some before the cap
+            assert len(set(iterations)) > 1
+            assert min(iterations) < config.max_iters
+        if case == "degenerate":
+            assert model.metadata["degenerate"] == [False, True, True]
+
+    def test_grad_norm_is_recorded_at_stop(self):
+        features, labels, assoc = _synth_setup()
+        config = TrainConfig(max_iters=2000, tol=1e-2)
+        model = train_attribute_classifiers(features, labels, assoc, config)
+        norms = np.array(model.metadata["grad_norm"])
+        stopped = np.array(model.metadata["iterations"]) < config.max_iters
+        assert stopped.any() and (norms[stopped] < config.tol).all()
 
 
 class TestPrediction:

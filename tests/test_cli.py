@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +136,11 @@ class TestStepChain:
         assert np.array_equal(a.values, b.values)
 
 
+# how many classifiers capped, and how far the worst was from tol
+CAP_WARNING = (r"^warning: 8 of 8 attribute classifiers hit max_iters=1; "
+               r"largest gradient norm \d\.\d+ \(tol 1e-06\)$")
+
+
 class TestErrorContract:
     def test_missing_file_exits_2_with_json_error(self, tmp_path, capsys):
         code, err = run(capsys, "assoc", "--relatedness", tmp_path / "nope.tsv",
@@ -170,7 +176,15 @@ class TestErrorContract:
                         "--assoc", synth_dir / "associations.tsv",
                         "--max-iters", "1", "--out", tmp_path / "m.json")
         assert code == 0
-        assert "warning" in err
+        assert re.search(CAP_WARNING, err, re.M), err
+
+    def test_pipeline_cap_warnings_give_numbers(self, synth_dir, capsys):
+        config = data_config(synth_dir, train={"max_iters": 1},
+                             pst={"k": 8, "max_iters": 1})
+        code, err = run(capsys, "pipeline", "--config", config)
+        assert code == 0
+        assert re.search(CAP_WARNING, err, re.M), err
+        assert "warning: propagation stopped after 1 sweeps without converging" in err
 
 
 def pipeline_config(tmp_path, **overrides):
@@ -315,8 +329,17 @@ class TestInputValidation:
                 "--assoc", d / "associations.tsv", "--out", d / "zs.tsv"]
 
     @pytest.mark.parametrize("case", ["split_list", "ragged_weights", "model_list",
-                                      "string_max_iters"])
+                                      "string_max_iters", "string_docs_per_pair",
+                                      "string_filler_docs", "string_window",
+                                      "string_top_k", "string_assoc_k",
+                                      "string_threshold"])
     def test_malformed_input_gives_one_json_error(self, synth_dir, capsys, case):
+        def mined(corpus, mine, assoc):
+            return ["pipeline", "--config", data_config(
+                synth_dir, corpus={"docs_per_pair": 2, **corpus},
+                mine={"measure": "dice_snippet", **mine},
+                assoc={"policy": "per_attribute_topk", "k": 2, **assoc})]
+
         model = {"attributes": ["a0", "a1"], "weights": [[0.0, 1.0], [2.0]],
                  "biases": [0.0, 0.0], "feature_mean": [0.0, 0.0], "feature_std": [1.0, 1.0]}
         argv = {
@@ -325,9 +348,19 @@ class TestInputValidation:
             "model_list": lambda: self._model(synth_dir, [model]),
             "string_max_iters": lambda: ["pipeline", "--config", data_config(
                 synth_dir, train={"max_iters": "x"})],
+            "string_docs_per_pair": lambda: mined({"docs_per_pair": "x"}, {}, {}),
+            "string_filler_docs": lambda: mined({"filler_docs": "x"}, {}, {}),
+            "string_window": lambda: mined({}, {"window": "x"}, {}),
+            "string_assoc_k": lambda: mined({}, {}, {"k": "x"}),
+            "string_threshold": lambda: mined({}, {}, {"policy": "global_threshold",
+                                                     "threshold": "x"}),
+            "string_top_k": lambda: ["pipeline", "--config", data_config(
+                synth_dir, transfer={"method": "sim", "top_k": "x"})],
         }[case]()
         code, err = run(capsys, *argv)
         assert code in (2, 3)
+        if case.startswith("string_"):
+            assert code == 3
         lines = err.strip().splitlines()
         assert len(lines) == 1, err
         assert json.loads(lines[0])["code"] == code

@@ -56,6 +56,11 @@ class TestAssociationMatrix:
         m = AssociationMatrix(("c", "d"), ("a", "b"), np.zeros((2, 2)))
         assert m.category_index("d") == 1
         assert m.attribute_index("a") == 0
+        assert [m.category_index(c) for c in ("d", "c", "d")] == [1, 0, 1]
+        with pytest.raises(ValidationError):
+            m.category_index("a")
+        with pytest.raises(ValidationError):
+            m.attribute_index("c")
 
 
 class TestOtherMatrices:

