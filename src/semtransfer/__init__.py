@@ -49,7 +49,6 @@ from .transfer import (
 from .propagate import (
     PropagationConfig,
     PropagationResult,
-    PstResult,
     SeedLabels,
     SimilarityGraph,
     build_knn_graph,
@@ -89,7 +88,7 @@ __all__ = [
     "predict_attribute_scores", "train_attribute_classifiers",
     "AttributePrior", "attribute_prior_from_associations", "dap_scores",
     "direct_similarity_scores", "hierarchy_transfer",
-    "PropagationConfig", "PropagationResult", "PstResult", "SeedLabels",
+    "PropagationConfig", "PropagationResult", "SeedLabels",
     "SimilarityGraph", "build_knn_graph", "clamp_fewshot", "propagate",
     "propagate_closed_form", "pst", "seed_from_zeroshot",
     "EvalReport", "average_precision", "evaluate_zero_shot", "mean_ap",

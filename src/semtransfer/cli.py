@@ -116,6 +116,13 @@ def _typed(sec: dict, key: str, default, annotation: str, where: str):
     return value
 
 
+def _config_path(base: Path, sec: dict, key: str, where: str) -> Path:
+    """Path ``sec[key]``, which must be given as a string, resolved against ``base``."""
+    if key not in sec:
+        raise ValidationError(f"{where} section needs {key!r}")
+    return base / _typed(sec, key, None, "str", where)
+
+
 def _from_section(cls, sec: dict, where: str):
     """Build a config dataclass, rejecting values whose JSON type does not
     match the field's annotation."""
@@ -220,13 +227,17 @@ def cmd_pst(args) -> int:
     return _report_caps(_cap_warnings(propagation=result), args.strict)
 
 
+def _evaluate(scores, truth, split, protocol: str) -> dict:
+    """Evaluation report per protocol; ``"both"`` runs both protocols."""
+    protocols = ["novel_only", "with_distractors"] if protocol == "both" else [protocol]
+    return {p: io.report_to_dict(evaluate_zero_shot(scores, truth, split, p)) for p in protocols}
+
+
 def cmd_eval(args) -> int:
     scores = io.read_category_scores(args.scores)
     truth = io.read_labels(args.truth)
     split = io.read_split(args.split)
-    protocols = ["novel_only", "with_distractors"] if args.protocol == "both" else [args.protocol]
-    doc = {p: io.report_to_dict(evaluate_zero_shot(scores, truth, split, p))
-           for p in protocols}
+    doc = _evaluate(scores, truth, split, args.protocol)
     if args.protocol != "both":
         doc = doc[args.protocol]
     Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
@@ -290,13 +301,11 @@ def run_pipeline(config_path, out_dir_override, strict: bool) -> int:
         if out_dir_override:
             out = Path(out_dir_override)
         elif cfg.get("output_dir"):
-            out = base / cfg["output_dir"]
+            out = _config_path(base, cfg, "output_dir", "config")
         else:
             raise ValidationError("no output directory (config output_dir or --out-dir)")
         out.mkdir(parents=True, exist_ok=True)
-        seed = cfg.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ValidationError(f"seed must be an integer, got {seed!r}")
+        seed = _typed(cfg, "seed", 0, "int", "config")
 
     with _stage("data"):
         if ("synth" in cfg) == ("data" in cfg):
@@ -313,13 +322,10 @@ def run_pipeline(config_path, out_dir_override, strict: bool) -> int:
             io.write_split(out / "split.json", split)
         else:
             sec = _section(cfg, "data", {"features", "labels", "associations", "split"})
-            for key in ("features", "labels", "associations", "split"):
-                if key not in sec:
-                    raise ValidationError(f"data section needs {key!r}")
-            features = io.read_features(base / sec["features"])
-            labels = io.read_labels(base / sec["labels"])
-            base_assoc = io.read_association(base / sec["associations"])
-            split = io.read_split(base / sec["split"])
+            features = io.read_features(_config_path(base, sec, "features", "data"))
+            labels = io.read_labels(_config_path(base, sec, "labels", "data"))
+            base_assoc = io.read_association(_config_path(base, sec, "associations", "data"))
+            split = io.read_split(_config_path(base, sec, "split", "data"))
         violations = validate_split(split, base_assoc)
         if violations:
             raise ValidationError(f"{len(violations)} split violations: "
@@ -330,7 +336,7 @@ def run_pipeline(config_path, out_dir_override, strict: bool) -> int:
         if "corpus" in cfg:
             sec = _section(cfg, "corpus", {"path", "docs_per_pair", "filler_docs"})
             if "path" in sec:
-                corpus = io.read_corpus_jsonl(base / sec["path"])
+                corpus = io.read_corpus_jsonl(_config_path(base, sec, "path", "corpus"))
             else:
                 plan = corpus_plan_from_associations(
                     base_assoc,
@@ -350,10 +356,8 @@ def run_pipeline(config_path, out_dir_override, strict: bool) -> int:
             measure = sec.get("measure", "dice_hit")
             taxonomy = None
             if measure == "lin":
-                if "taxonomy_edges" not in sec or "taxonomy_probs" not in sec:
-                    raise ValidationError("lin measure needs taxonomy_edges and taxonomy_probs")
-                taxonomy = io.read_taxonomy(base / sec["taxonomy_edges"],
-                                            base / sec["taxonomy_probs"])
+                taxonomy = io.read_taxonomy(_config_path(base, sec, "taxonomy_edges", "mine"),
+                                            _config_path(base, sec, "taxonomy_probs", "mine"))
             index = build_corpus_index(corpus)
             window = _typed(sec, "window", 20, "int | None", "mine") or None  # 0: whole document
             rel = mine_relatedness(index, base_assoc.categories, base_assoc.attributes,
@@ -404,11 +408,10 @@ def run_pipeline(config_path, out_dir_override, strict: bool) -> int:
             zeroshot = direct_similarity_scores(known_scores, rel_nk,
                                                 top_k=_typed(sec, "top_k", 5, "int", "transfer"))
         elif method == "hier":
-            for key in ("taxonomy_edges", "taxonomy_probs", "attachments"):
-                if key not in sec:
-                    raise ValidationError(f"hier transfer needs {key!r}")
-            taxonomy = io.read_taxonomy(base / sec["taxonomy_edges"],
-                                        base / sec["taxonomy_probs"])
+            taxonomy = io.read_taxonomy(_config_path(base, sec, "taxonomy_edges", "transfer"),
+                                        _config_path(base, sec, "taxonomy_probs", "transfer"))
+            if "attachments" not in sec:
+                raise ValidationError("hier transfer needs 'attachments'")
             known_scores = dap_scores(attr_scores, known_assoc, prior)
             zeroshot = hierarchy_transfer(taxonomy, known_scores, sec["attachments"],
                                           mode=sec.get("mode", "all"))
@@ -441,15 +444,9 @@ def run_pipeline(config_path, out_dir_override, strict: bool) -> int:
         protocol = sec.get("protocol", "novel_only")
         if protocol not in ("novel_only", "with_distractors", "both"):
             raise ValidationError(f"unknown protocol: {protocol!r}")
-        protocols = ["novel_only", "with_distractors"] if protocol == "both" else [protocol]
-        results: dict[str, dict] = {"zeroshot": {}}
-        for p in protocols:
-            results["zeroshot"][p] = io.report_to_dict(
-                evaluate_zero_shot(zeroshot, labels, split, p))
+        results = {"zeroshot": _evaluate(zeroshot, labels, split, protocol)}
         if pst_result is not None:
-            results["pst"] = {p: io.report_to_dict(
-                evaluate_zero_shot(pst_result.scores, labels, split, p))
-                for p in protocols}
+            results["pst"] = _evaluate(pst_result.scores, labels, split, protocol)
         report = {
             "seed": seed,
             "converged": {

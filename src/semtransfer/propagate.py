@@ -15,8 +15,6 @@ from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
-from scipy.spatial.distance import cdist, pdist
 
 from .core import (
     AttributeScoreMatrix,
@@ -76,6 +74,8 @@ class SimilarityGraph:
 def _median_heuristic(vectors: np.ndarray) -> float:
     # Median positive pairwise distance; strided subsample keeps this cheap
     # and deterministic for big inputs.
+    from scipy.spatial.distance import pdist
+
     n = vectors.shape[0]
     if n > 1000:
         stride = int(np.ceil(n / 1000))
@@ -100,6 +100,8 @@ def build_knn_graph(vectors, k: int, kernel: str = "gaussian",
     edges instead of underflowing to an isolated node; a cosine similarity
     of 0 is genuine isolation and still raises.
     """
+    from scipy.spatial.distance import cdist
+
     if isinstance(vectors, AttributeScoreMatrix):
         vectors = vectors.values
     X = np.asarray(vectors, dtype=float)
@@ -237,7 +239,10 @@ def clamp_fewshot(seeds: SeedLabels, labels: Mapping[str, str]) -> SeedLabels:
 
 @dataclass(frozen=True, eq=False)
 class PropagationResult:
+    """Propagated scores and each instance's best category (first maximum on ties)."""
+
     scores: CategoryScoreMatrix
+    predictions: dict[str, str]
     converged: bool
     iterations: int
 
@@ -252,28 +257,27 @@ def propagate(graph: SimilarityGraph, seeds: SeedLabels,
     Y = seeds.Y
     clamped = sorted(seeds.clamped)
     alpha = config.alpha
-    F = Y.copy()
-    if clamped:
-        F[clamped] = Y[clamped]
-    converged = False
-    iterations = 0
-    for _ in range(config.max_iters):
+    F = Y.copy()  # clamped rows of Y already hold their one-hot targets
+    for iterations in range(1, config.max_iters + 1):
         Fn = alpha * (graph.S @ F) + (1.0 - alpha) * Y
         if clamped:
             Fn[clamped] = Y[clamped]
         delta = float(np.abs(Fn - F).max())
         F = Fn
-        iterations += 1
         if delta < config.tol:
-            converged = True
             break
-    scores = CategoryScoreMatrix(seeds.instances, seeds.categories, F)
-    return PropagationResult(scores=scores, converged=converged, iterations=iterations)
+    picks = np.argmax(F, axis=1)  # np.argmax takes the first maximum on ties
+    return PropagationResult(
+        scores=CategoryScoreMatrix(seeds.instances, seeds.categories, F),
+        predictions={inst: seeds.categories[j] for inst, j in zip(seeds.instances, picks)},
+        converged=delta < config.tol, iterations=iterations)
 
 
 def propagate_closed_form(graph: SimilarityGraph, seeds: SeedLabels,
                           alpha: float) -> CategoryScoreMatrix:
     """Exact fixed point (1 - alpha) (I - alpha S)^(-1) Y for unclamped seeds."""
+    from scipy.sparse.linalg import splu
+
     if seeds.clamped:
         raise ValidationError("closed form requires unclamped seeds")
     if not (0.0 <= alpha < 1.0):
@@ -287,17 +291,9 @@ def propagate_closed_form(graph: SimilarityGraph, seeds: SeedLabels,
     return CategoryScoreMatrix(seeds.instances, seeds.categories, F)
 
 
-@dataclass(frozen=True, eq=False)
-class PstResult:
-    predictions: dict[str, str]
-    scores: CategoryScoreMatrix
-    converged: bool
-    iterations: int
-
-
 def pst(zeroshot: CategoryScoreMatrix, vectors,
         fewshot_labels: Mapping[str, str] | None = None,
-        config: PropagationConfig = PropagationConfig()) -> PstResult:
+        config: PropagationConfig = PropagationConfig()) -> PropagationResult:
     """Full propagation pipeline from zero-shot scores to predictions.
 
     ``vectors`` gives the graph coordinates (attribute score matrix or a
@@ -315,10 +311,4 @@ def pst(zeroshot: CategoryScoreMatrix, vectors,
     seeds = seed_from_zeroshot(zeroshot, config.rho)
     if fewshot_labels:
         seeds = clamp_fewshot(seeds, fewshot_labels)
-    result = propagate(graph, seeds, config)
-    F = result.scores.values
-    picks = np.argmax(F, axis=1)  # np.argmax takes the first maximum on ties
-    predictions = {inst: zeroshot.categories[j]
-                   for inst, j in zip(zeroshot.instances, picks)}
-    return PstResult(predictions=predictions, scores=result.scores,
-                     converged=result.converged, iterations=result.iterations)
+    return propagate(graph, seeds, config)

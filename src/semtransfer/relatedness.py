@@ -8,13 +8,14 @@ Four pluggable measures over different evidence sources:
                        annotated taxonomy.
 * ``esa``           -- cosine of tf-idf concept vectors.
 
-The corpus measures share one sparse token x document count matrix. Dice
-works on 0/1 term x context rows, a context being a document or a sliding
-window, and fills a whole matrix with one sparse product;
-``dice_snippet`` without a window is ``dice_hit``. The module also has
-a tf*idf association miner for per-category script text, fusion of
-several measures into one matrix, and binarization policies that turn a
-real-valued relatedness matrix into a binary association matrix.
+The corpus is one flat token-id array whose token x document counts back
+every corpus measure. Dice works on 0/1 term x context rows, a context
+being a document or a sliding window, and fills a whole matrix with one
+sparse product; ``dice_snippet`` without a window is ``dice_hit``. The
+module also has a tf*idf association miner for per-category script text,
+fusion of several measures into one matrix, and binarization policies
+that turn a real-valued relatedness matrix into a binary association
+matrix.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 import string
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -47,13 +49,15 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True, eq=False)
 class CorpusIndex:
-    """Tokenized documents plus their token x document count matrix.
+    """The corpus as one flat token-id array plus its token x document counts.
 
-    ``postings`` maps each token to its row of ``counts``.
+    Document d is ``tokens[doc_ptr[d]:doc_ptr[d + 1]]``. ``postings`` maps each
+    token to its id (in order of first appearance), its row of ``counts``.
     """
 
     doc_ids: tuple[str, ...]
-    doc_tokens: tuple[tuple[str, ...], ...]
+    tokens: np.ndarray
+    doc_ptr: np.ndarray
     postings: Mapping[str, int]
     counts: sp.csr_array
 
@@ -61,31 +65,44 @@ class CorpusIndex:
     def n_docs(self) -> int:
         return len(self.doc_ids)
 
+    @property
+    def doc_tokens(self) -> tuple[tuple[str, ...], ...]:
+        """Each document's tokens, rebuilt from the flat arrays."""
+        vocab = np.array(list(self.postings), dtype=object)
+        return tuple(map(tuple, np.split(vocab[self.tokens], self.doc_ptr[1:-1])))
+
 
 def build_corpus_index(documents: Sequence[tuple[str, str]]) -> CorpusIndex:
-    """Index (doc_id, text) pairs for the co-occurrence measures."""
+    """Index (doc_id, text) pairs for the co-occurrence measures.
+
+    Tokens are those of :func:`tokenize`, which lowercases before splitting;
+    lowercasing never makes or removes whitespace, so each distinct word is
+    lowercased and stripped once instead.
+    """
     if not documents:
         raise ValidationError("empty corpus")
-    doc_ids: list[str] = []
-    doc_tokens: list[tuple[str, ...]] = []
-    postings: dict[str, int] = {}
-    rows: list[int] = []
-    cols: list[int] = []
-    seen: set[str] = set()
-    for doc_id, text in documents:
+    doc_ids: dict[str, None] = {}
+    for doc_id, _ in documents:
         doc_id = clean_identifier(doc_id)
-        if doc_id in seen:
+        if doc_id in doc_ids:
             raise ValidationError(f"duplicate document id: {doc_id!r}")
-        seen.add(doc_id)
-        toks = tuple(tokenize(text))
-        rows.extend(postings.setdefault(tok, len(postings)) for tok in toks)
-        cols.extend([len(doc_ids)] * len(toks))
-        doc_ids.append(doc_id)
-        doc_tokens.append(toks)
+        doc_ids[doc_id] = None
+    split = [text.split() for _, text in documents]
+    words = list(chain.from_iterable(split))
+    # distinct words in first-appearance order, so token ids are too; an
+    # all-punctuation word maps to -1 and is dropped
+    postings: dict[str, int] = {}
+    word_token = {w: postings.setdefault(t, len(postings)) if (t := w.lower().strip(_STRIP))
+                  else -1 for w in dict.fromkeys(words)}
+    token_of_word = np.fromiter(map(word_token.__getitem__, words), np.int64, len(words))
+    keep = token_of_word >= 0
+    tokens = token_of_word[keep]
+    doc_of_token = np.repeat(np.arange(len(doc_ids)), list(map(len, split)))[keep]
+    doc_ptr = np.searchsorted(doc_of_token, np.arange(len(doc_ids) + 1))
     # repeated (token, document) entries are summed into in-document counts
-    counts = sp.csr_array((np.ones(len(rows)), (rows, cols)),
+    counts = sp.csr_array((np.ones(len(tokens)), (tokens, doc_of_token)),
                           shape=(len(postings), len(doc_ids)))
-    return CorpusIndex(tuple(doc_ids), tuple(doc_tokens), postings, counts)
+    return CorpusIndex(tuple(doc_ids), tokens, doc_ptr, postings, counts)
 
 
 def _term_tokens(term: str) -> list[str]:
@@ -115,17 +132,18 @@ def _window_contexts(index: CorpusIndex, tokens: Sequence[str], window: int) -> 
     """0/1 matrix of ``tokens`` x every sliding window of the corpus.
 
     A document of n tokens has max(1, n - window + 1) windows, numbered
-    consecutively across documents; an empty document has none. Only the
-    positions of these tokens are scanned.
+    consecutively across documents; an empty document has none. The query
+    tokens' positions come from one lookup over the flat token array.
     """
-    lengths = np.fromiter(map(len, index.doc_tokens), np.int64, index.n_docs)
+    lengths = np.diff(index.doc_ptr)
     n_win = np.where(lengths > 0, np.maximum(lengths - window + 1, 1), 0)
     first = np.cumsum(n_win) - n_win
-    local = {t: i for i, t in enumerate(tokens)}
-    occ: list[tuple[int, int, int]] = []
-    for d in np.unique(_token_rows(index, tokens).indices):
-        occ.extend((local[t], d, p) for p, t in enumerate(index.doc_tokens[d]) if t in local)
-    tok, doc, pos = np.array(occ, dtype=np.int64).reshape(-1, 3).T
+    local = np.full(len(index.postings), -1, dtype=np.int64)
+    local[[index.postings[t] for t in tokens]] = np.arange(len(tokens))
+    flat = np.flatnonzero(local[index.tokens] >= 0)
+    tok = local[index.tokens[flat]]
+    doc = np.searchsorted(index.doc_ptr, flat, side="right") - 1
+    pos = flat - index.doc_ptr[doc]
     order = np.argsort(tok, kind="stable")
     tok, doc, pos = tok[order], doc[order], pos[order]
     # the windows holding position p of a document are p - window + 1 .. p,
@@ -381,14 +399,10 @@ def tfidf_associations(script_docs: Mapping[str, Sequence[str]],
         raise ValidationError("empty attribute vocabulary")
     phrases = [tuple(_term_tokens(a)) for a in attributes]
 
-    cat_tokens: list[list[str]] = []
-    for cat, docs in script_docs.items():
-        toks: list[str] = []
-        for text in docs:
-            toks.extend(tokenize(text))
+    cat_tokens = [list(chain.from_iterable(map(tokenize, docs))) for docs in script_docs.values()]
+    for cat, toks in zip(script_docs, cat_tokens):
         if not toks:
             raise ValidationError(f"category without script text: {cat!r}")
-        cat_tokens.append(toks)
 
     counts = np.zeros((len(categories), len(attributes)))
     for i, toks in enumerate(cat_tokens):

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,6 +290,17 @@ class TestPipeline:
         assert last_error(err)["stage"] == "data"
 
 
+def test_cli_import_skips_unused_scipy_modules():
+    # ``mine`` never solves a sparse system or builds a kNN graph, so importing
+    # the CLI must not load the modules only those paths need
+    probe = ("import sys, semtransfer.cli; "
+             "print([m for m in ('scipy.sparse.linalg', 'scipy.spatial') if m in sys.modules])")
+    src = str(Path(sio.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
 def data_config(data_dir, split="split.json", **overrides):
     cfg = {
         "output_dir": "run",
@@ -332,7 +347,9 @@ class TestInputValidation:
                                       "string_max_iters", "string_docs_per_pair",
                                       "string_filler_docs", "string_window",
                                       "string_top_k", "string_assoc_k",
-                                      "string_threshold"])
+                                      "string_threshold", "path_output_dir",
+                                      "path_data_labels", "path_corpus",
+                                      "path_mine_taxonomy", "path_transfer_taxonomy"])
     def test_malformed_input_gives_one_json_error(self, synth_dir, capsys, case):
         def mined(corpus, mine, assoc):
             return ["pipeline", "--config", data_config(
@@ -356,10 +373,22 @@ class TestInputValidation:
                                                      "threshold": "x"}),
             "string_top_k": lambda: ["pipeline", "--config", data_config(
                 synth_dir, transfer={"method": "sim", "top_k": "x"})],
+            "path_output_dir": lambda: ["pipeline", "--config", data_config(
+                synth_dir, output_dir=5)],
+            "path_data_labels": lambda: ["pipeline", "--config", data_config(
+                synth_dir, data={"features": "features.tsv", "labels": 5,
+                                 "associations": "associations.tsv", "split": "split.json"})],
+            "path_corpus": lambda: ["pipeline", "--config", data_config(
+                synth_dir, corpus={"path": 5})],
+            "path_mine_taxonomy": lambda: mined({}, {"measure": "lin", "taxonomy_edges": "e.tsv",
+                                                     "taxonomy_probs": 5}, {}),
+            "path_transfer_taxonomy": lambda: ["pipeline", "--config", data_config(
+                synth_dir, transfer={"method": "hier", "taxonomy_edges": ["e.tsv"],
+                                     "taxonomy_probs": "p.tsv", "attachments": {}})],
         }[case]()
         code, err = run(capsys, *argv)
         assert code in (2, 3)
-        if case.startswith("string_"):
+        if case.startswith(("string_", "path_")):
             assert code == 3
         lines = err.strip().splitlines()
         assert len(lines) == 1, err

@@ -69,6 +69,50 @@ class TestTokenize:
         assert tokenize("it's a sea-otter") == ["it's", "a", "sea-otter"]
 
 
+class TestCorpusIndex:
+    # Unicode whitespace (no-break, em space, file separator, line separator,
+    # next line), dotted capital I, capital sharp s, Greek sigma whose final
+    # form depends on what follows it within the word, interior and
+    # surrounding punctuation, punctuation-only chunks, empty documents.
+    TEXTS = [
+        "Bear\u00a0polar\u2003BEAR\x1cclaw",
+        "\u0130stanbul \u1e9eTRASSE stra\u00dfe",
+        "\u03a3\u039f\u03a6\u039f\u03a3 \u039f\u0394\u039f\u03a3, "
+        "\u039f\u0394\u039f\u03a3.\u0391 \u03a3 \u03c3\u03bf\u03c6\u03bf\u03c3",
+        "(bear) bear, 'ice' don't e-mail ... -- !!",
+        "",
+        "   \n\t ",
+        "... ?!",
+        "fur\u2028ice\u0085swim FUR \u0130",
+    ]
+
+    def test_matches_tokenize_oracle(self):
+        docs = [(f"d{i}", t) for i, t in enumerate(self.TEXTS)]
+        idx = build_corpus_index(docs)
+        expected = [tokenize(t) for t in self.TEXTS]
+        assert [list(toks) for toks in idx.doc_tokens] == expected
+        first = list(dict.fromkeys(t for toks in expected for t in toks))
+        assert list(idx.postings) == first
+        assert [idx.postings[t] for t in first] == list(range(len(first)))
+        oracle = np.zeros((len(first), len(docs)))
+        for d, toks in enumerate(expected):
+            for t in toks:
+                oracle[idx.postings[t], d] += 1
+        np.testing.assert_array_equal(idx.counts.toarray(), oracle)
+        for a, b in [("bear", "claw"), ("\u03bf\u03b4\u03bf\u03c2", "\u03c3"),
+                     ("fur", "ice swim"), ("\u0130stanbul", "stra\u00dfe")]:
+            assert dice_hitcount(idx, a, b) == brute_dice_docs(docs, a, b)
+            for window in (1, 2, 3):
+                assert dice_snippet(idx, a, b, window=window) == \
+                    brute_dice_windows(docs, a, b, window)
+
+    def test_only_empty_documents(self):
+        idx = build_corpus_index([("d0", ""), ("d1", "... !!")])
+        assert idx.doc_tokens == ((), ())
+        assert idx.counts.shape == (0, 2)
+        assert dice_snippet(idx, "a", "b", window=2) == 0.0
+
+
 class TestDiceHitcount:
     def test_hand_value(self):
         # 4 docs mention x, 5 mention y, 3 mention both: 2*3/(4+5)
