@@ -1,12 +1,14 @@
 """Per-attribute probabilistic classifiers on instance features.
 
-One L2-regularized logistic regression per attribute, all trained by one
-batched full-batch gradient descent from zero weights on z-scored
-features: each step takes every attribute's gradient with two matrix
-products, and an attribute leaves the batch once its gradient norm is
-below ``tol``. Targets come from the binary association matrix: every
-training instance inherits the attribute labels of its category. Soft
-targets in [0, 1] are accepted for fused association inputs.
+One logistic regression per attribute on z-scored features, with L2 on the
+weights and an unpenalized bias, fitted to its optimum by Newton steps from
+zero. The steps are batched across attributes: one matrix product gives every
+gradient, an attribute leaves the batch once its gradient norm is below
+``tol``, and one stacked solve takes the other attributes' steps. ``l2 > 0``
+makes the optimum unique and finite even on separable data, unless an
+attribute's targets are all on one side. Targets come from the association
+matrix: every training instance inherits the attribute labels of its
+category. Soft targets in [0, 1] are accepted for fused association inputs.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy.special import expit
 
 from .core import (
     AssociationMatrix,
@@ -29,17 +30,13 @@ PROB_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class TrainConfig:
-    l2: float = 1e-3
-    lr: float = 0.1
+    l2: float = 0.3
     max_iters: int = 2000
     tol: float = 1e-6
-    seed: int = 0
 
     def __post_init__(self):
-        if self.l2 < 0:
-            raise ValidationError(f"l2 must be >= 0, got {self.l2}")
-        if self.lr <= 0:
-            raise ValidationError(f"lr must be > 0, got {self.lr}")
+        if not 0 < self.l2 < np.inf:
+            raise ValidationError(f"l2 must be positive and finite, got {self.l2}")
         if self.max_iters < 0:
             raise ValidationError(f"max_iters must be >= 0, got {self.max_iters}")
         if self.tol <= 0:
@@ -84,6 +81,12 @@ class AttributeModel:
         return self.weights.shape[1]
 
 
+def logistic(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)), taking exp only of -|z| so it never overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
 def logistic_loss_and_grad(w: np.ndarray, b: float, X: np.ndarray,
                            targets: np.ndarray, l2: float):
     """Mean cross-entropy with L2 on the weights (bias unpenalized).
@@ -95,7 +98,7 @@ def logistic_loss_and_grad(w: np.ndarray, b: float, X: np.ndarray,
     n = X.shape[0]
     loss = float(np.logaddexp(0.0, z).sum() - targets @ z) / n
     loss += 0.5 * l2 * float(w @ w)
-    resid = expit(z) - targets
+    resid = logistic(z) - targets
     grad_w = X.T @ resid / n + l2 * w
     grad_b = float(resid.sum()) / n
     return loss, grad_w, grad_b
@@ -107,59 +110,77 @@ def train_attribute_classifiers(features: FeatureMatrix, labels: Mapping[str, st
     """Fit one logistic classifier per attribute on labeled training features.
 
     Every instance in ``labels`` must have a feature row and a category in
-    ``assoc``. An attribute's descent stops when its gradient norm falls
-    below ``tol`` or after ``max_iters`` steps; the metadata records each
-    attribute's ``iterations``, ``final_loss`` and ``grad_norm`` at stop.
+    ``assoc``. An attribute's Newton iteration stops when its gradient norm
+    falls below ``tol`` or after ``max_iters`` steps; the metadata records
+    each attribute's ``iterations``, ``final_loss`` and ``grad_norm`` at stop.
     Attributes whose targets are all-positive or all-negative are flagged
     ``degenerate`` but still trained.
     """
     if not labels:
         raise ValidationError("no training labels")
     inst_index = {inst: i for i, inst in enumerate(features.instances)}
-    rows = []
-    cat_rows = []
-    for inst, cat in labels.items():
-        if inst not in inst_index:
-            raise ValidationError(f"labeled instance without features: {inst!r}")
-        rows.append(inst_index[inst])
-        cat_rows.append(assoc.category_index(cat))
-    X_raw = features.values[rows]
+    missing = [inst for inst in labels if inst not in inst_index]
+    if missing:
+        raise ValidationError(f"labeled instance without features: {missing[0]!r}")
+    X_raw = features.values[[inst_index[inst] for inst in labels]]
+    cat_rows = [assoc.category_index(cat) for cat in labels.values()]
     targets = np.ascontiguousarray(assoc.values[cat_rows].T)  # (n_attributes, n_train)
 
-    mu = X_raw.mean(axis=0)
-    sd = X_raw.std(axis=0)
+    mu, sd = X_raw.mean(axis=0), X_raw.std(axis=0)
     sd = np.where(sd < 1e-12, 1.0, sd)
     X = (X_raw - mu) / sd
 
-    n = len(rows)
-    weights = np.zeros((len(assoc.attributes), features.dim))
-    biases = np.zeros(len(assoc.attributes))
+    n, dim = X.shape
+    X1 = np.hstack([X, np.ones((n, 1))])  # the last parameter is the bias
+    X1T = np.ascontiguousarray(X1.T)
+    reg = np.append(np.full(dim, config.l2), 0.0)
+
+    def objective(theta, Z, T):  # per row: mean cross-entropy plus the L2 term
+        return ((np.logaddexp(0.0, Z).sum(axis=1) - np.einsum("ij,ij->i", T, Z)) / n
+                + 0.5 * np.einsum("ij,j,ij->i", theta, reg, theta))
+
+    theta = np.zeros((len(assoc.attributes), dim + 1))
     steps = np.zeros(len(assoc.attributes), dtype=int)
     active = np.arange(len(assoc.attributes))  # rows whose gradient norm is >= tol
-    for _ in range(config.max_iters):
-        W, b = weights[active], biases[active]
-        resid = expit(W @ X.T + b[:, None]) - targets[active]
-        gW = resid @ X / n + config.l2 * W
-        gb = resid.sum(axis=1) / n
-        keep = np.sqrt(np.einsum("ij,ij->i", gW, gW) + gb * gb) >= config.tol
-        active = active[keep]
+    Z = np.zeros((active.size, n))  # theta[active] @ X1T
+    loss = np.full(active.size, np.log(2.0))
+    for step in range(config.max_iters):
+        T = targets[active]
+        G = (logistic(Z) - T) @ X1 / n + reg * theta[active]
+        keep = np.sqrt(np.einsum("ij,ij->i", G, G)) >= config.tol
+        active, T, Z, G, loss = (a[keep] for a in (active, T, Z, G, loss))
         if not active.size:
             break
-        weights[active] = W[keep] - config.lr * gW[keep]
-        biases[active] = b[keep] - config.lr * gb[keep]
+        E = np.exp(-np.abs(Z))  # p(1 - p) = e / (1 + e)^2, exact in both tails
+        # every row starts at theta = 0, so step 0 needs only one Hessian
+        H = np.array([X1T * (e / (n * (1.0 + e) ** 2)) @ X1 for e in (E[:1] if step == 0 else E)])
+        D = np.linalg.solve(H + np.diag(reg), G[:, :, None])[:, :, 0]
+        # halve the Newton step until it passes Armijo's test up to rounding slack:
+        # far from the optimum (weak l2, separable data) the full step overshoots
+        t = np.ones(active.size)
+        slack = 1e-12 * np.abs(loss)
+        for _ in range(50):
+            trial = theta[active] - t[:, None] * D
+            Z = trial @ X1T
+            f = objective(trial, Z, T)
+            short = ~(f <= loss - 1e-4 * t * np.einsum("ij,ij->i", G, D) + slack)
+            if not short.any():
+                break
+            t[short] /= 2
+        theta[active], loss = trial, f
         steps[active] += 1
 
-    final = [logistic_loss_and_grad(weights[j], float(biases[j]), X, targets[j], config.l2)
-             for j in range(len(assoc.attributes))]
+    Z = theta @ X1T
+    G = (logistic(Z) - targets) @ X1 / n + reg * theta
     metadata = {
         "iterations": steps.tolist(),
-        "final_loss": [loss for loss, _, _ in final],
-        "grad_norm": [float(np.sqrt(gw @ gw + gb * gb)) for _, gw, gb in final],
+        "final_loss": objective(theta, Z, targets).tolist(),
+        "grad_norm": np.sqrt(np.einsum("ij,ij->i", G, G)).tolist(),
         "degenerate": ((targets >= 0.5).all(axis=1) | (targets < 0.5).all(axis=1)).tolist(),
         "config": asdict(config),
         "n_train": n,
     }
-    return AttributeModel(assoc.attributes, weights, biases, mu, sd, metadata)
+    return AttributeModel(assoc.attributes, theta[:, :-1], theta[:, -1], mu, sd, metadata)
 
 
 def predict_attribute_scores(model: AttributeModel,
@@ -169,6 +190,6 @@ def predict_attribute_scores(model: AttributeModel,
         raise ValidationError(
             f"feature dim {features.dim} does not match model dim {model.dim}")
     X = (features.values - model.feature_mean) / model.feature_std
-    probs = expit(X @ model.weights.T + model.biases)
+    probs = logistic(X @ model.weights.T + model.biases)
     probs = np.clip(probs, PROB_FLOOR, 1.0 - PROB_FLOOR)
     return AttributeScoreMatrix(features.instances, model.attributes, probs)

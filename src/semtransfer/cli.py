@@ -29,7 +29,7 @@ from .core import (
     validate_split,
 )
 from .metrics import evaluate_zero_shot
-from .propagate import PropagationConfig, pst
+from .propagate import KERNELS, PropagationConfig, pst
 from .relatedness import (
     binarize,
     build_corpus_index,
@@ -123,12 +123,14 @@ def _config_path(base: Path, sec: dict, key: str, where: str) -> Path:
     return base / _typed(sec, key, None, "str", where)
 
 
-def _from_section(cls, sec: dict, where: str):
-    """Build a config dataclass, rejecting values whose JSON type does not
-    match the field's annotation."""
-    for f in dataclasses.fields(cls):
+def _from_section(cls, cfg: dict, name: str, **defaults):
+    """Build a config dataclass from section ``name``, whose keys must be
+    field names and whose values must match the fields' JSON types."""
+    fields = dataclasses.fields(cls)
+    sec = {**defaults, **_section(cfg, name, {f.name for f in fields})}
+    for f in fields:
         if f.name in sec:
-            _typed(sec, f.name, None, f.type, where)
+            _typed(sec, f.name, None, f.type, name)
     return cls(**sec)
 
 
@@ -194,9 +196,7 @@ def cmd_train(args) -> int:
     features = io.read_features(args.features)
     labels = io.read_labels(args.labels)
     assoc = io.read_association(args.assoc)
-    config = TrainConfig(l2=args.l2, lr=args.lr, max_iters=args.max_iters,
-                         tol=args.tol, seed=args.seed)
-    model = train_attribute_classifiers(features, labels, assoc, config)
+    model = train_attribute_classifiers(features, labels, assoc, _from_flags(TrainConfig, args))
     io.save_model(args.out, model)
     return _report_caps(_cap_warnings(model=model), args.strict)
 
@@ -217,10 +217,7 @@ def cmd_pst(args) -> int:
     zs = io.read_category_scores(args.zeroshot)
     vectors = io.read_attribute_scores(args.vectors)
     fewshot = io.read_labels(args.fewshot) if args.fewshot else {}
-    config = PropagationConfig(k=args.k, kernel=args.kernel, sigma=args.sigma,
-                               alpha=args.alpha, tol=args.tol,
-                               max_iters=args.max_iters, rho=args.rho)
-    result = pst(zs, vectors, fewshot, config)
+    result = pst(zs, vectors, fewshot, _from_flags(PropagationConfig, args))
     io.write_category_scores(args.out, result.scores)
     if args.predictions:
         io.write_labels(args.predictions, result.predictions)
@@ -246,15 +243,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    config = SynthConfig(
-        n_known=args.n_known, n_novel=args.n_novel,
-        n_attributes=args.n_attributes, feature_dim=args.feature_dim,
-        train_per_known=args.train_per_known, test_per_novel=args.test_per_novel,
-        distractor_per_known=args.distractor_per_known,
-        fewshot_per_novel=args.fewshot_per_novel,
-        flip_noise=args.flip_noise, cluster_noise=args.cluster_noise,
-        seed=args.seed)
-    ds = gen_dataset(config)
+    ds = gen_dataset(_from_flags(SynthConfig, args))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     io.write_features(out / "features.tsv", ds.features)
@@ -265,7 +254,7 @@ def cmd_synth(args) -> int:
         plan = corpus_plan_from_associations(ds.associations,
                                              docs_per_pair=args.corpus_docs_per_pair,
                                              filler_docs=args.corpus_filler_docs,
-                                             seed=config.seed)
+                                             seed=args.seed)
         io.write_corpus_jsonl(out / "corpus.jsonl", gen_corpus(plan))
         terms = {"categories": list(ds.associations.categories),
                  "attributes": list(ds.associations.attributes)}
@@ -280,9 +269,6 @@ def cmd_synth(args) -> int:
 
 _TOP_KEYS = {"output_dir", "seed", "synth", "data", "corpus", "mine", "assoc",
              "train", "transfer", "pst", "eval"}
-_SYNTH_KEYS = {"n_known", "n_novel", "n_attributes", "feature_dim",
-               "train_per_known", "test_per_novel", "distractor_per_known",
-               "fewshot_per_novel", "flip_noise", "cluster_noise", "seed"}
 
 
 def _sub_association(assoc: AssociationMatrix, categories) -> AssociationMatrix:
@@ -311,9 +297,7 @@ def run_pipeline(config_path, out_dir_override, strict: bool) -> int:
         if ("synth" in cfg) == ("data" in cfg):
             raise ValidationError("config needs exactly one of 'synth' or 'data'")
         if "synth" in cfg:
-            sec = _section(cfg, "synth", _SYNTH_KEYS)
-            sec.setdefault("seed", seed)
-            ds = gen_dataset(_from_section(SynthConfig, sec, "synth"))
+            ds = gen_dataset(_from_section(SynthConfig, cfg, "synth", seed=seed))
             features, labels = ds.features, ds.labels
             base_assoc, split = ds.associations, ds.split
             io.write_features(out / "features.tsv", features)
@@ -380,8 +364,7 @@ def run_pipeline(config_path, out_dir_override, strict: bool) -> int:
             assoc = base_assoc
 
     with _stage("train"):
-        sec = _section(cfg, "train", {"l2", "lr", "max_iters", "tol"})
-        tconfig = _from_section(TrainConfig, {**sec, "seed": seed}, "train")
+        tconfig = _from_section(TrainConfig, cfg, "train")
         model = train_attribute_classifiers(features, split.train_instances, assoc, tconfig)
         io.save_model(out / "model.json", model)
 
@@ -422,9 +405,7 @@ def run_pipeline(config_path, out_dir_override, strict: bool) -> int:
     pst_result = None
     with _stage("pst"):
         if "pst" in cfg:
-            sec = _section(cfg, "pst",
-                           {"k", "kernel", "sigma", "alpha", "tol", "max_iters", "rho"})
-            pconfig = _from_section(PropagationConfig, sec, "pst")
+            pconfig = _from_section(PropagationConfig, cfg, "pst")
             rows = [inst for inst in features.instances
                     if inst in split.fewshot_instances or inst in split.test_instances]
             if not rows:
@@ -469,6 +450,18 @@ def cmd_pipeline(args) -> int:
 # Parser
 
 
+def _add_config_flags(p, cls, **choices) -> None:
+    """One flag per field of config dataclass ``cls``, defaulting to the field's default."""
+    for f in dataclasses.fields(cls):
+        p.add_argument("--" + f.name.replace("_", "-"), default=f.default,
+                       type={"int": int, "str": str}.get(f.type, float),
+                       choices=choices.get(f.name))
+
+
+def _from_flags(cls, args):
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semtransfer",
@@ -500,11 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--assoc", required=True)
-    p.add_argument("--l2", type=float, default=1e-3)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--max-iters", type=int, default=2000)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
+    _add_config_flags(p, TrainConfig)
     p.add_argument("--strict", action="store_true",
                    help="exit 4 if any classifier hits the iteration cap")
     p.add_argument("--out", required=True)
@@ -523,13 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeroshot", required=True, help="category score TSV")
     p.add_argument("--vectors", required=True, help="attribute score TSV (graph coordinates)")
     p.add_argument("--fewshot", help="labels TSV of clamped instances")
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--kernel", choices=["gaussian", "cosine"], default="gaussian")
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--alpha", type=float, default=0.8)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iters", type=int, default=1000)
-    p.add_argument("--rho", type=float, default=0.05)
+    _add_config_flags(p, PropagationConfig, kernel=KERNELS)
     p.add_argument("--predictions", help="also write argmax labels TSV here")
     p.add_argument("--strict", action="store_true",
                    help="exit 4 if propagation does not converge")
@@ -546,17 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_eval)
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark")
-    p.add_argument("--n-known", type=int, default=6)
-    p.add_argument("--n-novel", type=int, default=2)
-    p.add_argument("--n-attributes", type=int, default=12)
-    p.add_argument("--feature-dim", type=int, default=12)
-    p.add_argument("--train-per-known", type=int, default=30)
-    p.add_argument("--test-per-novel", type=int, default=40)
-    p.add_argument("--distractor-per-known", type=int, default=0)
-    p.add_argument("--fewshot-per-novel", type=int, default=0)
-    p.add_argument("--flip-noise", type=float, default=0.0)
-    p.add_argument("--cluster-noise", type=float, default=0.25)
-    p.add_argument("--seed", type=int, default=0)
+    _add_config_flags(p, SynthConfig)
     p.add_argument("--corpus-docs-per-pair", type=int, default=0,
                    help="if > 0, also write a corpus realizing the associations")
     p.add_argument("--corpus-filler-docs", type=int, default=0)

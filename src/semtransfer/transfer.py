@@ -18,6 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .classify import PROB_FLOOR
 from .core import (
     AssociationMatrix,
     AttributeScoreMatrix,
@@ -71,7 +72,7 @@ def dap_scores(scores: AttributeScoreMatrix, novel_assoc: AssociationMatrix,
         raise ValidationError("attribute-posterior scoring needs binary associations")
     if scores.attributes != novel_assoc.attributes or scores.attributes != prior.attributes:
         raise ValidationError("attribute axes of scores, associations, and prior must match")
-    P = np.clip(scores.values, 1e-9, 1.0 - 1e-9)
+    P = np.clip(scores.values, PROB_FLOOR, 1.0 - PROB_FLOOR)
     A = novel_assoc.values
     pr = prior.values
     logpos = np.log(P) - np.log(pr)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import semtransfer.io as sio
-from semtransfer.cli import main
+from semtransfer import TrainConfig
+from semtransfer.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -142,7 +143,7 @@ class TestStepChain:
 
 # how many classifiers capped, and how far the worst was from tol
 CAP_WARNING = (r"^warning: 8 of 8 attribute classifiers hit max_iters=1; "
-               r"largest gradient norm \d\.\d+ \(tol 1e-06\)$")
+               r"largest gradient norm \d(\.\d+)?(e[+-]\d+)? \(tol 1e-06\)$")
 
 
 class TestErrorContract:
@@ -292,13 +293,20 @@ class TestPipeline:
 
 def test_cli_import_skips_unused_scipy_modules():
     # ``mine`` never solves a sparse system or builds a kNN graph, so importing
-    # the CLI must not load the modules only those paths need
-    probe = ("import sys, semtransfer.cli; "
-             "print([m for m in ('scipy.sparse.linalg', 'scipy.spatial') if m in sys.modules])")
+    # the CLI must not load the modules only those paths need; the logistic
+    # function is NumPy's, so nothing needs ``scipy.special``
+    probe = ("import sys, semtransfer.cli; print([m for m in ('scipy.sparse.linalg', "
+             "'scipy.spatial', 'scipy.special') if m in sys.modules])")
     src = str(Path(sio.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_train_flag_defaults_are_train_config_defaults():
+    args = build_parser().parse_args(["train", "--features", "f", "--labels", "l",
+                                      "--assoc", "a", "--out", "m"])
+    assert TrainConfig(l2=args.l2, max_iters=args.max_iters, tol=args.tol) == TrainConfig()
 
 
 def data_config(data_dir, split="split.json", **overrides):
@@ -349,7 +357,8 @@ class TestInputValidation:
                                       "string_top_k", "string_assoc_k",
                                       "string_threshold", "path_output_dir",
                                       "path_data_labels", "path_corpus",
-                                      "path_mine_taxonomy", "path_transfer_taxonomy"])
+                                      "path_mine_taxonomy", "path_transfer_taxonomy",
+                                      "train_lr", "train_zero_l2", "train_cli_zero_l2"])
     def test_malformed_input_gives_one_json_error(self, synth_dir, capsys, case):
         def mined(corpus, mine, assoc):
             return ["pipeline", "--config", data_config(
@@ -385,10 +394,18 @@ class TestInputValidation:
             "path_transfer_taxonomy": lambda: ["pipeline", "--config", data_config(
                 synth_dir, transfer={"method": "hier", "taxonomy_edges": ["e.tsv"],
                                      "taxonomy_probs": "p.tsv", "attachments": {}})],
+            "train_lr": lambda: ["pipeline", "--config", data_config(
+                synth_dir, train={"max_iters": 50, "lr": 0.1})],
+            "train_zero_l2": lambda: ["pipeline", "--config", data_config(
+                synth_dir, train={"l2": 0})],
+            "train_cli_zero_l2": lambda: ["train", "--features", synth_dir / "features.tsv",
+                                          "--labels", synth_dir / "labels.tsv",
+                                          "--assoc", synth_dir / "associations.tsv",
+                                          "--l2", "0", "--out", synth_dir / "m.json"],
         }[case]()
         code, err = run(capsys, *argv)
         assert code in (2, 3)
-        if case.startswith(("string_", "path_")):
+        if case.startswith(("string_", "path_", "train_")):
             assert code == 3
         lines = err.strip().splitlines()
         assert len(lines) == 1, err

@@ -38,6 +38,17 @@ class TestMatrixTsv:
         back = sio.read_features(path)
         assert np.allclose(back.values, values, rtol=1e-8, atol=0)
 
+    def test_cells_match_format_number(self, tmp_path):
+        values = np.array([[0.0, -0.0, 5e-324, 2.2250738585072014e-308, np.inf],
+                           [-np.inf, np.nan, 1.2345678949e300, -9.87654321e-300, 1 / 3],
+                           [1e16, 123456789.5, -1e-5, 0.1, 2.0**60]])
+        path = tmp_path / "m.tsv"
+        sio.write_matrix_tsv(path, ["r0", "r1", "r2"], ["c0", "c1", "c2", "c3", "c4"], values)
+        rows = path.read_text(encoding="utf-8").splitlines()[1:]
+        want = ["\t".join([rid] + [sio.format_number(v) for v in row])
+                for rid, row in zip(["r0", "r1", "r2"], values)]
+        assert rows == want
+
     def test_header_first_cell_empty(self, tmp_path):
         path = tmp_path / "m.tsv"
         sio.write_matrix_tsv(path, ["r"], ["c"], np.array([[0.5]]))

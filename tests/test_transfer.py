@@ -16,6 +16,7 @@ from semtransfer import (
     direct_similarity_scores,
     hierarchy_transfer,
 )
+from semtransfer.classify import PROB_FLOOR
 
 
 class TestAttributePrior:
@@ -43,7 +44,7 @@ def brute_dap(p_row, assoc_row, prior):
     """Oracle: literal per-attribute posterior ratio product, in logs."""
     total = 0.0
     for p, a, pr in zip(p_row, assoc_row, prior):
-        p = min(max(p, 1e-9), 1 - 1e-9)
+        p = min(max(p, PROB_FLOOR), 1 - PROB_FLOOR)
         if a == 1.0:
             total += math.log(p / pr)
         else:
@@ -77,6 +78,22 @@ class TestDapScores:
             for j in range(c):
                 want = brute_dap(scores.values[i], sig[j], prior.values)
                 assert out.values[i, j] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_saturated_posteriors_stay_finite(self):
+        # posteriors of exactly 0 and 1 are clipped at the classifier's floor
+        scores = AttributeScoreMatrix(("i0", "i1"), ("a0", "a1"),
+                                      np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assoc = AssociationMatrix(("z1", "z2"), ("a0", "a1"),
+                                  np.array([[1.0, 0.0], [0.0, 1.0]]), binary=True)
+        prior = AttributePrior(("a0", "a1"), np.array([0.3, 0.6]))
+        out = dap_scores(scores, assoc, prior)
+        assert np.isfinite(out.values).all()
+        for i in range(2):
+            for j in range(2):
+                want = brute_dap(scores.values[i], assoc.values[j], prior.values)
+                assert out.values[i, j] == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert out.values[0, 0] == pytest.approx(2 * math.log(PROB_FLOOR) - math.log(0.3 * 0.4),
+                                                 abs=1e-3)
 
     def test_complement_symmetry_with_dyadic_scores(self):
         # flipping every attribute and complementing scores and prior leaves
