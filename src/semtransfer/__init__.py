@@ -26,7 +26,6 @@ from .relatedness import (
     dice_hitcount,
     dice_snippet,
     esa_relatedness,
-    fuse_measures,
     lin_relatedness,
     mine_relatedness,
     tfidf_associations,
@@ -82,7 +81,7 @@ __all__ = [
     "DatasetSplit", "FeatureMatrix", "ParseError",
     "RelatednessMatrix", "ValidationError", "clean_identifier", "validate_split",
     "CorpusIndex", "Taxonomy", "binarize", "build_corpus_index",
-    "dice_hitcount", "dice_snippet", "esa_relatedness", "fuse_measures",
+    "dice_hitcount", "dice_snippet", "esa_relatedness",
     "lin_relatedness", "mine_relatedness", "tfidf_associations", "tokenize",
     "AttributeModel", "TrainConfig", "logistic_loss_and_grad",
     "predict_attribute_scores", "train_attribute_classifiers",

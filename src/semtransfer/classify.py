@@ -8,7 +8,7 @@ gradient, an attribute leaves the batch once its gradient norm is below
 makes the optimum unique and finite even on separable data, unless an
 attribute's targets are all on one side. Targets come from the association
 matrix: every training instance inherits the attribute labels of its
-category. Soft targets in [0, 1] are accepted for fused association inputs.
+category. Soft targets in [0, 1] are accepted for non-binary association inputs.
 """
 
 from __future__ import annotations

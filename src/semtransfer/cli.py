@@ -230,10 +230,20 @@ def _evaluate(scores, truth, split, protocol: str) -> dict:
     return {p: io.report_to_dict(evaluate_zero_shot(scores, truth, split, p)) for p in protocols}
 
 
+def _check_split(split, assoc=None) -> None:
+    """Raise on any :func:`validate_split` violation, naming the first five."""
+    violations = validate_split(split, assoc)
+    if violations:
+        raise ValidationError(f"{len(violations)} split violations: "
+                              + "; ".join(violations[:5]))
+
+
 def cmd_eval(args) -> int:
     scores = io.read_category_scores(args.scores)
     truth = io.read_labels(args.truth)
     split = io.read_split(args.split)
+    # a few-shot instance that is also a test instance would be scored on its own label
+    _check_split(split)
     doc = _evaluate(scores, truth, split, args.protocol)
     if args.protocol != "both":
         doc = doc[args.protocol]
@@ -310,10 +320,7 @@ def run_pipeline(config_path, out_dir_override, strict: bool) -> int:
             labels = io.read_labels(_config_path(base, sec, "labels", "data"))
             base_assoc = io.read_association(_config_path(base, sec, "associations", "data"))
             split = io.read_split(_config_path(base, sec, "split", "data"))
-        violations = validate_split(split, base_assoc)
-        if violations:
-            raise ValidationError(f"{len(violations)} split violations: "
-                                  + "; ".join(violations[:5]))
+        _check_split(split, base_assoc)
 
     corpus = None
     with _stage("corpus"):

@@ -217,8 +217,8 @@ class DatasetSplit:
         object.__setattr__(self, "fewshot_instances", dict(self.fewshot_instances))
 
 
-def validate_split(split: DatasetSplit, assoc: AssociationMatrix) -> list[str]:
-    """Check all split invariants plus category coverage in ``assoc``.
+def validate_split(split: DatasetSplit, assoc: AssociationMatrix | None = None) -> list[str]:
+    """Check all split invariants, plus category coverage in ``assoc`` if given.
 
     Returns a list of human-readable violations; empty means the split is
     consistent. Purely diagnostic, never raises.
@@ -234,7 +234,8 @@ def validate_split(split: DatasetSplit, assoc: AssociationMatrix) -> list[str]:
             violations.append(f"few-shot instance {inst} labeled with non-novel category {cat}")
     for inst in sorted(set(split.fewshot_instances) & set(split.test_instances)):
         violations.append(f"instance both few-shot and test: {inst}")
-    known_cats = set(assoc.categories)
-    for cat in sorted((split.known_categories | split.novel_categories) - known_cats):
-        violations.append(f"split category missing from associations: {cat}")
+    if assoc is not None:
+        for cat in sorted((split.known_categories | split.novel_categories)
+                          - set(assoc.categories)):
+            violations.append(f"split category missing from associations: {cat}")
     return violations

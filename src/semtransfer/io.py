@@ -198,14 +198,6 @@ def read_corpus_jsonl(path) -> list[tuple[str, str]]:
     return docs
 
 
-def write_taxonomy(edges_path, probs_path, parent: Mapping[str, str | None],
-                   prob: Mapping[str, float]) -> None:
-    edge_lines = [f"{child}\t{par}" for child, par in parent.items() if par is not None]
-    Path(edges_path).write_text("\n".join(edge_lines) + "\n", encoding="utf-8")
-    prob_lines = [f"{node}\t{format_number(p)}" for node, p in prob.items()]
-    Path(probs_path).write_text("\n".join(prob_lines) + "\n", encoding="utf-8")
-
-
 def read_taxonomy(edges_path, probs_path):
     """Read the edge-list / probability TSV pair into a Taxonomy."""
     from .relatedness import Taxonomy

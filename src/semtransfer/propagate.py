@@ -25,6 +25,8 @@ from .core import (
 KERNELS = ("gaussian", "cosine")
 # Similarity values held per row block of the kNN build (~32 MB of float64).
 _BLOCK_VALUES = 1 << 22
+# Distances per row block of the median heuristic (~256 KB of float64).
+_CACHE_VALUES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -71,20 +73,69 @@ class SimilarityGraph:
             raise ValidationError(f"isolated graph nodes: {isolated.tolist()}")
 
 
+def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between ``a`` and ``b``, whose first axis
+    is the dimension and whose other axes broadcast.
+
+    Sums ``(a_t - b_t)^2`` over the dimensions t in order, as SciPy's
+    ``cdist`` and ``pdist`` do, so the result matches theirs bit for bit.
+    """
+    shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
+    out = np.zeros(shape)
+    diff = np.empty(shape)
+    for a_t, b_t in zip(a, b):
+        np.subtract(a_t, b_t, out=diff)
+        np.multiply(diff, diff, out=diff)
+        out += diff
+    return out
+
+
 def _median_heuristic(vectors: np.ndarray) -> float:
     # Median positive pairwise distance; strided subsample keeps this cheap
     # and deterministic for big inputs.
-    from scipy.spatial.distance import pdist
-
     n = vectors.shape[0]
     if n > 1000:
         stride = int(np.ceil(n / 1000))
         vectors = vectors[::stride]
-    d = pdist(vectors)
+    m = vectors.shape[0]
+    VT = np.ascontiguousarray(vectors.T)
+    step = max(1, _CACHE_VALUES // m)
+    parts = []
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        d2 = _sqdist(VT[:, lo:hi, None], VT[:, None, lo:])
+        parts.append(d2[np.triu_indices(hi - lo, 1, m - lo)])  # pairs i < j
+    d = np.sqrt(np.concatenate(parts))
     d = d[d > 0]
     if d.size == 0:
         return 1.0
     return float(np.median(d))
+
+
+def _top_k(r: np.ndarray, c: np.ndarray, v: np.ndarray, rows: int, k: int):
+    """Columns and values of the k candidates (r, c, v) with the largest v in
+    each of ``rows`` rows, ties going to the lower column.
+
+    ``r`` must be sorted and give every row at least k candidates.
+    """
+    order = np.lexsort((c, -v, r))
+    # order keeps r's row grouping, so a position minus its row's first
+    # position is the rank within the row
+    rank = np.arange(r.size) - np.searchsorted(r, np.arange(rows))[r]
+    keep = order[rank < k]
+    return c[keep].reshape(rows, k), v[keep].reshape(rows, k)
+
+
+def _top_k_dense(sim: np.ndarray, part: np.ndarray, k: int):
+    """:func:`_top_k` over every column of a similarity block; ``part`` is
+    scratch space of the block's shape."""
+    n = sim.shape[1]
+    # Every value at or above the k-th largest is a candidate; sorting
+    # only those by (-similarity, index) resolves ties exactly.
+    np.copyto(part, sim)
+    part.partition(n - k, axis=1)
+    r, c = np.divmod(np.flatnonzero(sim >= part[:, n - k, None]), n)
+    return _top_k(r, c, sim[r, c], sim.shape[0], k)
 
 
 def build_knn_graph(vectors, k: int, kernel: str = "gaussian",
@@ -99,9 +150,16 @@ def build_knn_graph(vectors, k: int, kernel: str = "gaussian",
     smallest normal float, so an outlier far from everything keeps its k
     edges instead of underflowing to an isolated node; a cosine similarity
     of 0 is genuine isolation and still raises.
-    """
-    from scipy.spatial.distance import cdist
 
+    The Gaussian kernel ranks by exact squared distances, bit for bit those
+    of SciPy's ``cdist``, without computing all of them. One matrix product
+    on the column-centered vectors gives approximate distances for a row
+    block. Every column within the row's k-th approximate distance plus
+    twice a rounding bound is a candidate, and only candidates get exact
+    distances (summed over dimensions in order) and an ``exp``. A row whose
+    k-th similarity is below the smallest normal float, where an excluded
+    column could still tie with it, is recomputed over all columns.
+    """
     if isinstance(vectors, AttributeScoreMatrix):
         vectors = vectors.values
     X = np.asarray(vectors, dtype=float)
@@ -109,7 +167,7 @@ def build_knn_graph(vectors, k: int, kernel: str = "gaussian",
         raise ValidationError(f"vectors must be 2-d, got shape {X.shape}")
     if not np.isfinite(X).all():
         raise ValidationError("vectors must be finite")
-    n = X.shape[0]
+    n, d = X.shape
     if n < 2:
         raise ValidationError(f"graph needs at least 2 nodes, got {n}")
     if k < 1:
@@ -117,11 +175,37 @@ def build_knn_graph(vectors, k: int, kernel: str = "gaussian",
     if kernel not in KERNELS:
         raise ValidationError(f"unknown kernel: {kernel!r}")
     k = min(k, n - 1)
+    tiny = np.finfo(float).tiny
 
     if kernel == "gaussian":
+        left = np.ones((n, d + 1))  # [xc_i, 1]
+        Xc = np.subtract(X, X.mean(axis=0), out=left[:, :d])
+        sq = np.einsum("ij,ij->i", Xc, Xc)
+        if not np.isfinite(4.0 * sq.max()):  # no squared distance exceeds 4 max s
+            raise ValidationError("vectors too large: squared distances overflow")
         if sigma is None:
             sigma = _median_heuristic(X)
         scale = -2.0 * sigma * sigma
+        XT = np.ascontiguousarray(X.T)
+        right = np.vstack([-2.0 * Xc.T, sq])  # [-2 xc_j; s_j]
+        # The filter value of (i, j) is the product A_ij = fl(s_j - 2 xc_i.xc_j),
+        # where s_j = |xc_j|^2, so A_ij + s_i is the squared distance up to
+        # rounding; the row constant s_i does not change a row's order. With
+        # u = 2^-53 and D_ij = fl(sum_t (x_it - x_jt)^2) the exact rescoring:
+        #   product and norms: |A_ij + s_i - |xc_i - xc_j|^2| <= (3d + 2)u (s_i + s_j)
+        #   centering, each xc coordinate off by at most u|xc|:
+        #                      ||xc_i - xc_j|^2 - |x_i - x_j|^2| <= 4u (s_i + s_j)
+        #   exact rescoring:   |D_ij - |x_i - x_j|^2| <= (2d + 4)u (s_i + s_j)
+        # So B_i = (5d + 16)u (s_i + max s) bounds |A_ij + s_i - D_ij|; the
+        # spare 6u covers second-order terms and the rounding of the filter
+        # threshold. A column j with A_ij > A_ik + 2(B_i + m), A_ik the row's
+        # k-th smallest, has D_ij > D_il + 2m for each of the k columns l of
+        # smallest A. m = 2^-37 * 2 sigma^2 puts the exponent of its similarity
+        # at least 2^-36 below theirs. Rounding moves an exponent a by at most
+        # |a|u <= 745u (beyond that exp underflows to 0) and exp by an ulp,
+        # together under 1/80 of that gap, so its similarity is the smaller
+        # as long as the k-th selected one is at least the smallest normal float.
+        slack = (5 * d + 16) * 2.0 ** -53 * (sq + sq.max()) + 2.0 ** -37 * -scale
     else:
         norms = np.linalg.norm(X, axis=1, keepdims=True)
         safe = np.where(norms < 1e-12, 1.0, norms)
@@ -132,34 +216,36 @@ def build_knn_graph(vectors, k: int, kernel: str = "gaussian",
     vals = np.empty((n, k))
     # Reused by every block; fresh buffers per block made peak RSS swing by ~30 MB.
     sim_buf, part_buf = np.empty((2, block, n))
+    keep_buf = np.empty((block, n), dtype=bool)
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         sim, part = sim_buf[:hi - lo], part_buf[:hi - lo]
-        if kernel == "gaussian":
-            cdist(X[lo:hi], X, "sqeuclidean", out=sim)
-            np.divide(sim, scale, out=sim)
-            np.exp(sim, out=sim)
-        else:
+        local = np.arange(hi - lo)
+        if kernel == "cosine":
             np.matmul(unit[lo:hi], unit.T, out=sim)
             np.clip(sim, 0.0, None, out=sim)
-        local = np.arange(hi - lo)
-        sim[local, lo + local] = -np.inf
-        # Every value at or above the k-th largest is a candidate; sorting
-        # only those by (-similarity, index) resolves ties exactly.
+            sim[local, lo + local] = -np.inf
+            cols[lo:hi], vals[lo:hi] = _top_k_dense(sim, part, k)
+            continue
+        np.matmul(left[lo:hi], right, out=sim)
+        sim[local, lo + local] = np.inf
         np.copyto(part, sim)
-        part.partition(n - k, axis=1)
-        r, c = np.divmod(np.flatnonzero(sim >= part[:, n - k, None]), n)
-        v = sim[r, c]
-        order = np.lexsort((c, -v, r))
-        # order keeps r's row grouping, so a position minus its row's first
-        # position is the rank within the row
-        rank = np.arange(r.size) - np.searchsorted(r, local)[r]
-        keep = order[rank < k]
-        cols[lo:hi] = c[keep].reshape(-1, k)
-        vals[lo:hi] = v[keep].reshape(-1, k)
+        part.partition(k - 1, axis=1)
+        keep = np.less_equal(sim, (part[:, k - 1] + 2.0 * slack[lo:hi])[:, None],
+                             out=keep_buf[:hi - lo])
+        r, c = np.divmod(np.flatnonzero(keep), n)
+        v = np.exp(_sqdist(XT[:, lo + r], XT[:, c]) / scale)
+        cols[lo:hi], vals[lo:hi] = _top_k(r, c, v, hi - lo, k)
+        weak = np.flatnonzero(vals[lo:hi, k - 1] < tiny)
+        if weak.size:
+            # exp underflowed at the k-th neighbor, so columns outside the
+            # filter may tie with it: rank these rows over every column
+            full = np.exp(_sqdist(XT[:, lo + weak, None], XT[:, None, :]) / scale)
+            full[np.arange(weak.size), lo + weak] = -np.inf
+            cols[lo + weak], vals[lo + weak] = _top_k_dense(full, part[:weak.size], k)
 
     if kernel == "gaussian":
-        np.maximum(vals, np.finfo(float).tiny, out=vals)
+        np.maximum(vals, tiny, out=vals)
     rows = np.repeat(np.arange(n), k)
     W = sp.csr_matrix((vals.ravel(), (rows, cols.ravel())), shape=(n, n))
     W = W.maximum(W.T)

@@ -12,10 +12,9 @@ The corpus is one flat token-id array whose token x document counts back
 every corpus measure. Dice works on 0/1 term x context rows, a context
 being a document or a sliding window, and fills a whole matrix with one
 sparse product; ``dice_snippet`` without a window is ``dice_hit``. The
-module also has a tf*idf association miner for per-category script text,
-fusion of several measures into one matrix, and binarization policies
-that turn a real-valued relatedness matrix into a binary association
-matrix.
+module also has a tf*idf association miner for per-category script text
+and binarization policies that turn a real-valued relatedness matrix into
+a binary association matrix.
 """
 
 from __future__ import annotations
@@ -421,7 +420,7 @@ def tfidf_associations(script_docs: Mapping[str, Sequence[str]],
 
 
 # ---------------------------------------------------------------------------
-# Whole-matrix mining, fusion, binarization
+# Whole-matrix mining, binarization
 
 
 def mine_relatedness(index: CorpusIndex, categories: Sequence[str],
@@ -452,52 +451,6 @@ def mine_relatedness(index: CorpusIndex, categories: Sequence[str],
     else:
         raise ValidationError(f"unknown relatedness measure: {measure!r}")
     return RelatednessMatrix(categories, attributes, values, measure=measure)
-
-
-def _minmax(values: np.ndarray) -> np.ndarray:
-    lo = float(values.min())
-    hi = float(values.max())
-    if hi - lo <= 0.0:
-        return np.zeros_like(values)
-    return (values - lo) / (hi - lo)
-
-
-def fuse_measures(matrices: Sequence[RelatednessMatrix],
-                  mode: str = "classifier_fusion") -> RelatednessMatrix:
-    """Combine several relatedness matrices.
-
-    ``classifier_fusion`` averages min-max normalized scores over matrices
-    with identical axes. ``expanded`` concatenates normalized score blocks
-    along the attribute axis, namespacing attribute ids by source measure.
-    """
-    if not matrices:
-        raise ValidationError("nothing to fuse")
-    cats = matrices[0].categories
-    for m in matrices[1:]:
-        if m.categories != cats:
-            raise ValidationError("fusion inputs disagree on categories")
-    if mode == "classifier_fusion":
-        attrs = matrices[0].attributes
-        for m in matrices[1:]:
-            if m.attributes != attrs:
-                raise ValidationError("classifier_fusion inputs disagree on attributes")
-        stack = np.stack([_minmax(m.values) for m in matrices])
-        return RelatednessMatrix(cats, attrs, stack.mean(axis=0), measure="fused")
-    if mode == "expanded":
-        tags = [m.measure for m in matrices]
-        counts: dict[str, int] = {}
-        names = []
-        for tag in tags:
-            k = counts.get(tag, 0)
-            counts[tag] = k + 1
-            names.append(tag if tags.count(tag) == 1 else f"{tag}{k}")
-        attrs: list[str] = []
-        blocks = []
-        for name, m in zip(names, matrices):
-            attrs.extend(f"{name}:{a}" for a in m.attributes)
-            blocks.append(_minmax(m.values))
-        return RelatednessMatrix(cats, tuple(attrs), np.hstack(blocks), measure="fused")
-    raise ValidationError(f"unknown fusion mode: {mode!r}")
 
 
 def binarize(rel: RelatednessMatrix, policy: str, *, k: int | None = None,

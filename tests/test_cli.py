@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import semtransfer.io as sio
-from semtransfer import TrainConfig
+from semtransfer import AttributeScoreMatrix, CategoryScoreMatrix, TrainConfig
 from semtransfer.cli import build_parser, main
 
 
@@ -291,16 +291,31 @@ class TestPipeline:
         assert last_error(err)["stage"] == "data"
 
 
-def test_cli_import_skips_unused_scipy_modules():
+def test_cli_import_skips_unused_scipy_modules(tmp_path):
     # ``mine`` never solves a sparse system or builds a kNN graph, so importing
     # the CLI must not load the modules only those paths need; the logistic
-    # function is NumPy's, so nothing needs ``scipy.special``
-    probe = ("import sys, semtransfer.cli; print([m for m in ('scipy.sparse.linalg', "
-             "'scipy.spatial', 'scipy.special') if m in sys.modules])")
+    # function is NumPy's, so nothing needs ``scipy.special``. The kNN graph
+    # computes its distances itself, so even ``pst`` leaves ``scipy.spatial``
+    # unloaded.
+    rng = np.random.default_rng(3)
+    instances = tuple(f"i{k}" for k in range(12))
+    sio.write_category_scores(tmp_path / "zs.tsv", CategoryScoreMatrix(
+        instances, ("c0", "c1"), rng.random((12, 2))))
+    sio.write_attribute_scores(tmp_path / "vectors.tsv", AttributeScoreMatrix(
+        instances, ("a0", "a1", "a2"), rng.random((12, 3))))
+    probe = (
+        "import sys, semtransfer.cli as cli\n"
+        "print([m for m in ('scipy.sparse.linalg', 'scipy.spatial', 'scipy.special')"
+        " if m in sys.modules])\n"
+        "code = cli.main(['pst', '--zeroshot', 'zs.tsv', '--vectors', 'vectors.tsv',"
+        " '--k', '3', '--out', 'pst.tsv'])\n"
+        "print(code, 'scipy.spatial' in sys.modules)\n")
     src = str(Path(sio.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
-    assert out.stdout.strip() == "[]"
+                         check=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+                         timeout=120)
+    assert out.stdout.split("\n")[:2] == ["[]", "0 False"]
+    assert (tmp_path / "pst.tsv").exists()
 
 
 def test_train_flag_defaults_are_train_config_defaults():
@@ -336,6 +351,31 @@ class TestInputValidation:
         assert code == 3
         payload = last_error(err)
         assert payload["stage"] == "data"
+        assert inst in payload["error"]
+
+    def test_eval_of_leaky_split_exits_3(self, synth_dir, tmp_path, capsys):
+        # a few-shot instance that is also a test instance would be scored
+        # against the label it was given
+        doc = json.loads((synth_dir / "split.json").read_text())
+        inst, cat = next(iter(doc["fewshot_instances"].items()))
+        doc["test_instances"][inst] = cat
+        (synth_dir / "leaky.json").write_text(json.dumps(doc))
+        instances = tuple(doc["test_instances"])
+        categories = tuple(sorted(doc["novel_categories"]))
+        scores = tmp_path / "scores.tsv"
+        sio.write_category_scores(scores, CategoryScoreMatrix(
+            instances, categories, np.random.default_rng(0).random((len(instances),
+                                                                    len(categories)))))
+        argv = ["eval", "--scores", scores, "--truth", synth_dir / "labels.tsv",
+                "--out", tmp_path / "report.json", "--split"]
+        code, _ = run(capsys, *argv, synth_dir / "split.json")
+        assert code == 0
+        code, err = run(capsys, *argv, synth_dir / "leaky.json")
+        assert code == 3
+        lines = err.strip().splitlines()
+        assert len(lines) == 1, err
+        payload = json.loads(lines[0])
+        assert payload["stage"] == "eval"
         assert inst in payload["error"]
 
     @staticmethod

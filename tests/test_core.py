@@ -128,3 +128,8 @@ class TestSplitValidation:
     def test_category_missing_from_associations_flagged(self):
         assoc = AssociationMatrix(("k0", "k1"), ("a",), np.ones((2, 1)))
         assert validate_split(self._split(), assoc)
+
+    def test_split_alone_skips_association_coverage(self):
+        assert validate_split(self._split()) == []
+        split = self._split(fewshot_instances={"i2": "n0"})
+        assert validate_split(split) == ["instance both few-shot and test: i2"]

@@ -126,10 +126,9 @@ class TestCorpusJsonl:
 
 class TestTaxonomyFiles:
     def test_round_trip(self, tmp_path):
-        parent = {"root": None, "mid": "root", "leaf1": "mid", "leaf2": "mid"}
-        prob = {"root": 1.0, "mid": 0.25, "leaf1": 0.0625, "leaf2": 0.0625}
         edges, probs = tmp_path / "edges.tsv", tmp_path / "probs.tsv"
-        sio.write_taxonomy(edges, probs, parent, prob)
+        edges.write_text("mid\troot\nleaf1\tmid\nleaf2\tmid\n")
+        probs.write_text("root\t1\nmid\t0.25\nleaf1\t0.0625\nleaf2\t0.0625\n")
         tax = sio.read_taxonomy(edges, probs)
         assert tax.root == "root"
         assert tax.parent["leaf1"] == "mid"

@@ -45,7 +45,9 @@ def dense_knn_oracle(X, ks, kernel):
         rows = np.repeat(np.arange(n), k)
         cols = order[:, :k].ravel()
         vals = sim[rows, cols]
-        vals = np.where(np.isfinite(vals), np.maximum(vals, 0.0), 0.0)
+        # the build floors Gaussian weights at the smallest normal float
+        floor = np.finfo(float).tiny if kernel == "gaussian" else 0.0
+        vals = np.where(np.isfinite(vals), np.maximum(vals, floor), 0.0)
         W = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
         W = W.maximum(W.T)
         W.eliminate_zeros()
@@ -66,6 +68,47 @@ def _oracle_inputs():
 
 
 ORACLE_INPUTS = _oracle_inputs()
+
+
+def _gaussian_oracle_inputs():
+    """Inputs that stress the Gaussian build's distance filter, as (X, ks)."""
+    rng = np.random.default_rng(37)
+    # a random 70% of a 30 x 30 integer lattice: exact distances tie (1, 2,
+    # 4, 5, ...), and the inexact column mean puts rounding noise into the
+    # filter's approximate distances; k=6 and k=7 split the group of four
+    # diagonal neighbors at distance^2 = 2
+    lattice = np.array([(i, j) for i in range(30) for j in range(30)], dtype=float)
+    grid = lattice[rng.random(len(lattice)) < 0.7]
+    # a lattice 1e4 away from 500 points in the unit square: sigma comes
+    # from the square, while the lattice rows' large centered norms make
+    # their product error far exceed the exp margin, so only the distance
+    # bound keeps their tied neighbors
+    far_grid = np.vstack([rng.random((500, 2)), lattice[:100] + 1e4])
+    # the outlier is row 0; every similarity of its row underflows to 0
+    outlier = np.vstack([np.full((1, 4), 1e3), rng.random((200, 4))])
+    # 20 copies of each point: more exact ties at similarity 1 than k
+    copies = np.repeat(rng.normal(size=(30, 3)), 20, axis=0)[rng.permutation(600)]
+    return {
+        "offset": (1e6 + 1e-3 * rng.normal(size=(300, 4)), (1, 10, 15)),
+        "scaled_down": (1e-3 * rng.normal(size=(300, 4)), (1, 10, 15)),
+        "scaled_up": (1e3 * rng.normal(size=(300, 4)), (1, 10, 15)),
+        "grid_tie": (grid, (6, 7)),
+        "far_grid": (far_grid, (6, 7)),
+        "far_outlier": (outlier, (1, 5, 15)),
+        "copies": (copies, (1, 15)),
+        # 3000 rows make blocks of 1398, 1398 and a ragged 204
+        "three_blocks": (rng.normal(size=(3000, 3)), (15,)),
+    }
+
+
+GAUSSIAN_INPUTS = _gaussian_oracle_inputs()
+
+
+def assert_graphs_equal(graph, W, S):
+    for got, want in ((graph.W, W), (graph.S, S)):
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
 
 
 class TestPropagationConfig:
@@ -173,18 +216,66 @@ class TestKnnGraph:
         with pytest.raises(ValidationError, match="finite"):
             build_knn_graph(X, k=1)
 
+    def test_overflowing_distances_rejected(self):
+        X = np.random.default_rng(12).normal(size=(20, 3)) * 1e200
+        with pytest.raises(ValidationError, match="overflow"):
+            build_knn_graph(X, k=3)
+
     @pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
     @pytest.mark.parametrize("kernel", ["gaussian", "cosine"])
     def test_blocked_build_matches_dense_oracle_bitwise(self, name, kernel):
         X = ORACLE_INPUTS[name]
         for k, (W, S) in dense_knn_oracle(X, (1, 10, 15), kernel).items():
-            graph = build_knn_graph(X, k=k, kernel=kernel)
-            assert np.array_equal(graph.W.indptr, W.indptr)
-            assert np.array_equal(graph.W.indices, W.indices)
-            assert np.array_equal(graph.W.data, W.data)
-            assert np.array_equal(graph.S.indptr, S.indptr)
-            assert np.array_equal(graph.S.indices, S.indices)
-            assert np.array_equal(graph.S.data, S.data)
+            assert_graphs_equal(build_knn_graph(X, k=k, kernel=kernel), W, S)
+
+    @pytest.mark.parametrize("name", sorted(GAUSSIAN_INPUTS))
+    def test_filtered_gaussian_build_matches_dense_oracle_bitwise(self, name):
+        X, ks = GAUSSIAN_INPUTS[name]
+        for k, (W, S) in dense_knn_oracle(X, ks, "gaussian").items():
+            assert_graphs_equal(build_knn_graph(X, k=k), W, S)
+
+    @pytest.mark.parametrize("name", ["grid_tie", "far_grid"])
+    def test_grid_ties_straddle_the_kth_neighbor(self, name):
+        # a grid case is only a test of the filter if, in many rows, the
+        # k-th similarity ties with a column that is not selected
+        X, ks = GAUSSIAN_INPUTS[name]
+        sigma = _median_heuristic(X)
+        sim = np.exp(-squareform(pdist(X, "sqeuclidean")) / (2.0 * sigma * sigma))
+        np.fill_diagonal(sim, -np.inf)
+        ranked = -np.sort(-sim, axis=1)
+        for k in ks:
+            assert (ranked[:, k - 1] == ranked[:, k]).sum() >= 50
+
+    def test_far_outlier_ranks_its_row_in_full(self):
+        # every similarity of the outlier's row is 0, so its k neighbors are
+        # the k lowest indices, not its k nearest points
+        X, _ = GAUSSIAN_INPUTS["far_outlier"]
+        d2 = squareform(pdist(X, "sqeuclidean"))[0, 1:]
+        sigma = _median_heuristic(X)
+        assert np.exp(-d2.min() / (2.0 * sigma * sigma)) == 0.0
+        k = 5
+        nearest = 1 + np.argsort(d2, kind="stable")[:k]
+        assert set(nearest) != set(range(1, k + 1))
+        W, S = dense_knn_oracle(X, (k,), "gaussian")[k]
+        assert set(range(1, k + 1)) <= set(W.getrow(0).indices)
+        assert_graphs_equal(build_knn_graph(X, k=k), W, S)
+
+    def test_three_blocks_with_ragged_last(self):
+        n = GAUSSIAN_INPUTS["three_blocks"][0].shape[0]
+        block = _BLOCK_VALUES // n
+        assert -(-n // block) == 3 and n % block
+
+    def test_median_heuristic_matches_pdist(self):
+        # strided to at most 1000 rows; duplicate rows give zero distances
+        rng = np.random.default_rng(41)
+        X = rng.normal(size=(1700, 5))
+        X[2::14] = X[:-2:14]  # rows 14t + 2 copy rows 14t; both survive the stride of 2
+        d = pdist(X[::2])
+        assert (d == 0).any()
+        assert _median_heuristic(X) == float(np.median(d[d > 0]))
+        small = X[:300]
+        d = pdist(small)
+        assert _median_heuristic(small) == float(np.median(d[d > 0]))
 
     def test_gaussian_far_outlier_keeps_its_edges(self):
         # exp(-d^2 / 2 sigma^2) underflows to 0 for every neighbor of the

@@ -14,7 +14,6 @@ from semtransfer import (
     dice_hitcount,
     dice_snippet,
     esa_relatedness,
-    fuse_measures,
     lin_relatedness,
     mine_relatedness,
     tfidf_associations,
@@ -388,46 +387,6 @@ class TestMineRelatedness:
         del idx
         gc.collect()
         assert ref() is None
-
-
-class TestFusion:
-    def _rel(self, values, measure="dice_hit"):
-        values = np.asarray(values, dtype=float)
-        cats = tuple(f"c{i}" for i in range(values.shape[0]))
-        attrs = tuple(f"a{j}" for j in range(values.shape[1]))
-        return RelatednessMatrix(cats, attrs, values, measure=measure)
-
-    def test_classifier_fusion_averages_minmax_scores(self):
-        r1 = self._rel([[0.0, 1.0]])                    # minmax -> [0, 1]
-        r2 = self._rel([[2.0, 6.0]], measure="esa")     # minmax -> [0, 1]
-        fused = fuse_measures([r1, r2], "classifier_fusion")
-        assert np.allclose(fused.values, [[0.0, 1.0]])
-        assert fused.measure == "fused"
-
-    def test_constant_matrix_normalizes_to_zeros(self):
-        r1 = self._rel([[0.0, 1.0]])
-        r2 = self._rel([[0.7, 0.7]], measure="esa")
-        fused = fuse_measures([r1, r2], "classifier_fusion")
-        assert np.allclose(fused.values, [[0.0, 0.5]])
-
-    def test_expanded_concatenates_and_namespaces(self):
-        r1 = self._rel([[0.0, 1.0]])
-        r2 = self._rel([[1.0, 0.0]], measure="esa")
-        fused = fuse_measures([r1, r2], "expanded")
-        assert fused.attributes == ("dice_hit:a0", "dice_hit:a1", "esa:a0", "esa:a1")
-        assert np.allclose(fused.values, [[0.0, 1.0, 1.0, 0.0]])
-
-    def test_expanded_disambiguates_repeated_measures(self):
-        r1 = self._rel([[0.0, 1.0]])
-        r2 = self._rel([[1.0, 0.0]])
-        fused = fuse_measures([r1, r2], "expanded")
-        assert len(set(fused.attributes)) == 4
-
-    def test_mismatched_axes_rejected(self):
-        r1 = self._rel([[0.0, 1.0]])
-        r2 = RelatednessMatrix(("other",), ("a0", "a1"), np.zeros((1, 2)))
-        with pytest.raises(ValidationError):
-            fuse_measures([r1, r2], "classifier_fusion")
 
 
 class TestBinarize:
