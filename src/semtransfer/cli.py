@@ -28,7 +28,7 @@ from .core import (
     ValidationError,
     validate_split,
 )
-from .metrics import evaluate_zero_shot
+from .metrics import PROTOCOLS, evaluate_zero_shot
 from .propagate import KERNELS, PropagationConfig, pst
 from .relatedness import (
     binarize,
@@ -70,11 +70,6 @@ def _stage(name: str):
         raise
     except (ValidationError, *_PARSE_ERRORS) as exc:
         raise StageError(name, exc) from exc
-
-
-def _emit_error(message: str, code: int, stage: str) -> None:
-    line = json.dumps({"error": message, "code": code, "stage": stage}, sort_keys=True)
-    print(line, file=sys.stderr)
 
 
 def _warn(message: str) -> None:
@@ -135,37 +130,89 @@ def _from_section(cls, cfg: dict, name: str, **defaults):
 
 
 # ---------------------------------------------------------------------------
-# Single-step commands
+# Stages: one implementation each, called by the subcommands and by ``pipeline``
 
 
-def cmd_mine(args) -> int:
-    categories, attributes = _load_terms(args.terms)
-    docs = io.read_corpus_jsonl(args.corpus)
-    if args.measure == "tfidf":
+def _write_dataset(out: Path, ds) -> None:
+    io.write_features(out / "features.tsv", ds.features)
+    io.write_labels(out / "labels.tsv", ds.labels)
+    io.write_association(out / "associations.tsv", ds.associations)
+    io.write_split(out / "split.json", ds.split)
+
+
+def _write_corpus(out: Path, assoc: AssociationMatrix, docs_per_pair: int,
+                  filler_docs: int, seed: int) -> list[tuple[str, str]]:
+    """A corpus whose mined Dice scores recover ``assoc``, written to ``corpus.jsonl``."""
+    corpus = gen_corpus(corpus_plan_from_associations(
+        assoc, docs_per_pair=docs_per_pair, filler_docs=filler_docs, seed=seed))
+    io.write_corpus_jsonl(out / "corpus.jsonl", corpus)
+    return corpus
+
+
+def _mine(corpus, categories, attributes, measure: str, window: int | None,
+          taxonomy_edges=None, taxonomy_probs=None):
+    """Relatedness of every category-attribute pair under ``measure``.
+
+    ``tfidf`` groups the documents by the id prefix before the first ``/``;
+    ``lin`` needs both taxonomy files; window 0 means whole documents.
+    """
+    if measure == "tfidf":
         groups: dict[str, list[str]] = {}
-        for doc_id, text in docs:
+        for doc_id, text in corpus:
             groups.setdefault(doc_id.split("/", 1)[0], []).append(text)
-        script_docs = {c: groups.get(c, []) for c in categories}
-        rel = tfidf_associations(script_docs, attributes)
-    else:
-        index = build_corpus_index(docs)
-        taxonomy = None
-        if args.measure == "lin":
-            if not (args.taxonomy_edges and args.taxonomy_probs):
-                raise ValidationError("lin measure needs --taxonomy-edges and --taxonomy-probs")
-            taxonomy = io.read_taxonomy(args.taxonomy_edges, args.taxonomy_probs)
-        window = None if args.window == 0 else args.window
-        rel = mine_relatedness(index, categories, attributes, args.measure,
-                               window=window, taxonomy=taxonomy)
-    io.write_relatedness(args.out, rel)
-    return EXIT_OK
+        return tfidf_associations({c: groups.get(c, []) for c in categories}, attributes)
+    taxonomy = None
+    if measure == "lin":
+        if not (taxonomy_edges and taxonomy_probs):
+            raise ValidationError("lin measure needs taxonomy edges and probabilities")
+        taxonomy = io.read_taxonomy(taxonomy_edges, taxonomy_probs)
+    return mine_relatedness(build_corpus_index(corpus), categories, attributes, measure,
+                            window=window or None, taxonomy=taxonomy)
 
 
-def cmd_assoc(args) -> int:
-    rel = io.read_relatedness(args.relatedness)
-    assoc = binarize(rel, args.policy, k=args.k, threshold=args.threshold)
-    io.write_association(args.out, assoc)
-    return EXIT_OK
+def _check_split(split, assoc=None) -> None:
+    """Raise on any :func:`validate_split` violation, naming the first five."""
+    violations = validate_split(split, assoc)
+    if violations:
+        raise ValidationError(f"{len(violations)} split violations: "
+                              + "; ".join(violations[:5]))
+
+
+def _sub_association(assoc: AssociationMatrix, categories) -> AssociationMatrix:
+    rows = [assoc.category_index(c) for c in categories]
+    return AssociationMatrix(tuple(categories), assoc.attributes,
+                             assoc.values[rows], binary=assoc.binary)
+
+
+def _transfer(attr_scores, assoc, split, method="dap", *, top_k=5, taxonomy=None,
+              attachments=None, mode="all") -> CategoryScoreMatrix:
+    """Novel-category scores by ``dap``, ``sim`` or ``hier`` transfer.
+
+    ``assoc`` holds both the known and the novel categories. As in DAP, the
+    attribute prior comes from the known (training) categories.
+    """
+    known = [c for c in assoc.categories if c in split.known_categories]
+    novel = [c for c in assoc.categories if c in split.novel_categories]
+    if not known or not novel:
+        raise ValidationError("associations must cover known and novel categories")
+    known_assoc = _sub_association(assoc, known)
+    prior = attribute_prior_from_associations(known_assoc)
+    if method == "dap":
+        return dap_scores(attr_scores, _sub_association(assoc, novel), prior)
+    if method not in ("sim", "hier"):
+        raise ValidationError(f"unknown transfer method: {method!r}")
+    known_scores = dap_scores(attr_scores, known_assoc, prior)
+    if method == "sim":
+        return direct_similarity_scores(known_scores, signature_relatedness(assoc, novel, known),
+                                        top_k=top_k)
+    return hierarchy_transfer(taxonomy, known_scores, attachments, mode=mode)
+
+
+def _evaluate(scores, truth, split, protocol) -> dict:
+    """Evaluation report per protocol; ``"both"`` runs both protocols, and
+    :func:`evaluate_zero_shot` rejects any other unknown protocol."""
+    protocols = PROTOCOLS if protocol == "both" else [protocol]
+    return {p: io.report_to_dict(evaluate_zero_shot(scores, truth, split, p)) for p in protocols}
 
 
 def _cap_warnings(model=None, propagation=None) -> list[str]:
@@ -192,11 +239,32 @@ def _report_caps(warnings: list[str], strict: bool) -> int:
     return EXIT_NO_CONVERGENCE if warnings and strict else EXIT_OK
 
 
+# ---------------------------------------------------------------------------
+# Single-step commands
+
+
+def cmd_mine(args) -> int:
+    categories, attributes = _load_terms(args.terms)
+    rel = _mine(io.read_corpus_jsonl(args.corpus), categories, attributes, args.measure,
+                args.window, args.taxonomy_edges, args.taxonomy_probs)
+    io.write_relatedness(args.out, rel)
+    return EXIT_OK
+
+
+def cmd_assoc(args) -> int:
+    rel = io.read_relatedness(args.relatedness)
+    assoc = binarize(rel, args.policy, k=args.k, threshold=args.threshold)
+    io.write_association(args.out, assoc)
+    return EXIT_OK
+
+
 def cmd_train(args) -> int:
     features = io.read_features(args.features)
-    labels = io.read_labels(args.labels)
     assoc = io.read_association(args.assoc)
-    model = train_attribute_classifiers(features, labels, assoc, _from_flags(TrainConfig, args))
+    split = io.read_split(args.split)
+    _check_split(split, assoc)
+    model = train_attribute_classifiers(features, split.train_instances, assoc,
+                                        _from_flags(TrainConfig, args))
     io.save_model(args.out, model)
     return _report_caps(_cap_warnings(model=model), args.strict)
 
@@ -204,11 +272,10 @@ def cmd_train(args) -> int:
 def cmd_zeroshot(args) -> int:
     model = io.load_model(args.model)
     features = io.read_features(args.features)
-    novel_assoc = io.read_association(args.assoc)
-    prior_assoc = io.read_association(args.prior_assoc) if args.prior_assoc else novel_assoc
-    prior = attribute_prior_from_associations(prior_assoc)
-    scores = predict_attribute_scores(model, features)
-    zs = dap_scores(scores, novel_assoc, prior)
+    assoc = io.read_association(args.assoc)
+    split = io.read_split(args.split)
+    _check_split(split, assoc)
+    zs = _transfer(predict_attribute_scores(model, features), assoc, split)
     io.write_category_scores(args.out, zs)
     return EXIT_OK
 
@@ -224,20 +291,6 @@ def cmd_pst(args) -> int:
     return _report_caps(_cap_warnings(propagation=result), args.strict)
 
 
-def _evaluate(scores, truth, split, protocol: str) -> dict:
-    """Evaluation report per protocol; ``"both"`` runs both protocols."""
-    protocols = ["novel_only", "with_distractors"] if protocol == "both" else [protocol]
-    return {p: io.report_to_dict(evaluate_zero_shot(scores, truth, split, p)) for p in protocols}
-
-
-def _check_split(split, assoc=None) -> None:
-    """Raise on any :func:`validate_split` violation, naming the first five."""
-    violations = validate_split(split, assoc)
-    if violations:
-        raise ValidationError(f"{len(violations)} split violations: "
-                              + "; ".join(violations[:5]))
-
-
 def cmd_eval(args) -> int:
     scores = io.read_category_scores(args.scores)
     truth = io.read_labels(args.truth)
@@ -245,10 +298,7 @@ def cmd_eval(args) -> int:
     # a few-shot instance that is also a test instance would be scored on its own label
     _check_split(split)
     doc = _evaluate(scores, truth, split, args.protocol)
-    if args.protocol != "both":
-        doc = doc[args.protocol]
-    Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                              encoding="utf-8")
+    io.write_json(args.out, doc if args.protocol == "both" else doc[args.protocol])
     return EXIT_OK
 
 
@@ -256,20 +306,12 @@ def cmd_synth(args) -> int:
     ds = gen_dataset(_from_flags(SynthConfig, args))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    io.write_features(out / "features.tsv", ds.features)
-    io.write_labels(out / "labels.tsv", ds.labels)
-    io.write_association(out / "associations.tsv", ds.associations)
-    io.write_split(out / "split.json", ds.split)
+    _write_dataset(out, ds)
     if args.corpus_docs_per_pair > 0:
-        plan = corpus_plan_from_associations(ds.associations,
-                                             docs_per_pair=args.corpus_docs_per_pair,
-                                             filler_docs=args.corpus_filler_docs,
-                                             seed=args.seed)
-        io.write_corpus_jsonl(out / "corpus.jsonl", gen_corpus(plan))
-        terms = {"categories": list(ds.associations.categories),
-                 "attributes": list(ds.associations.attributes)}
-        (out / "terms.json").write_text(json.dumps(terms, indent=2, sort_keys=True) + "\n",
-                                        encoding="utf-8")
+        _write_corpus(out, ds.associations, args.corpus_docs_per_pair,
+                      args.corpus_filler_docs, args.seed)
+        io.write_json(out / "terms.json", {"categories": list(ds.associations.categories),
+                                           "attributes": list(ds.associations.attributes)})
     return EXIT_OK
 
 
@@ -281,21 +323,15 @@ _TOP_KEYS = {"output_dir", "seed", "synth", "data", "corpus", "mine", "assoc",
              "train", "transfer", "pst", "eval"}
 
 
-def _sub_association(assoc: AssociationMatrix, categories) -> AssociationMatrix:
-    rows = [assoc.category_index(c) for c in categories]
-    return AssociationMatrix(tuple(categories), assoc.attributes,
-                             assoc.values[rows], binary=assoc.binary)
-
-
-def run_pipeline(config_path, out_dir_override, strict: bool) -> int:
+def cmd_pipeline(args) -> int:
     with _stage("config"):
-        cfg = io.read_json(config_path)
+        cfg = io.read_json(args.config)
         _check_keys(cfg, _TOP_KEYS, "config")
         # paths inside the config resolve against the config file itself;
         # the --out-dir flag resolves against the working directory as usual
-        base = Path(config_path).resolve().parent
-        if out_dir_override:
-            out = Path(out_dir_override)
+        base = Path(args.config).resolve().parent
+        if args.out_dir:
+            out = Path(args.out_dir)
         elif cfg.get("output_dir"):
             out = _config_path(base, cfg, "output_dir", "config")
         else:
@@ -308,12 +344,8 @@ def run_pipeline(config_path, out_dir_override, strict: bool) -> int:
             raise ValidationError("config needs exactly one of 'synth' or 'data'")
         if "synth" in cfg:
             ds = gen_dataset(_from_section(SynthConfig, cfg, "synth", seed=seed))
-            features, labels = ds.features, ds.labels
-            base_assoc, split = ds.associations, ds.split
-            io.write_features(out / "features.tsv", features)
-            io.write_labels(out / "labels.tsv", labels)
-            io.write_association(out / "associations.tsv", base_assoc)
-            io.write_split(out / "split.json", split)
+            _write_dataset(out, ds)
+            features, labels, base_assoc, split = ds.features, ds.labels, ds.associations, ds.split
         else:
             sec = _section(cfg, "data", {"features", "labels", "associations", "split"})
             features = io.read_features(_config_path(base, sec, "features", "data"))
@@ -329,13 +361,9 @@ def run_pipeline(config_path, out_dir_override, strict: bool) -> int:
             if "path" in sec:
                 corpus = io.read_corpus_jsonl(_config_path(base, sec, "path", "corpus"))
             else:
-                plan = corpus_plan_from_associations(
-                    base_assoc,
-                    docs_per_pair=_typed(sec, "docs_per_pair", 3, "int", "corpus"),
-                    filler_docs=_typed(sec, "filler_docs", 0, "int", "corpus"),
-                    seed=seed)
-                corpus = gen_corpus(plan)
-                io.write_corpus_jsonl(out / "corpus.jsonl", corpus)
+                corpus = _write_corpus(out, base_assoc,
+                                       _typed(sec, "docs_per_pair", 3, "int", "corpus"),
+                                       _typed(sec, "filler_docs", 0, "int", "corpus"), seed)
 
     rel = None
     with _stage("mine"):
@@ -344,15 +372,11 @@ def run_pipeline(config_path, out_dir_override, strict: bool) -> int:
                 raise ValidationError("mining needs a corpus section")
             sec = _section(cfg, "mine",
                            {"measure", "window", "taxonomy_edges", "taxonomy_probs"})
-            measure = sec.get("measure", "dice_hit")
-            taxonomy = None
-            if measure == "lin":
-                taxonomy = io.read_taxonomy(_config_path(base, sec, "taxonomy_edges", "mine"),
-                                            _config_path(base, sec, "taxonomy_probs", "mine"))
-            index = build_corpus_index(corpus)
-            window = _typed(sec, "window", 20, "int | None", "mine") or None  # 0: whole document
-            rel = mine_relatedness(index, base_assoc.categories, base_assoc.attributes,
-                                   measure, window=window, taxonomy=taxonomy)
+            taxonomy = [_config_path(base, sec, key, "mine") if key in sec else None
+                        for key in ("taxonomy_edges", "taxonomy_probs")]
+            rel = _mine(corpus, base_assoc.categories, base_assoc.attributes,
+                        _typed(sec, "measure", "dice_hit", "str", "mine"),
+                        _typed(sec, "window", 20, "int | None", "mine"), *taxonomy)
             io.write_relatedness(out / "relatedness.tsv", rel)
 
     with _stage("assoc"):
@@ -383,30 +407,13 @@ def run_pipeline(config_path, out_dir_override, strict: bool) -> int:
         sec = _section(cfg, "transfer", {"method", "top_k", "taxonomy_edges",
                                          "taxonomy_probs", "attachments", "mode"})
         method = sec.get("method", "dap")
-        known = [c for c in assoc.categories if c in split.known_categories]
-        novel = [c for c in assoc.categories if c in split.novel_categories]
-        if not known or not novel:
-            raise ValidationError("associations must cover known and novel categories")
-        known_assoc = _sub_association(assoc, known)
-        novel_assoc = _sub_association(assoc, novel)
-        prior = attribute_prior_from_associations(known_assoc)
-        if method == "dap":
-            zeroshot = dap_scores(attr_scores, novel_assoc, prior)
-        elif method == "sim":
-            known_scores = dap_scores(attr_scores, known_assoc, prior)
-            rel_nk = signature_relatedness(assoc, novel, known)
-            zeroshot = direct_similarity_scores(known_scores, rel_nk,
-                                                top_k=_typed(sec, "top_k", 5, "int", "transfer"))
-        elif method == "hier":
+        taxonomy = None
+        if method == "hier":
             taxonomy = io.read_taxonomy(_config_path(base, sec, "taxonomy_edges", "transfer"),
                                         _config_path(base, sec, "taxonomy_probs", "transfer"))
-            if "attachments" not in sec:
-                raise ValidationError("hier transfer needs 'attachments'")
-            known_scores = dap_scores(attr_scores, known_assoc, prior)
-            zeroshot = hierarchy_transfer(taxonomy, known_scores, sec["attachments"],
-                                          mode=sec.get("mode", "all"))
-        else:
-            raise ValidationError(f"unknown transfer method: {method!r}")
+        zeroshot = _transfer(attr_scores, assoc, split, method,
+                             top_k=_typed(sec, "top_k", 5, "int", "transfer"), taxonomy=taxonomy,
+                             attachments=sec.get("attachments"), mode=sec.get("mode", "all"))
         io.write_category_scores(out / "zeroshot_scores.tsv", zeroshot)
 
     pst_result = None
@@ -428,29 +435,20 @@ def run_pipeline(config_path, out_dir_override, strict: bool) -> int:
             io.write_labels(out / "pst_predictions.tsv", pst_result.predictions)
 
     with _stage("eval"):
-        sec = _section(cfg, "eval", {"protocol"})
-        protocol = sec.get("protocol", "novel_only")
-        if protocol not in ("novel_only", "with_distractors", "both"):
-            raise ValidationError(f"unknown protocol: {protocol!r}")
+        protocol = _section(cfg, "eval", {"protocol"}).get("protocol", "novel_only")
         results = {"zeroshot": _evaluate(zeroshot, labels, split, protocol)}
         if pst_result is not None:
             results["pst"] = _evaluate(pst_result.scores, labels, split, protocol)
-        report = {
+        io.write_json(out / "report.json", {
             "seed": seed,
             "converged": {
                 "train": not _cap_warnings(model=model),
                 "pst": None if pst_result is None else pst_result.converged,
             },
             "results": results,
-        }
-        (out / "report.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        })
 
-    return _report_caps(_cap_warnings(model, pst_result), strict)
-
-
-def cmd_pipeline(args) -> int:
-    return run_pipeline(args.config, args.out_dir, args.strict)
+    return _report_caps(_cap_warnings(model, pst_result), args.strict)
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train per-attribute classifiers")
     p.add_argument("--features", required=True)
-    p.add_argument("--labels", required=True)
     p.add_argument("--assoc", required=True)
+    p.add_argument("--split", required=True, help="split JSON; fits on its train_instances")
     _add_config_flags(p, TrainConfig)
     p.add_argument("--strict", action="store_true",
                    help="exit 4 if any classifier hits the iteration cap")
@@ -509,9 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zeroshot", help="score novel categories from attribute evidence")
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
-    p.add_argument("--assoc", required=True, help="binary novel-category associations")
-    p.add_argument("--prior-assoc", help="associations for the attribute prior "
-                                         "(defaults to --assoc)")
+    p.add_argument("--assoc", required=True, help="known and novel category associations")
+    p.add_argument("--split", required=True, help="split JSON; known categories give the prior")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_zeroshot)
 
@@ -530,8 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--split", required=True)
-    p.add_argument("--protocol", choices=["novel_only", "with_distractors", "both"],
-                   default="novel_only")
+    p.add_argument("--protocol", choices=[*PROTOCOLS, "both"], default="novel_only")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_eval)
 
@@ -557,16 +553,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except StageError as exc:
-        code = EXIT_VALIDATION if isinstance(exc.original, ValidationError) else EXIT_PARSE
-        _emit_error(str(exc), code, exc.stage)
+    except (StageError, ValidationError, *_PARSE_ERRORS) as exc:
+        stage, cause = ((exc.stage, exc.original) if isinstance(exc, StageError)
+                        else (args.command, exc))
+        code = EXIT_VALIDATION if isinstance(cause, ValidationError) else EXIT_PARSE
+        print(json.dumps({"error": str(exc), "code": code, "stage": stage}, sort_keys=True),
+              file=sys.stderr)
         return code
-    except _PARSE_ERRORS as exc:
-        _emit_error(str(exc), EXIT_PARSE, args.command)
-        return EXIT_PARSE
-    except ValidationError as exc:
-        _emit_error(str(exc), EXIT_VALIDATION, args.command)
-        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -172,21 +172,16 @@ class RelatednessMatrix:
 
 @dataclass(frozen=True, eq=False)
 class CategoryScoreMatrix:
-    """Instance x category real scores; rows may optionally be normalized."""
+    """Instance x category real scores."""
 
     instances: tuple[str, ...]
     categories: tuple[str, ...]
     values: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         insts = _clean_ids(self.instances, "instance")
         cats = _clean_ids(self.categories, "category")
         vals = _clean_values(self.values, (len(insts), len(cats)), "category scores")
-        if self.normalized:
-            sums = vals.sum(axis=1)
-            if np.any(np.abs(sums - 1.0) > 1e-9):
-                raise ValidationError("normalized rows must sum to 1 within 1e-9")
         object.__setattr__(self, "instances", insts)
         object.__setattr__(self, "categories", cats)
         object.__setattr__(self, "values", vals)

@@ -43,6 +43,11 @@ def read_json(path) -> dict:
     return doc
 
 
+def write_json(path, doc) -> None:
+    """Write ``doc`` as JSON with sorted keys, two-space indents and a final newline."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def format_number(value: float) -> str:
     return f"{value:.9g}"
 
@@ -142,15 +147,13 @@ def read_features(path) -> FeatureMatrix:
 
 
 def write_category_scores(path, scores: CategoryScoreMatrix) -> None:
-    tags = {"type": "category_scores",
-            "normalized": "true" if scores.normalized else "false"}
+    tags = {"type": "category_scores", "normalized": "false"}
     write_matrix_tsv(path, scores.instances, scores.categories, scores.values, tags)
 
 
 def read_category_scores(path) -> CategoryScoreMatrix:
-    rows, cols, values, tags = read_matrix_tsv(path)
-    normalized = _parse_bool(tags.get("normalized", "false"))
-    return CategoryScoreMatrix(tuple(rows), tuple(cols), values, normalized=normalized)
+    rows, cols, values, _ = read_matrix_tsv(path)
+    return CategoryScoreMatrix(tuple(rows), tuple(cols), values)
 
 
 def write_labels(path, labels: Mapping[str, str]) -> None:
@@ -239,7 +242,7 @@ def write_split(path, split: DatasetSplit) -> None:
         "test_instances": dict(sorted(split.test_instances.items())),
         "fewshot_instances": dict(sorted(split.fewshot_instances.items())),
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(path, doc)
 
 
 def read_split(path) -> DatasetSplit:
@@ -274,7 +277,7 @@ def save_model(path, model) -> None:
         "feature_std": model.feature_std.tolist(),
         "metadata": dict(model.metadata),
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(path, doc)
 
 
 def load_model(path):

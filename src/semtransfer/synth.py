@@ -57,6 +57,8 @@ class SynthConfig:
             raise ValidationError("need at least one train and one test instance per category")
         if self.distractor_per_known < 0 or self.fewshot_per_novel < 0:
             raise ValidationError("instance counts must be non-negative")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not (0.0 <= self.flip_noise < 1.0):
             raise ValidationError(f"flip_noise must lie in [0, 1), got {self.flip_noise}")
         if self.cluster_noise < 0.0:
@@ -198,6 +200,8 @@ class CorpusPlan:
                     raise ValidationError(f"negative {name} count for {term!r}")
         if self.filler_docs < 0:
             raise ValidationError("filler_docs must be >= 0")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         joint_by_cat: dict[str, int] = {}
         joint_by_attr: dict[str, int] = {}
         for (c, a), cnt in self.joint_counts.items():

@@ -123,6 +123,10 @@ def hierarchy_transfer(tax: Taxonomy, known_scores: CategoryScoreMatrix,
     """
     if mode not in ("leaf", "inner", "all"):
         raise ValidationError(f"unknown hierarchy mode: {mode!r}")
+    if not (isinstance(novel_nodes, Mapping)
+            and all(isinstance(n, str) for n in novel_nodes.values())):
+        raise ValidationError("attachments must map novel categories to taxonomy node names, "
+                              f"got {novel_nodes!r}")
     if not novel_nodes:
         raise ValidationError("no novel categories to attach")
     known = [c for c in known_scores.categories if c in tax.parent]

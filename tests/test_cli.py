@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import strategies as st
 
 import semtransfer.io as sio
 from semtransfer import AttributeScoreMatrix, CategoryScoreMatrix, TrainConfig
@@ -73,31 +75,16 @@ class TestStepChain:
 
         model = tmp_path / "model.json"
         code, _ = run(capsys, "train", "--features", synth_dir / "features.tsv",
-                      "--labels", synth_dir / "labels.tsv", "--assoc", assoc,
+                      "--assoc", assoc, "--split", synth_dir / "split.json",
                       "--max-iters", "300", "--out", model)
         assert code == 0
-
-        # novel-rows-only association file for scoring
-        full = sio.read_association(assoc)
-        split = sio.read_split(synth_dir / "split.json")
-        novel = [c for c in full.categories if c in split.novel_categories]
-        known = [c for c in full.categories if c in split.known_categories]
-        from semtransfer import AssociationMatrix
-        novel_assoc = tmp_path / "novel_assoc.tsv"
-        sio.write_association(novel_assoc, AssociationMatrix(
-            tuple(novel), full.attributes,
-            full.values[[full.category_index(c) for c in novel]], binary=True))
-        known_assoc = tmp_path / "known_assoc.tsv"
-        sio.write_association(known_assoc, AssociationMatrix(
-            tuple(known), full.attributes,
-            full.values[[full.category_index(c) for c in known]], binary=True))
 
         zs = tmp_path / "zeroshot.tsv"
         code, _ = run(capsys, "zeroshot", "--model", model,
                       "--features", synth_dir / "features.tsv",
-                      "--assoc", novel_assoc, "--prior-assoc", known_assoc,
-                      "--out", zs)
+                      "--assoc", assoc, "--split", synth_dir / "split.json", "--out", zs)
         assert code == 0
+        split = sio.read_split(synth_dir / "split.json")
 
         # graph coordinates: predicted attribute scores for the same instances
         from semtransfer import predict_attribute_scores
@@ -140,6 +127,37 @@ class TestStepChain:
         b = sio.read_relatedness(snip)
         assert np.array_equal(a.values, b.values)
 
+    def test_train_and_zeroshot_reproduce_the_pipeline(self, synth_dir, tmp_path, capsys):
+        code, _ = run(capsys, "pipeline", "--config", data_config(synth_dir))
+        assert code == 0
+        inputs = ["--features", synth_dir / "features.tsv",
+                  "--assoc", synth_dir / "associations.tsv", "--split", synth_dir / "split.json"]
+        code, _ = run(capsys, "train", *inputs, "--max-iters", "50",
+                      "--out", tmp_path / "model.json")
+        assert code == 0
+        code, _ = run(capsys, "zeroshot", "--model", tmp_path / "model.json", *inputs,
+                      "--out", tmp_path / "zeroshot_scores.tsv")
+        assert code == 0
+        for name in ("model.json", "zeroshot_scores.tsv"):
+            assert (tmp_path / name).read_bytes() == (synth_dir / "run" / name).read_bytes(), name
+
+    def test_pipeline_mines_tfidf_as_the_mine_command_does(self, synth_dir, tmp_path, capsys):
+        # tfidf groups documents by their id prefix: name each after its first term
+        docs = sio.read_corpus_jsonl(synth_dir / "corpus.jsonl")
+        sio.write_corpus_jsonl(synth_dir / "scripts.jsonl",
+                               [(f"{text.split()[0]}/{doc_id}", text) for doc_id, text in docs])
+        code, _ = run(capsys, "mine", "--corpus", synth_dir / "scripts.jsonl",
+                      "--terms", synth_dir / "terms.json", "--measure", "tfidf",
+                      "--out", tmp_path / "relatedness.tsv")
+        assert code == 0
+        config = data_config(synth_dir, corpus={"path": "scripts.jsonl"},
+                             mine={"measure": "tfidf"},
+                             assoc={"policy": "per_attribute_topk", "k": 2})
+        code, _ = run(capsys, "pipeline", "--config", config)
+        assert code == 0
+        mined = (synth_dir / "run" / "relatedness.tsv").read_bytes()
+        assert mined == (tmp_path / "relatedness.tsv").read_bytes()
+
 
 # how many classifiers capped, and how far the worst was from tol
 CAP_WARNING = (r"^warning: 8 of 8 attribute classifiers hit max_iters=1; "
@@ -169,16 +187,16 @@ class TestErrorContract:
 
     def test_strict_train_exits_4_when_capped(self, synth_dir, tmp_path, capsys):
         code, err = run(capsys, "train", "--features", synth_dir / "features.tsv",
-                        "--labels", synth_dir / "labels.tsv",
                         "--assoc", synth_dir / "associations.tsv",
+                        "--split", synth_dir / "split.json",
                         "--max-iters", "1", "--strict", "--out", tmp_path / "m.json")
         assert code == 4
         assert "warning" in err
 
     def test_unstrict_train_warns_but_succeeds(self, synth_dir, tmp_path, capsys):
         code, err = run(capsys, "train", "--features", synth_dir / "features.tsv",
-                        "--labels", synth_dir / "labels.tsv",
                         "--assoc", synth_dir / "associations.tsv",
+                        "--split", synth_dir / "split.json",
                         "--max-iters", "1", "--out", tmp_path / "m.json")
         assert code == 0
         assert re.search(CAP_WARNING, err, re.M), err
@@ -319,8 +337,8 @@ def test_cli_import_skips_unused_scipy_modules(tmp_path):
 
 
 def test_train_flag_defaults_are_train_config_defaults():
-    args = build_parser().parse_args(["train", "--features", "f", "--labels", "l",
-                                      "--assoc", "a", "--out", "m"])
+    args = build_parser().parse_args(["train", "--features", "f", "--assoc", "a",
+                                      "--split", "s", "--out", "m"])
     assert TrainConfig(l2=args.l2, max_iters=args.max_iters, tol=args.tol) == TrainConfig()
 
 
@@ -339,6 +357,20 @@ def data_config(data_dir, split="split.json", **overrides):
     path = data_dir / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+HIER_TRANSFER = {"method": "hier", "taxonomy_edges": "edges.tsv", "taxonomy_probs": "probs.tsv",
+                 "attachments": {"n00": "g0", "n01": "g1"}, "mode": "all"}
+
+
+def write_taxonomy(data_dir):
+    """The taxonomy files of ``HIER_TRANSFER``: the known categories in two groups."""
+    # a node may only be named as a parent after its own edge
+    parents = {"g0": "root", "g1": "root", "k00": "g0", "k01": "g0", "k02": "g1", "k03": "g1"}
+    probs = {"root": 1.0, "g0": 0.5, "g1": 0.5, "k00": 0.25, "k01": 0.25, "k02": 0.25,
+             "k03": 0.25}
+    (data_dir / "edges.tsv").write_text("".join(f"{c}\t{p}\n" for c, p in parents.items()))
+    (data_dir / "probs.tsv").write_text("".join(f"{n}\t{p}\n" for n, p in probs.items()))
 
 
 class TestInputValidation:
@@ -389,7 +421,8 @@ class TestInputValidation:
     def _model(d, doc):
         (d / "model.json").write_text(json.dumps(doc))
         return ["zeroshot", "--model", d / "model.json", "--features", d / "features.tsv",
-                "--assoc", d / "associations.tsv", "--out", d / "zs.tsv"]
+                "--assoc", d / "associations.tsv", "--split", d / "split.json",
+                "--out", d / "zs.tsv"]
 
     @pytest.mark.parametrize("case", ["split_list", "ragged_weights", "model_list",
                                       "string_max_iters", "string_docs_per_pair",
@@ -398,13 +431,19 @@ class TestInputValidation:
                                       "string_threshold", "path_output_dir",
                                       "path_data_labels", "path_corpus",
                                       "path_mine_taxonomy", "path_transfer_taxonomy",
-                                      "train_lr", "train_zero_l2", "train_cli_zero_l2"])
+                                      "train_lr", "train_zero_l2", "train_cli_zero_l2",
+                                      "attachments_list", "attachments_string"])
     def test_malformed_input_gives_one_json_error(self, synth_dir, capsys, case):
         def mined(corpus, mine, assoc):
             return ["pipeline", "--config", data_config(
                 synth_dir, corpus={"docs_per_pair": 2, **corpus},
                 mine={"measure": "dice_snippet", **mine},
                 assoc={"policy": "per_attribute_topk", "k": 2, **assoc})]
+
+        def hier(attachments):
+            write_taxonomy(synth_dir)
+            return ["pipeline", "--config", data_config(
+                synth_dir, transfer={**HIER_TRANSFER, "attachments": attachments})]
 
         model = {"attributes": ["a0", "a1"], "weights": [[0.0, 1.0], [2.0]],
                  "biases": [0.0, 0.0], "feature_mean": [0.0, 0.0], "feature_std": [1.0, 1.0]}
@@ -439,14 +478,67 @@ class TestInputValidation:
             "train_zero_l2": lambda: ["pipeline", "--config", data_config(
                 synth_dir, train={"l2": 0})],
             "train_cli_zero_l2": lambda: ["train", "--features", synth_dir / "features.tsv",
-                                          "--labels", synth_dir / "labels.tsv",
                                           "--assoc", synth_dir / "associations.tsv",
+                                          "--split", synth_dir / "split.json",
                                           "--l2", "0", "--out", synth_dir / "m.json"],
+            "attachments_list": lambda: hier(["x"]),
+            "attachments_string": lambda: hier("n00"),
         }[case]()
         code, err = run(capsys, *argv)
         assert code in (2, 3)
-        if case.startswith(("string_", "path_", "train_")):
+        if case.startswith(("string_", "path_", "train_", "attachments_")):
             assert code == 3
         lines = err.strip().splitlines()
         assert len(lines) == 1, err
         assert json.loads(lines[0])["code"] == code
+
+
+
+
+# Wrong JSON types and shapes: scalars of every type, and lists and objects of them.
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-3, 3)
+                | st.text(max_size=3))
+JSON_VALUES = (JSON_SCALARS | st.lists(JSON_SCALARS, max_size=2)
+               | st.dictionaries(st.text(max_size=3), JSON_SCALARS, max_size=2))
+
+# A data-mode config that sets every key the pipeline reads, except ``corpus.path``
+# (which replaces the generated corpus), on inputs from ``synth_dir``.
+FUZZ_CONFIG = {
+    "output_dir": "run",
+    "seed": 5,
+    "data": {"features": "features.tsv", "labels": "labels.tsv",
+             "associations": "associations.tsv", "split": "split.json"},
+    "corpus": {"docs_per_pair": 1, "filler_docs": 1},
+    "mine": {"measure": "dice_snippet", "window": 5, "taxonomy_edges": "edges.tsv",
+             "taxonomy_probs": "probs.tsv"},
+    "assoc": {"policy": "per_attribute_topk", "k": 2, "threshold": 0.1},
+    "train": {"l2": 0.3, "max_iters": 10, "tol": 1e-6},
+    "transfer": {**HIER_TRANSFER, "top_k": 3},
+    "pst": {"k": 4, "kernel": "gaussian", "sigma": None, "alpha": 0.8, "tol": 1e-6,
+            "max_iters": 50, "rho": 0.15},
+    "eval": {"protocol": "both"},
+}
+FUZZ_TARGETS = ([(None, key) for key in ("synth", *FUZZ_CONFIG)] + [("corpus", "path")]
+                + [(sec, key) for sec, keys in FUZZ_CONFIG.items() if isinstance(keys, dict)
+                   for key in keys])
+
+
+# An example runs the pipeline once per target, so a failure is reported as
+# drawn rather than shrunk.
+@settings(derandomize=True, database=None, deadline=None, max_examples=4,
+          phases=[Phase.generate], suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.fixed_dictionaries({target: JSON_VALUES for target in FUZZ_TARGETS}))
+def test_mistyped_config_values_keep_the_exit_contract(synth_dir, capsys, values):
+    # one run per target, so every example covers every section and key
+    write_taxonomy(synth_dir)
+    for (section, key), value in values.items():
+        cfg = json.loads(json.dumps(FUZZ_CONFIG))
+        (cfg if section is None else cfg[section])[key] = value
+        path = synth_dir / "config.json"
+        path.write_text(json.dumps(cfg))
+        code, err = run(capsys, "pipeline", "--config", path)
+        assert code in (0, 2, 3, 4), (section, key, value)
+        if code:
+            lines = err.strip().splitlines()
+            assert len(lines) == 1, (section, key, value, err)
+            assert json.loads(lines[0])["code"] == code

@@ -4,7 +4,6 @@ import pytest
 from semtransfer import (
     AssociationMatrix,
     AttributeScoreMatrix,
-    CategoryScoreMatrix,
     DatasetSplit,
     FeatureMatrix,
     RelatednessMatrix,
@@ -79,11 +78,6 @@ class TestOtherMatrices:
     def test_relatedness_measure_tag(self):
         with pytest.raises(ValidationError):
             RelatednessMatrix(("c",), ("a",), np.zeros((1, 1)), measure="bogus")
-
-    def test_category_scores_normalized_flag(self):
-        CategoryScoreMatrix(("i",), ("c", "d"), np.array([[0.4, 0.6]]), normalized=True)
-        with pytest.raises(ValidationError):
-            CategoryScoreMatrix(("i",), ("c", "d"), np.array([[0.4, 0.5]]), normalized=True)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError):
