@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -70,10 +71,6 @@ def _stage(name: str):
         raise
     except (ValidationError, *_PARSE_ERRORS) as exc:
         raise StageError(name, exc) from exc
-
-
-def _warn(message: str) -> None:
-    print(f"warning: {message}", file=sys.stderr)
 
 
 def _load_terms(path) -> tuple[list[str], list[str]]:
@@ -232,11 +229,11 @@ def _cap_warnings(model=None, propagation=None) -> list[str]:
     return lines
 
 
-def _report_caps(warnings: list[str], strict: bool) -> int:
-    """Print each cap warning; under --strict any of them means exit 4."""
-    for line in warnings:
-        _warn(line)
-    return EXIT_NO_CONVERGENCE if warnings and strict else EXIT_OK
+def _report_caps(lines: list[str], strict: bool) -> int:
+    """Warn once per line; under --strict any of them means exit 4."""
+    for line in lines:
+        warnings.warn(line)
+    return EXIT_NO_CONVERGENCE if lines and strict else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -551,15 +548,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.handler(args)
-    except (StageError, ValidationError, *_PARSE_ERRORS) as exc:
-        stage, cause = ((exc.stage, exc.original) if isinstance(exc, StageError)
-                        else (args.command, exc))
-        code = EXIT_VALIDATION if isinstance(cause, ValidationError) else EXIT_PARSE
-        print(json.dumps({"error": str(exc), "code": code, "stage": stage}, sort_keys=True),
-              file=sys.stderr)
-        return code
+    # warnings are held back, so that a failure prints one JSON line and
+    # anything else prints each distinct warning as one line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = args.handler(args)
+        except (StageError, ValidationError, *_PARSE_ERRORS) as exc:
+            stage, cause = ((exc.stage, exc.original) if isinstance(exc, StageError)
+                            else (args.command, exc))
+            code = EXIT_VALIDATION if isinstance(cause, ValidationError) else EXIT_PARSE
+            print(json.dumps({"error": str(exc), "code": code, "stage": stage}, sort_keys=True),
+                  file=sys.stderr)
+            return code
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -20,39 +20,58 @@ from .core import CategoryScoreMatrix, DatasetSplit, ValidationError
 PROTOCOLS = ("novel_only", "with_distractors")
 
 
-def _as_bool(positives) -> np.ndarray:
-    arr = np.asarray(positives, dtype=bool)
-    if arr.ndim != 1:
-        raise ValidationError(f"positives must be 1-d, got shape {arr.shape}")
-    return arr
-
-
-def _average_ranks(s: np.ndarray) -> np.ndarray:
-    """1-based ranks of ``s``, tied values sharing the mean of their ranks."""
-    order = np.argsort(s, kind="stable")
-    sorted_s = s[order]
-    first = np.r_[True, sorted_s[1:] != sorted_s[:-1]]
-    starts = np.flatnonzero(first)
-    ends = np.r_[starts[1:], s.size]
-    ranks = np.empty(s.size)
-    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
-    return ranks
-
-
-def roc_auc(scores: Sequence[float], positives: Sequence[bool]) -> float:
-    """Probability a random positive outscores a random negative."""
+def _checked(scores, positives) -> tuple[np.ndarray, np.ndarray]:
+    """Float scores and bool positives, 1-d, of equal length and finite."""
     s = np.asarray(scores, dtype=float)
-    pos = _as_bool(positives)
+    pos = np.asarray(positives, dtype=bool)
+    if pos.ndim != 1:
+        raise ValidationError(f"positives must be 1-d, got shape {pos.shape}")
     if s.shape != pos.shape:
         raise ValidationError("scores and positives must have equal length")
     if not np.isfinite(s).all():
         raise ValidationError("scores must be finite")
+    return s, pos
+
+
+def _average_ranks(s: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
+    """1-based ranks of ``s``, tied values sharing the mean of their ranks.
+
+    ``order`` is the stable descending sort of ``s``; the mean ranks do not
+    depend on the order within ties.
+    """
+    if order is None:
+        order = np.argsort(-s, kind="stable")
+    sorted_s = s[order]
+    starts = np.flatnonzero(np.r_[True, sorted_s[1:] != sorted_s[:-1]])
+    ends = np.r_[starts[1:], s.size]
+    ranks = np.empty(s.size)
+    # descending positions start .. end - 1 hold ranks n - end + 1 .. n - start
+    ranks[order] = np.repeat(s.size + 0.5 - 0.5 * (starts + ends), ends - starts)
+    return ranks
+
+
+def _auc(s: np.ndarray, pos: np.ndarray, order: np.ndarray) -> float:
     n_pos = int(pos.sum())
     n_neg = int(pos.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("degenerate AUC: need at least one positive and one negative")
-    ranks = _average_ranks(s)
+    ranks = _average_ranks(s, order)
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def _ap(pos: np.ndarray, order: np.ndarray) -> float:
+    if not pos.any():
+        raise ValidationError("average precision needs at least one positive")
+    hits = pos[order]
+    cum = np.cumsum(hits)
+    ranks = np.arange(1, hits.size + 1)
+    return float((cum[hits] / ranks[hits]).mean())
+
+
+def roc_auc(scores: Sequence[float], positives: Sequence[bool]) -> float:
+    """Probability a random positive outscores a random negative."""
+    s, pos = _checked(scores, positives)
+    return _auc(s, pos, np.argsort(-s, kind="stable"))
 
 
 def average_precision(scores: Sequence[float], positives: Sequence[bool]) -> float:
@@ -60,19 +79,15 @@ def average_precision(scores: Sequence[float], positives: Sequence[bool]) -> flo
 
     Equal scores keep their input order, so the result is deterministic.
     """
-    s = np.asarray(scores, dtype=float)
-    pos = _as_bool(positives)
-    if s.shape != pos.shape:
-        raise ValidationError("scores and positives must have equal length")
-    if not np.isfinite(s).all():
-        raise ValidationError("scores must be finite")
-    if not pos.any():
-        raise ValidationError("average precision needs at least one positive")
-    order = np.argsort(-s, kind="stable")
-    hits = pos[order]
-    cum = np.cumsum(hits)
-    ranks = np.arange(1, hits.size + 1)
-    return float((cum[hits] / ranks[hits]).mean())
+    s, pos = _checked(scores, positives)
+    return _ap(pos, np.argsort(-s, kind="stable"))
+
+
+def _positives(labels: Sequence[str], categories: Sequence[str]) -> np.ndarray:
+    """Instances x categories: whether the instance's label is the category."""
+    col = {c: j for j, c in enumerate(categories)}
+    label_col = np.array([col.get(lab, -1) for lab in labels], dtype=np.int64)
+    return label_col[:, None] == np.arange(len(categories))
 
 
 def mean_ap(scores: CategoryScoreMatrix, truth: Mapping[str, str]) -> float:
@@ -103,16 +118,14 @@ def multiclass_accuracy(scores: CategoryScoreMatrix, truth: Mapping[str, str],
     if not instances:
         raise ValidationError("no instances to score")
     idx = {inst: i for i, inst in enumerate(scores.instances)}
-    correct = 0
     for inst in instances:
         if inst not in idx:
             raise ValidationError(f"instance without scores: {inst!r}")
         if inst not in truth:
             raise ValidationError(f"instance without truth label: {inst!r}")
-        row = scores.values[idx[inst]]
-        pick = scores.categories[int(np.argmax(row))]
-        correct += pick == truth[inst]
-    return correct / len(instances)
+    picks = np.argmax(scores.values[[idx[inst] for inst in instances]], axis=1)
+    right = _positives([truth[inst] for inst in instances], scores.categories)
+    return int(right[np.arange(len(instances)), picks].sum()) / len(instances)
 
 
 @dataclass(frozen=True)
@@ -163,18 +176,19 @@ def evaluate_zero_shot(scores: CategoryScoreMatrix, truth: Mapping[str, str],
     missing = [inst for inst in pool if inst not in idx]
     if missing:
         raise ValidationError(f"test instances without scores: {missing[:5]}")
-    rows = np.array([idx[inst] for inst in pool])
-    V = scores.values[rows]
-    labels = [truth[inst] for inst in pool]
+    V = scores.values[[idx[inst] for inst in pool]]
+    if not np.isfinite(V).all():
+        raise ValidationError("scores must be finite")
+    positives = _positives([truth[inst] for inst in pool], scores.categories)
 
     per_auc: dict[str, float] = {}
     per_ap: dict[str, float] = {}
     for j, cat in enumerate(scores.categories):
-        positives = np.array([lab == cat for lab in labels])
-        if not positives.any():
+        if not positives[:, j].any():
             raise ValidationError(f"category without positives: {cat!r}")
-        per_auc[cat] = roc_auc(V[:, j], positives)
-        per_ap[cat] = average_precision(V[:, j], positives)
+        order = np.argsort(-V[:, j], kind="stable")  # one sort for both metrics
+        per_auc[cat] = _auc(V[:, j], positives[:, j], order)
+        per_ap[cat] = _ap(positives[:, j], order)
 
     accuracy = multiclass_accuracy(scores, truth, novel_pool)
     counts = {

@@ -11,16 +11,18 @@ doubles as an independent check on the iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import (
     AttributeScoreMatrix,
     CategoryScoreMatrix,
     ValidationError,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 KERNELS = ("gaussian", "cosine")
 # Similarity values held per row block of the kNN build (~32 MB of float64).
@@ -174,6 +176,8 @@ def build_knn_graph(vectors, k: int, kernel: str = "gaussian",
         raise ValidationError(f"k must be >= 1, got {k}")
     if kernel not in KERNELS:
         raise ValidationError(f"unknown kernel: {kernel!r}")
+    import scipy.sparse as sp  # here, so that importing the CLI does not load it
+
     k = min(k, n - 1)
     tiny = np.finfo(float).tiny
 
@@ -366,6 +370,7 @@ def propagate(graph: SimilarityGraph, seeds: SeedLabels,
 def propagate_closed_form(graph: SimilarityGraph, seeds: SeedLabels,
                           alpha: float) -> CategoryScoreMatrix:
     """Exact fixed point (1 - alpha) (I - alpha S)^(-1) Y for unclamped seeds."""
+    import scipy.sparse as sp
     from scipy.sparse.linalg import splu
 
     if seeds.clamped:

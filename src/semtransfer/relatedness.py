@@ -8,13 +8,14 @@ Four pluggable measures over different evidence sources:
                        annotated taxonomy.
 * ``esa``           -- cosine of tf-idf concept vectors.
 
-The corpus is one flat token-id array whose token x document counts back
-every corpus measure. Dice works on 0/1 term x context rows, a context
-being a document or a sliding window, and fills a whole matrix with one
-sparse product; ``dice_snippet`` without a window is ``dice_hit``. The
-module also has a tf*idf association miner for per-category script text
-and binarization policies that turn a real-valued relatedness matrix into
-a binary association matrix.
+The corpus is one flat token-id array, and the corpus measures use NumPy
+alone: each sums a weight over the pairs of entries that share a key (a
+token or a document), found by one join and summed with ``bincount``.
+Dice counts the windows two terms share from the overlaps of their runs of
+consecutive windows; ``dice_snippet`` without a window is ``dice_hit``.
+The module also has a tf*idf association miner for per-category script
+text and binarization policies that turn a real-valued relatedness matrix
+into a binary association matrix.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import AssociationMatrix, RelatednessMatrix, ValidationError, clean_identifier
 
@@ -48,17 +48,16 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True, eq=False)
 class CorpusIndex:
-    """The corpus as one flat token-id array plus its token x document counts.
+    """The corpus as one flat token-id array plus document offsets.
 
     Document d is ``tokens[doc_ptr[d]:doc_ptr[d + 1]]``. ``postings`` maps each
-    token to its id (in order of first appearance), its row of ``counts``.
+    token to its id, in order of first appearance.
     """
 
     doc_ids: tuple[str, ...]
     tokens: np.ndarray
     doc_ptr: np.ndarray
     postings: Mapping[str, int]
-    counts: sp.csr_array
 
     @property
     def n_docs(self) -> int:
@@ -95,13 +94,20 @@ def build_corpus_index(documents: Sequence[tuple[str, str]]) -> CorpusIndex:
                   else -1 for w in dict.fromkeys(words)}
     token_of_word = np.fromiter(map(word_token.__getitem__, words), np.int64, len(words))
     keep = token_of_word >= 0
-    tokens = token_of_word[keep]
     doc_of_token = np.repeat(np.arange(len(doc_ids)), list(map(len, split)))[keep]
     doc_ptr = np.searchsorted(doc_of_token, np.arange(len(doc_ids) + 1))
-    # repeated (token, document) entries are summed into in-document counts
-    counts = sp.csr_array((np.ones(len(tokens)), (tokens, doc_of_token)),
-                          shape=(len(postings), len(doc_ids)))
-    return CorpusIndex(tuple(doc_ids), tokens, doc_ptr, postings, counts)
+    return CorpusIndex(tuple(doc_ids), token_of_word[keep], doc_ptr, postings)
+
+
+def _join(a_key: np.ndarray, b_key: np.ndarray):
+    """Every pair (p, q) of entries with ``a_key[p] == b_key[q]`` (``b_key``
+    sorted), listed in the order of ``a_key``, then of ``b_key``. Memory is
+    O(entries + pairs). The corpus measures sum a weight per pair with
+    ``bincount``, so each sum accumulates in the order of ``a_key``."""
+    lo = np.searchsorted(b_key, a_key, side="left")
+    n = np.searchsorted(b_key, a_key, side="right") - lo
+    p = np.repeat(np.arange(len(a_key)), n)
+    return p, np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(len(p))
 
 
 def _term_tokens(term: str) -> list[str]:
@@ -113,38 +119,46 @@ def _term_tokens(term: str) -> list[str]:
 
 def _select_tokens(index: CorpusIndex, terms: Sequence[str]):
     """Token lists of ``terms``, their distinct tokens that occur in the
-    corpus, and the terms x those tokens matrix of token multiplicities."""
+    corpus (sorted), and the (term, token, multiplicity) entries of the
+    terms x those tokens matrix, sorted by term then token."""
     toks = [_term_tokens(t) for t in terms]
     tokens = sorted({t for ts in toks for t in ts if t in index.postings})
     col = {t: j for j, t in enumerate(tokens)}
-    pairs = [(i, col[t]) for i, ts in enumerate(toks) for t in ts if t in col]
-    i, j = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    select = sp.csr_array((np.ones(len(pairs)), (i, j)), shape=(len(terms), len(tokens)))
-    return toks, tokens, select
+    key = np.array([i * len(tokens) + col[t] for i, ts in enumerate(toks)
+                    for t in ts if t in col], dtype=np.int64)
+    key, mult = np.unique(key, return_counts=True)
+    return toks, tokens, (key // len(tokens), key % len(tokens), mult.astype(float))
 
 
-def _token_rows(index: CorpusIndex, tokens: Sequence[str]) -> sp.csr_array:
-    return index.counts[[index.postings[t] for t in tokens]]
-
-
-def _window_contexts(index: CorpusIndex, tokens: Sequence[str], window: int) -> sp.csr_array:
-    """0/1 matrix of ``tokens`` x every sliding window of the corpus.
-
-    A document of n tokens has max(1, n - window + 1) windows, numbered
-    consecutively across documents; an empty document has none. The query
-    tokens' positions come from one lookup over the flat token array.
-    """
-    lengths = np.diff(index.doc_ptr)
-    n_win = np.where(lengths > 0, np.maximum(lengths - window + 1, 1), 0)
-    first = np.cumsum(n_win) - n_win
+def _occurrences(index: CorpusIndex, tokens: Sequence[str]):
+    """Token (position in ``tokens``), document and in-document position of
+    every occurrence of ``tokens``, ordered by token, then corpus position.
+    One lookup over the flat token array finds them."""
     local = np.full(len(index.postings), -1, dtype=np.int64)
     local[[index.postings[t] for t in tokens]] = np.arange(len(tokens))
     flat = np.flatnonzero(local[index.tokens] >= 0)
     tok = local[index.tokens[flat]]
     doc = np.searchsorted(index.doc_ptr, flat, side="right") - 1
-    pos = flat - index.doc_ptr[doc]
-    order = np.argsort(tok, kind="stable")
-    tok, doc, pos = tok[order], doc[order], pos[order]
+    # a stable sort of the narrowest integer type is a radix sort
+    order = np.argsort(tok.astype(np.min_scalar_type(len(tokens))), kind="stable")
+    return tok[order], doc[order], (flat - index.doc_ptr[doc])[order]
+
+
+def _term_windows(index: CorpusIndex, terms: Sequence[str], window: int | None):
+    """(term, document, first, last) runs of the consecutive windows of
+    ``window`` tokens that hold each term; a term's runs never overlap.
+
+    A document of n tokens has max(1, n - window + 1) windows, numbered
+    across documents, and an empty one has none; ``window=None`` makes each
+    document one window. A multi-word term is in a window when each of its
+    tokens is.
+    """
+    toks, tokens, (term, col, _) = _select_tokens(index, terms)
+    lengths = np.diff(index.doc_ptr)
+    window = window or max(int(lengths.max()), 1)
+    n_win = np.where(lengths > 0, np.maximum(lengths - window + 1, 1), 0)
+    first = np.cumsum(n_win) - n_win
+    tok, doc, pos = _occurrences(index, tokens)
     # the windows holding position p of a document are p - window + 1 .. p,
     # clipped to the document; per token both ends never decrease, so
     # starting each span after the previous one's end removes overlaps
@@ -152,40 +166,43 @@ def _window_contexts(index: CorpusIndex, tokens: Sequence[str], window: int) -> 
     hi = first[doc] + np.minimum(pos, n_win[doc] - 1)
     same = tok[1:] == tok[:-1]
     lo[1:][same] = np.maximum(lo[1:][same], hi[:-1][same] + 1)
-    size = np.maximum(hi - lo + 1, 0)
-    ids = np.repeat(lo - (np.cumsum(size) - size), size) + np.arange(size.sum())
-    per_token = np.bincount(tok, weights=size, minlength=len(tokens)).astype(np.int64)
-    indptr = np.concatenate([[0], np.cumsum(per_token)])
-    return sp.csr_array((np.ones(len(ids)), ids, indptr), shape=(len(tokens), int(n_win.sum())))
+    run = lo <= hi
+    tok, lo, hi = tok[run], lo[run], hi[run]
+    # sweep each term's token runs, +1 where one starts and -1 after it ends:
+    # the term is in the windows that all of its distinct tokens cover
+    p, q = _join(col, tok)
+    n = int(n_win.sum()) + 1
+    at = np.concatenate([term[p] * n + lo[q], term[p] * n + hi[q] + 1])
+    order = np.argsort(at, kind="stable")  # merges the sorted runs of starts and ends
+    at, cover = at[order], np.cumsum(np.repeat([1, -1], len(p))[order])
+    need = np.array([len(set(ts)) for ts in toks])
+    full = np.flatnonzero((cover[:-1] == need[at[:-1] // n]) & (at[1:] > at[:-1]))
+    (term, lo), hi = np.divmod(at[full], n), at[full + 1] % n - 1
+    return term, np.searchsorted(first, lo, side="right") - 1, lo, hi
 
 
-def _term_contexts(index: CorpusIndex, terms: Sequence[str],
-                  window: int | None) -> sp.csr_array:
-    """0/1 matrix of ``terms`` x contexts: whole documents when ``window`` is
-    None, else sliding windows of ``window`` tokens. A multi-word term is in
-    a context when every one of its tokens is."""
-    toks, tokens, select = _select_tokens(index, terms)
-    if window is None:
-        contexts = _token_rows(index, tokens)
-        contexts.data[:] = 1.0
-    else:
-        contexts = _window_contexts(index, tokens, window)
-    hits = select @ contexts
-    need = np.repeat([len(ts) for ts in toks], np.diff(hits.indptr))
-    hits.data = (hits.data == need).astype(float)
-    hits.eliminate_zeros()
-    return hits
-
-
-def _dice(a, b) -> np.ndarray:
-    """Dice coefficient 2|x & y| / (|x| + |y|) of every 0/1 row x of ``a``
-    with every row y of ``b``; zero where both rows are empty."""
-    a, b = sp.csr_array(a), sp.csr_array(b)
-    both = (a @ b.T).toarray()
-    size = a.sum(axis=1)[:, None] + b.sum(axis=1)[None, :]
+def _dice(both: np.ndarray, size_a: np.ndarray, size_b: np.ndarray) -> np.ndarray:
+    """Dice coefficient 2|x & y| / (|x| + |y|) from the overlaps ``both`` of
+    every set x (rows) with every set y (columns) and the set sizes; zero
+    where both sets are empty."""
+    size = size_a[:, None] + size_b[None, :]
     out = np.zeros(both.shape)
     np.divide(2.0 * both, size, out=out, where=size > 0)
     return out
+
+
+def _pair_sums(term: np.ndarray, doc: np.ndarray, n: int, m: int, weight) -> np.ndarray:
+    """The n x m sums of ``weight(p, q)`` over every pair of an entry p of a
+    row term (``term < n``) and an entry q of a column term (``term - n``) in
+    the same document. Each cell adds its pairs in the order of its row
+    entries."""
+    a = np.flatnonzero(term < n)
+    b = np.flatnonzero(term >= n)
+    b = b[np.argsort(doc[b], kind="stable")]
+    p, q = _join(doc[a], doc[b])
+    p, q = a[p], b[q]
+    return np.bincount(term[p] * m + term[q] - n, weights=weight(p, q),
+                       minlength=n * m).reshape(n, m)
 
 
 def dice_hitcount(index: CorpusIndex, a: str, b: str) -> float:
@@ -207,7 +224,9 @@ def signature_relatedness(assoc: AssociationMatrix, rows: Sequence[str],
     if not assoc.binary:
         raise ValidationError("similarity transfer needs binary associations")
     at = {c: i for i, c in enumerate(assoc.categories)}
-    values = _dice(assoc.values[[at[c] for c in rows]], assoc.values[[at[c] for c in cols]])
+    a = assoc.values[[at[c] for c in rows]]
+    b = assoc.values[[at[c] for c in cols]]
+    values = _dice(a @ b.T, a.sum(axis=1), b.sum(axis=1))
     return RelatednessMatrix(tuple(rows), tuple(cols), values, measure="fused")
 
 
@@ -340,17 +359,40 @@ def _esa(index: CorpusIndex, rows: Sequence[str], cols: Sequence[str]) -> np.nda
     A term's concept vector sums the tf-idf document rows of its tokens (tf
     is the raw in-document count, idf is log(#docs / df)). Terms with equal
     token lists give exactly 1 and terms without any weight give 0.
+
+    Every sum runs in the order that ``scipy.sparse``'s CSR products use, so
+    the values are bit for bit those of ``select @ tfidf`` and its cross
+    products, a formulation the tests keep as an oracle.
     """
-    toks, tokens, select = _select_tokens(index, [*rows, *cols])
-    tfidf = _token_rows(index, tokens)
-    df = np.diff(tfidf.indptr)
-    tfidf.data *= np.repeat([math.log(index.n_docs / d) for d in df], df)
-    vectors = select @ tfidf
-    norms = np.sqrt((vectors * vectors).sum(axis=1))
-    n = len(rows)
+    toks, tokens, (sel_term, sel_col, mult) = _select_tokens(index, [*rows, *cols])
+    tok, doc, _ = _occurrences(index, tokens)
+    key, count = np.unique(tok * index.n_docs + doc, return_counts=True)
+    tok, doc = np.divmod(key, index.n_docs)
+    idf = np.array([math.log(index.n_docs / d) for d in np.bincount(tok, minlength=len(tokens))])
+    # concept vectors, summed in the order a CSR product inserts their
+    # entries: per term, its tokens ascending, each token's documents ascending
+    p, q = _join(sel_col, tok)
+    key, first, inverse = np.unique(sel_term[p] * index.n_docs + doc[q],
+                                    return_index=True, return_inverse=True)
+    v = np.bincount(inverse, weights=mult[p] * (count * idf[tok])[q])
+    # CSR keeps each row in reverse order of insertion and drops zero sums
+    # (a token in every document has idf 0)
+    stored = np.argsort(first)[::-1]
+    stored = stored[v[stored] != 0]
+    (term, doc), v = np.divmod(key[stored], index.n_docs), v[stored]
+    n, m = len(rows), len(cols)
+    cross = _pair_sums(term, doc, n, m, lambda p, q: v[p] * v[q])
+    # an elementwise product keeps the order of a CSR matrix whose rows are
+    # all sorted and reverses any other's; the squared norms add up in it
+    if np.any((term[1:] == term[:-1]) & (doc[1:] <= doc[:-1])):
+        term, v = term[::-1], v[::-1]
+    starts = np.flatnonzero(np.diff(term, prepend=-1))
+    norms = np.zeros(len(toks))
+    if starts.size:
+        norms[term[starts]] = np.sqrt(np.add.reduceat(v * v, starts))
     denom = np.outer(norms[:n], norms[n:])
     cos = np.zeros(denom.shape)
-    np.divide((vectors[:n] @ vectors[n:].T).toarray(), denom, out=cos, where=denom > 0)
+    np.divide(cross, denom, out=cos, where=denom > 0)
     cos = np.clip(cos, 0.0, 1.0)
     same = np.array([[ta == tb for tb in toks[n:]] for ta in toks[:n]], dtype=bool)
     cos[same.reshape(denom.shape) & (denom > 0)] = 1.0
@@ -439,8 +481,13 @@ def mine_relatedness(index: CorpusIndex, categories: Sequence[str],
             window = None
         elif window is not None and window < 1:
             raise ValidationError(f"window must be >= 1 or None, got {window}")
-        contexts = _term_contexts(index, categories + attributes, window)
-        values = _dice(contexts[:len(categories)], contexts[len(categories):])
+        # a category and an attribute share the overlaps of their runs
+        term, doc, lo, hi = _term_windows(index, categories + attributes, window)
+        n, m = len(categories), len(attributes)
+        both = _pair_sums(term, doc, n, m, lambda p, q: np.maximum(
+            np.minimum(hi[p], hi[q]) - np.maximum(lo[p], lo[q]) + 1, 0))
+        size = np.bincount(term, weights=hi - lo + 1, minlength=n + m)
+        values = _dice(both, size[:n], size[n:])
     elif measure == "esa":
         values = _esa(index, categories, attributes)
     elif measure == "lin":

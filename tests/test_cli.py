@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +210,24 @@ class TestErrorContract:
         assert re.search(CAP_WARNING, err, re.M), err
         assert "warning: propagation stopped after 1 sweeps without converging" in err
 
+    @pytest.mark.parametrize("protocol,want", [("novel_only", 0), ("bogus", 3)])
+    def test_python_warnings_keep_the_stderr_contract(self, synth_dir, capsys, protocol, want):
+        # top-1 mining leaves n00 without an attribute, which core warns about
+        config = data_config(synth_dir, corpus={"docs_per_pair": 2}, mine={"measure": "dice_hit"},
+                             assoc={"policy": "per_attribute_topk", "k": 1},
+                             eval={"protocol": protocol})
+        with warnings.catch_warnings(record=True) as escaped:
+            warnings.simplefilter("always")
+            code, err = run(capsys, "pipeline", "--config", config)
+        assert code == want
+        assert escaped == []  # Python would print these to stderr
+        lines = err.strip().splitlines()
+        if want:
+            assert len(lines) == 1, err
+            assert json.loads(lines[0])["code"] == want
+        else:
+            assert lines == ["warning: categories with no associated attribute: n00"]
+
 
 def pipeline_config(tmp_path, **overrides):
     cfg = {
@@ -310,30 +329,43 @@ class TestPipeline:
 
 
 def test_cli_import_skips_unused_scipy_modules(tmp_path):
-    # ``mine`` never solves a sparse system or builds a kNN graph, so importing
-    # the CLI must not load the modules only those paths need; the logistic
-    # function is NumPy's, so nothing needs ``scipy.special``. The kNN graph
-    # computes its distances itself, so even ``pst`` leaves ``scipy.spatial``
-    # unloaded.
+    # Mining is NumPy only, so neither importing the CLI nor ``mine`` with any
+    # measure loads SciPy. Only PST's kNN graph needs ``scipy.sparse``; its
+    # distances are computed without ``scipy.spatial``, the logistic function
+    # is NumPy's, and the sweeps need no sparse solver.
     rng = np.random.default_rng(3)
     instances = tuple(f"i{k}" for k in range(12))
     sio.write_category_scores(tmp_path / "zs.tsv", CategoryScoreMatrix(
         instances, ("c0", "c1"), rng.random((12, 2))))
     sio.write_attribute_scores(tmp_path / "vectors.tsv", AttributeScoreMatrix(
         instances, ("a0", "a1", "a2"), rng.random((12, 3))))
+    sio.write_corpus_jsonl(tmp_path / "corpus.jsonl", [
+        ("c0/0", "c0 has stripes and x"), ("c1/0", "c1 swims with y y"), ("c0/1", "x y c0")])
+    (tmp_path / "terms.json").write_text(json.dumps({"categories": ["c0", "c1"],
+                                                     "attributes": ["x", "y"]}))
+    (tmp_path / "edges.tsv").write_text("c0\troot\nc1\troot\nx\tc0\ny\tc1\n")
+    (tmp_path / "probs.tsv").write_text("root\t1\nc0\t0.5\nc1\t0.5\nx\t0.2\ny\t0.3\n")
     probe = (
         "import sys, semtransfer.cli as cli\n"
-        "print([m for m in ('scipy.sparse.linalg', 'scipy.spatial', 'scipy.special')"
-        " if m in sys.modules])\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print('import', loaded())\n"
+        "for m in ('dice_hit', 'dice_snippet', 'esa', 'lin', 'tfidf'):\n"
+        "    code = cli.main(['mine', '--corpus', 'corpus.jsonl', '--terms', 'terms.json',"
+        " '--measure', m, '--window', '2', '--taxonomy-edges', 'edges.tsv',"
+        " '--taxonomy-probs', 'probs.tsv', '--out', m + '.tsv'])\n"
+        "    print(m, code, loaded())\n"
         "code = cli.main(['pst', '--zeroshot', 'zs.tsv', '--vectors', 'vectors.tsv',"
         " '--k', '3', '--out', 'pst.tsv'])\n"
-        "print(code, 'scipy.spatial' in sys.modules)\n")
+        "print('pst', code, [m for m in ('scipy.sparse', 'scipy.sparse.linalg', 'scipy.spatial',"
+        " 'scipy.special') if m in sys.modules])\n")
     src = str(Path(sio.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
                          timeout=120)
-    assert out.stdout.split("\n")[:2] == ["[]", "0 False"]
-    assert (tmp_path / "pst.tsv").exists()
+    assert out.stdout.splitlines() == [
+        "import []", *(f"{m} 0 []" for m in ("dice_hit", "dice_snippet", "esa", "lin", "tfidf")),
+        "pst 0 ['scipy.sparse']"]
+    assert all((tmp_path / f"{m}.tsv").exists() for m in ("esa", "lin", "tfidf", "pst"))
 
 
 def test_train_flag_defaults_are_train_config_defaults():

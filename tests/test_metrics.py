@@ -306,3 +306,34 @@ class TestEvaluateZeroShot:
                                    np.column_stack([scores.values, np.zeros(6)]))
         with pytest.raises(ValidationError, match="without positives"):
             evaluate_zero_shot(wide, truth, split2)
+
+    @pytest.mark.parametrize("protocol", ["novel_only", "with_distractors"])
+    def test_tied_scores_match_per_column_metrics(self, protocol):
+        # scores on a coarse grid, so every column has many ties, including
+        # ties between positives and negatives; some rows tie across columns
+        rng = np.random.default_rng(11)
+        novel = [f"n{j}" for j in range(4)]
+        test = {f"t{i}": novel[i % 4] for i in range(60)}
+        test.update({f"d{i}": "k0" for i in range(20)})
+        instances = tuple(test)
+        values = np.round(rng.random((len(instances), 4)) * 4) / 4
+        values[::7] = 0.5
+        scores = CategoryScoreMatrix(instances, tuple(novel), values)
+        split = DatasetSplit(known_categories={"k0"}, novel_categories=set(novel),
+                             train_instances={"x0": "k0"}, test_instances=test,
+                             fewshot_instances={})
+        report = evaluate_zero_shot(scores, {**test, "x0": "k0"}, split, protocol)
+        pool = [i for i, inst in enumerate(instances)
+                if protocol == "with_distractors" or inst.startswith("t")]
+        labels = [test[instances[i]] for i in pool]
+        for j, cat in enumerate(novel):
+            positives = [lab == cat for lab in labels]
+            column = values[pool, j]
+            assert report.per_category_auc[cat] == roc_auc(column, positives)
+            assert report.per_category_auc[cat] == brute_auc(list(column), positives)
+            assert report.per_category_ap[cat] == average_precision(column, positives)
+            assert report.per_category_ap[cat] == pytest.approx(
+                brute_ap(list(column), positives), rel=1e-12)
+        novel_rows = [i for i in range(len(instances)) if instances[i].startswith("t")]
+        assert report.accuracy == np.mean(
+            [novel[int(np.argmax(values[i]))] == test[instances[i]] for i in novel_rows])

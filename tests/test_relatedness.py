@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from semtransfer import (
     AssociationMatrix,
@@ -20,6 +21,7 @@ from semtransfer import (
     tokenize,
 )
 from semtransfer import RelatednessMatrix
+from semtransfer.relatedness import signature_relatedness
 
 
 def brute_dice_docs(docs, a, b):
@@ -55,6 +57,63 @@ def brute_dice_windows(docs, a, b, window):
             nab += ha and hb
     denom = na + nb
     return 0.0 if denom == 0 else 2.0 * nab / denom
+
+
+def sparse_measure(docs, rows, cols, measure, window=None):
+    """Oracle: the scipy.sparse formulation of dice_hit, dice_snippet and esa.
+
+    A CSR token x document count matrix, 0/1 token x context rows (documents,
+    or every sliding window enumerated), term x context hits from one sparse
+    product and Dice from another; ESA sums tf-idf rows into concept vectors
+    with ``select @ tfidf``. The NumPy measures must equal it bit for bit.
+    """
+    doc_toks = [tokenize(text) for _, text in docs]
+    ids: dict[str, int] = {}
+    for toks in doc_toks:
+        for t in toks:
+            ids.setdefault(t, len(ids))
+    term_toks = [tokenize(t) for t in [*rows, *cols]]
+    tokens = sorted({t for ts in term_toks for t in ts if t in ids})
+    col = {t: j for j, t in enumerate(tokens)}
+    pairs = [(i, col[t]) for i, ts in enumerate(term_toks) for t in ts if t in col]
+    i, j = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    select = sp.csr_array((np.ones(len(pairs)), (i, j)), shape=(len(term_toks), len(tokens)))
+    flat = [(ids[t], d) for d, toks in enumerate(doc_toks) for t in toks]
+    t, d = np.array(flat, dtype=np.int64).reshape(-1, 2).T
+    counts = sp.csr_array((np.ones(len(flat)), (t, d)), shape=(len(ids), len(docs)))
+    token_rows = counts[[ids[t] for t in tokens]]
+    n = len(rows)
+    if measure == "esa":
+        df = np.diff(token_rows.indptr)
+        token_rows.data *= np.repeat([math.log(len(docs) / d) for d in df], df)
+        vectors = select @ token_rows
+        norms = np.sqrt((vectors * vectors).sum(axis=1))
+        denom = np.outer(norms[:n], norms[n:])
+        cos = np.zeros(denom.shape)
+        np.divide((vectors[:n] @ vectors[n:].T).toarray(), denom, out=cos, where=denom > 0)
+        cos = np.clip(cos, 0.0, 1.0)
+        same = np.array([[ta == tb for tb in term_toks[n:]] for ta in term_toks[:n]], dtype=bool)
+        cos[same.reshape(denom.shape) & (denom > 0)] = 1.0
+        return cos
+    if window is None:
+        contexts = token_rows
+        contexts.data[:] = 1.0
+    else:
+        spans = [toks[s:s + window] for toks in doc_toks if toks
+                 for s in range(max(1, len(toks) - window + 1))]
+        entries = sorted({(col[t], w) for w, span in enumerate(spans) for t in span if t in col})
+        t, w = np.array(entries, dtype=np.int64).reshape(-1, 2).T
+        contexts = sp.csr_array((np.ones(len(entries)), (t, w)), shape=(len(tokens), len(spans)))
+    hits = select @ contexts
+    need = np.repeat([len(ts) for ts in term_toks], np.diff(hits.indptr))
+    hits.data = (hits.data == need).astype(float)
+    hits.eliminate_zeros()
+    a, b = hits[:n], hits[n:]
+    both = (a @ b.T).toarray()
+    size = a.sum(axis=1)[:, None] + b.sum(axis=1)[None, :]
+    out = np.zeros(both.shape)
+    np.divide(2.0 * both, size, out=out, where=size > 0)
+    return out
 
 
 class TestTokenize:
@@ -97,7 +156,10 @@ class TestCorpusIndex:
         for d, toks in enumerate(expected):
             for t in toks:
                 oracle[idx.postings[t], d] += 1
-        np.testing.assert_array_equal(idx.counts.toarray(), oracle)
+        counts = np.zeros_like(oracle)
+        doc_of_token = np.repeat(np.arange(idx.n_docs), np.diff(idx.doc_ptr))
+        np.add.at(counts, (idx.tokens, doc_of_token), 1)
+        np.testing.assert_array_equal(counts, oracle)
         for a, b in [("bear", "claw"), ("\u03bf\u03b4\u03bf\u03c2", "\u03c3"),
                      ("fur", "ice swim"), ("\u0130stanbul", "stra\u00dfe")]:
             assert dice_hitcount(idx, a, b) == brute_dice_docs(docs, a, b)
@@ -108,7 +170,8 @@ class TestCorpusIndex:
     def test_only_empty_documents(self):
         idx = build_corpus_index([("d0", ""), ("d1", "... !!")])
         assert idx.doc_tokens == ((), ())
-        assert idx.counts.shape == (0, 2)
+        assert (len(idx.postings), idx.n_docs) == (0, 2)
+        assert idx.tokens.size == 0 and idx.doc_ptr.tolist() == [0, 0, 0]
         assert dice_snippet(idx, "a", "b", window=2) == 0.0
 
 
@@ -387,6 +450,76 @@ class TestMineRelatedness:
         del idx
         gc.collect()
         assert ref() is None
+
+
+class TestMatchesSparseOracle:
+    # multi-word terms, repeated-token terms, absent tokens and terms
+    TERMS = ["w1 w2", "w2 w1 w3", "w4 w4", "w1 w2 w1", "w5 w6 w7 w0", "yeti", "w0 yeti"]
+
+    def _corpus(self, seed):
+        rng = np.random.default_rng(seed)
+        vocab = [f"w{i}" for i in range(9)]
+        docs = [(f"d{d}", " ".join(rng.choice(vocab, size=rng.integers(1, 25))))
+                for d in range(50)]
+        docs[5:5] = [("empty", ""), ("punct", "... !!"), ("one", "w3")]
+        return docs, vocab
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("measure,window", [("dice_hit", None), ("dice_snippet", 1),
+                                                ("dice_snippet", 2), ("dice_snippet", 20),
+                                                ("dice_snippet", None), ("esa", None)])
+    def test_bitwise_equal(self, seed, measure, window):
+        docs, vocab = self._corpus(seed)
+        rows = vocab[:5] + self.TERMS[:4]
+        cols = vocab[3:] + self.TERMS[3:]
+        idx = build_corpus_index(docs)
+        got = mine_relatedness(idx, rows, cols, measure, window=window).values
+        want = sparse_measure(docs, rows, cols, measure, window)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert got.any()
+
+    def test_esa_with_a_word_in_every_document(self):
+        # "the" has idf 0, so "the w1 w2 w3" weighs 0 where w1..w3 are absent
+        rng = np.random.default_rng(5)
+        vocab = [f"w{i}" for i in range(30)]
+        docs = [(f"d{d}", "the " + " ".join(rng.choice(vocab, size=rng.integers(1, 12))))
+                for d in range(200)]
+        rows, cols = vocab[:6], ["the w1 w2 w3", "w4 the", "the", *vocab[6:12]]
+        got = mine_relatedness(build_corpus_index(docs), rows, cols, "esa").values
+        assert np.array_equal(got, sparse_measure(docs, rows, cols, "esa"))
+
+    def test_esa_of_sorted_concept_vectors(self):
+        # tokens a < b < c each in one document, in descending document order,
+        # so every concept vector's CSR row is already sorted
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            k = rng.integers(1, 6, size=3)
+            docs = [("d0", "c " * k[0] + "z"), ("d1", "b " * k[1]), ("d2", "a " * k[2]),
+                    ("d3", "q")]
+            got = mine_relatedness(build_corpus_index(docs), ["a b c"], ["z", "q"], "esa")
+            assert np.array_equal(got.values, sparse_measure(docs, ["a b c"], ["z", "q"], "esa"))
+
+
+class TestSignatureRelatedness:
+    def _assoc(self):
+        values = np.array([[1, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 0]], dtype=float)
+        with pytest.warns(UserWarning, match="no associated attribute"):
+            return AssociationMatrix(("x", "y", "empty"), ("a", "b", "c", "d"), values,
+                                     binary=True)
+
+    def test_hand_value(self):
+        rel = signature_relatedness(self._assoc(), ["x"], ["y", "x"])
+        assert rel.values.tolist() == [[2 * 1 / (2 + 2), 1.0]]
+
+    def test_empty_signature_gives_zero(self):
+        rel = signature_relatedness(self._assoc(), ["empty", "x"], ["empty", "x", "y"])
+        assert rel.values.tolist() == [[0.0, 0.0, 0.0], [0.0, 1.0, 0.5]]
+
+    def test_needs_binary_associations(self):
+        assoc = AssociationMatrix(("x",), ("a",), np.array([[0.5]]), binary=False)
+        with pytest.raises(ValidationError):
+            signature_relatedness(assoc, ["x"], ["x"])
 
 
 class TestBinarize:
