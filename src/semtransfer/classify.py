@@ -23,6 +23,7 @@ from .core import (
     AttributeScoreMatrix,
     FeatureMatrix,
     ValidationError,
+    freeze,
 )
 
 PROB_FLOOR = 1e-12
@@ -71,10 +72,7 @@ class AttributeModel:
             raise ValidationError("feature_std entries must be positive")
         for arr in (w, b, mu, sd):
             arr.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "biases", b)
-        object.__setattr__(self, "feature_mean", mu)
-        object.__setattr__(self, "feature_std", sd)
+        freeze(self, weights=w, biases=b, feature_mean=mu, feature_std=sd)
 
     @property
     def dim(self) -> int:

@@ -82,8 +82,7 @@ def _load_terms(path) -> tuple[list[str], list[str]]:
 
 
 def _check_keys(section: dict, allowed: set[str], where: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
+    if unknown := set(section) - allowed:
         raise ValidationError(f"unknown {where} keys: {sorted(unknown)}")
 
 
@@ -169,8 +168,7 @@ def _mine(corpus, categories, attributes, measure: str, window: int | None,
 
 def _check_split(split, assoc=None) -> None:
     """Raise on any :func:`validate_split` violation, naming the first five."""
-    violations = validate_split(split, assoc)
-    if violations:
+    if violations := validate_split(split, assoc):
         raise ValidationError(f"{len(violations)} split violations: "
                               + "; ".join(violations[:5]))
 
@@ -207,9 +205,10 @@ def _transfer(attr_scores, assoc, split, method="dap", *, top_k=5, taxonomy=None
 
 def _evaluate(scores, truth, split, protocol) -> dict:
     """Evaluation report per protocol; ``"both"`` runs both protocols, and
-    :func:`evaluate_zero_shot` rejects any other unknown protocol."""
+    :func:`evaluate_zero_shot` rejects any other unknown protocol. The reports
+    are written with sorted keys, so their field order does not matter."""
     protocols = PROTOCOLS if protocol == "both" else [protocol]
-    return {p: io.report_to_dict(evaluate_zero_shot(scores, truth, split, p)) for p in protocols}
+    return {p: dataclasses.asdict(evaluate_zero_shot(scores, truth, split, p)) for p in protocols}
 
 
 def _cap_warnings(model=None, propagation=None) -> list[str]:
@@ -548,10 +547,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # warnings are held back, so that a failure prints one JSON line and
-    # anything else prints each distinct warning as one line
+    # warnings that the active filters let through are held back, so that a
+    # failure prints one JSON line and anything else prints each distinct one
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
         try:
             code = args.handler(args)
         except (StageError, ValidationError, *_PARSE_ERRORS) as exc:

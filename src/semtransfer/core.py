@@ -25,6 +25,12 @@ def clean_identifier(identifier: str) -> str:
     return ident
 
 
+def freeze(obj, **fields) -> None:
+    """Set ``fields`` of a frozen dataclass instance, as its __post_init__ may."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+
+
 def _clean_ids(ids: Iterable[str], axis: str) -> tuple[str, ...]:
     out = tuple(clean_identifier(i) for i in ids)
     if len(set(out)) != len(out):
@@ -70,12 +76,10 @@ class AssociationMatrix:
                     f"categories with no associated attribute: {', '.join(empty)}",
                     stacklevel=2,
                 )
-        object.__setattr__(self, "categories", cats)
-        object.__setattr__(self, "attributes", attrs)
-        object.__setattr__(self, "values", vals)
         # lookup maps built once; training looks up one category per label
-        object.__setattr__(self, "_category_rows", {c: i for i, c in enumerate(cats)})
-        object.__setattr__(self, "_attribute_columns", {a: j for j, a in enumerate(attrs)})
+        freeze(self, categories=cats, attributes=attrs, values=vals,
+               _category_rows={c: i for i, c in enumerate(cats)},
+               _attribute_columns={a: j for j, a in enumerate(attrs)})
 
     def category_index(self, category: str) -> int:
         try:
@@ -104,9 +108,7 @@ class AttributeScoreMatrix:
         vals = _clean_values(self.values, (len(insts), len(attrs)), "attribute scores")
         if np.any(vals < 0.0) or np.any(vals > 1.0):
             raise ValidationError("attribute scores must lie in [0, 1]")
-        object.__setattr__(self, "instances", insts)
-        object.__setattr__(self, "attributes", attrs)
-        object.__setattr__(self, "values", vals)
+        freeze(self, instances=insts, attributes=attrs, values=vals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,8 +128,7 @@ class FeatureMatrix:
         if not np.all(np.isfinite(arr)):
             raise ValidationError("feature matrix: non-finite entries")
         arr.setflags(write=False)
-        object.__setattr__(self, "instances", insts)
-        object.__setattr__(self, "values", arr)
+        freeze(self, instances=insts, values=arr)
 
     @property
     def dim(self) -> int:
@@ -165,9 +166,7 @@ class RelatednessMatrix:
             raise ValidationError("relatedness entries must be nonnegative")
         if self.measure not in VALID_MEASURES:
             raise ValidationError(f"unknown relatedness measure: {self.measure!r}")
-        object.__setattr__(self, "categories", cats)
-        object.__setattr__(self, "attributes", attrs)
-        object.__setattr__(self, "values", vals)
+        freeze(self, categories=cats, attributes=attrs, values=vals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,9 +181,7 @@ class CategoryScoreMatrix:
         insts = _clean_ids(self.instances, "instance")
         cats = _clean_ids(self.categories, "category")
         vals = _clean_values(self.values, (len(insts), len(cats)), "category scores")
-        object.__setattr__(self, "instances", insts)
-        object.__setattr__(self, "categories", cats)
-        object.__setattr__(self, "values", vals)
+        freeze(self, instances=insts, categories=cats, values=vals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,11 +202,10 @@ class DatasetSplit:
     fewshot_instances: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "known_categories", frozenset(self.known_categories))
-        object.__setattr__(self, "novel_categories", frozenset(self.novel_categories))
-        object.__setattr__(self, "train_instances", dict(self.train_instances))
-        object.__setattr__(self, "test_instances", dict(self.test_instances))
-        object.__setattr__(self, "fewshot_instances", dict(self.fewshot_instances))
+        freeze(self, known_categories=frozenset(self.known_categories),
+               novel_categories=frozenset(self.novel_categories),
+               train_instances=dict(self.train_instances), test_instances=dict(self.test_instances),
+               fewshot_instances=dict(self.fewshot_instances))
 
 
 def validate_split(split: DatasetSplit, assoc: AssociationMatrix | None = None) -> list[str]:

@@ -53,11 +53,9 @@ def format_number(value: float) -> str:
 
 
 def _parse_bool(text: str) -> bool:
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    raise ParseError(f"expected true/false, got {text!r}")
+    if text not in ("true", "false"):
+        raise ParseError(f"expected true/false, got {text!r}")
+    return text == "true"
 
 
 def write_matrix_tsv(path, row_ids: Sequence[str], col_ids: Sequence[str],
@@ -158,9 +156,7 @@ def read_category_scores(path) -> CategoryScoreMatrix:
 
 def write_labels(path, labels: Mapping[str, str]) -> None:
     """Instance -> category map as a two-column TSV."""
-    lines = ["\tcategory"]
-    for inst, cat in labels.items():
-        lines.append(f"{inst}\t{cat}")
+    lines = ["\tcategory", *(f"{inst}\t{cat}" for inst, cat in labels.items())]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -217,8 +213,6 @@ def read_taxonomy(edges_path, probs_path):
             raise ParseError(f"{edges_path}:{lineno}: duplicate child {child!r}")
         parent[child] = par
         parent.setdefault(par, None)
-    for node in list(parent):
-        parent.setdefault(node, None)
 
     prob: dict[str, float] = {}
     for lineno, line in enumerate(_read_text(probs_path).splitlines(), start=1):
@@ -293,16 +287,4 @@ def load_model(path):
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed model field: {exc}") from exc
     return AttributeModel(attributes=attributes, metadata=doc.get("metadata", {}), **arrays)
-
-
-def report_to_dict(report) -> dict:
-    return {
-        "protocol": report.protocol,
-        "per_category_auc": dict(sorted(report.per_category_auc.items())),
-        "mean_auc": report.mean_auc,
-        "accuracy": report.accuracy,
-        "per_category_ap": dict(sorted(report.per_category_ap.items())),
-        "mean_ap": report.mean_ap,
-        "counts": dict(sorted(report.counts.items())),
-    }
 

@@ -33,14 +33,12 @@ def _checked(scores, positives) -> tuple[np.ndarray, np.ndarray]:
     return s, pos
 
 
-def _average_ranks(s: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
+def _average_ranks(s: np.ndarray, order: np.ndarray) -> np.ndarray:
     """1-based ranks of ``s``, tied values sharing the mean of their ranks.
 
-    ``order`` is the stable descending sort of ``s``; the mean ranks do not
-    depend on the order within ties.
+    ``order`` sorts ``s`` descending; the mean ranks do not depend on the
+    order within ties.
     """
-    if order is None:
-        order = np.argsort(-s, kind="stable")
     sorted_s = s[order]
     starts = np.flatnonzero(np.r_[True, sorted_s[1:] != sorted_s[:-1]])
     ends = np.r_[starts[1:], s.size]
@@ -97,16 +95,14 @@ def mean_ap(scores: CategoryScoreMatrix, truth: Mapping[str, str]) -> float:
     column's category; every scored instance therefore needs a truth label.
     Labels outside the scored categories act as negatives everywhere.
     """
-    missing = [inst for inst in scores.instances if inst not in truth]
-    if missing:
+    if missing := [inst for inst in scores.instances if inst not in truth]:
         raise ValidationError(f"instances without truth labels: {missing[:5]}")
-    labels = [truth[inst] for inst in scores.instances]
+    positives = _positives([truth[inst] for inst in scores.instances], scores.categories)
     aps = []
     for j, cat in enumerate(scores.categories):
-        positives = np.array([lab == cat for lab in labels])
-        if not positives.any():
+        if not positives[:, j].any():
             raise ValidationError(f"category without positives: {cat!r}")
-        aps.append(average_precision(scores.values[:, j], positives))
+        aps.append(average_precision(scores.values[:, j], positives[:, j]))
     return float(np.mean(aps))
 
 
@@ -150,8 +146,7 @@ def evaluate_zero_shot(scores: CategoryScoreMatrix, truth: Mapping[str, str],
     if protocol not in PROTOCOLS:
         raise ValidationError(f"unknown protocol: {protocol!r}")
     novel = split.novel_categories
-    extra = set(scores.categories) - set(novel)
-    if extra:
+    if extra := set(scores.categories) - set(novel):
         raise ValidationError(f"scored categories outside the novel set: {sorted(extra)}")
 
     novel_pool: list[str] = []
@@ -173,8 +168,7 @@ def evaluate_zero_shot(scores: CategoryScoreMatrix, truth: Mapping[str, str],
 
     pool = novel_pool + (distractor_pool if protocol == "with_distractors" else [])
     idx = {inst: i for i, inst in enumerate(scores.instances)}
-    missing = [inst for inst in pool if inst not in idx]
-    if missing:
+    if missing := [inst for inst in pool if inst not in idx]:
         raise ValidationError(f"test instances without scores: {missing[:5]}")
     V = scores.values[[idx[inst] for inst in pool]]
     if not np.isfinite(V).all():
@@ -197,12 +191,7 @@ def evaluate_zero_shot(scores: CategoryScoreMatrix, truth: Mapping[str, str],
         "distractor_instances": len(pool) - len(novel_pool),
         "categories": len(scores.categories),
     }
-    return EvalReport(
-        protocol=protocol,
-        per_category_auc=per_auc,
-        mean_auc=float(np.mean(list(per_auc.values()))),
-        per_category_ap=per_ap,
-        mean_ap=float(np.mean(list(per_ap.values()))),
-        accuracy=accuracy,
-        counts=counts,
-    )
+    return EvalReport(protocol, per_category_auc=per_auc,
+                      mean_auc=float(np.mean(list(per_auc.values()))), per_category_ap=per_ap,
+                      mean_ap=float(np.mean(list(per_ap.values()))), accuracy=accuracy,
+                      counts=counts)

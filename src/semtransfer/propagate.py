@@ -15,11 +15,7 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .core import (
-    AttributeScoreMatrix,
-    CategoryScoreMatrix,
-    ValidationError,
-)
+from .core import AttributeScoreMatrix, CategoryScoreMatrix, ValidationError, freeze
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -70,8 +66,7 @@ class SimilarityGraph:
         if self.W.shape != (self.n, self.n) or self.S.shape != (self.n, self.n):
             raise ValidationError("graph matrices must be n x n")
         deg = np.asarray(self.W.sum(axis=1)).ravel()
-        isolated = np.nonzero(deg <= 0)[0]
-        if isolated.size:
+        if (isolated := np.flatnonzero(deg <= 0)).size:
             raise ValidationError(f"isolated graph nodes: {isolated.tolist()}")
 
 
@@ -256,8 +251,7 @@ def build_knn_graph(vectors, k: int, kernel: str = "gaussian",
     W.eliminate_zeros()
 
     deg = np.asarray(W.sum(axis=1)).ravel()
-    if (deg <= 0).any():
-        bad = np.nonzero(deg <= 0)[0]
+    if (bad := np.flatnonzero(deg <= 0)).size:
         raise ValidationError(f"isolated graph nodes: {bad.tolist()}")
     dinv = 1.0 / np.sqrt(deg)
     D = sp.diags(dinv)
@@ -281,11 +275,10 @@ class SeedLabels:
                 f"seed matrix must be {(len(self.instances), len(self.categories))}, got {Y.shape}")
         if not np.isfinite(Y).all() or (Y < 0).any():
             raise ValidationError("seed weights must be finite and non-negative")
-        bad = [i for i in self.clamped if not 0 <= i < len(self.instances)]
-        if bad:
+        if bad := [i for i in self.clamped if not 0 <= i < len(self.instances)]:
             raise ValidationError(f"clamped rows out of range: {bad}")
         Y.setflags(write=False)
-        object.__setattr__(self, "Y", Y)
+        freeze(self, Y=Y)
 
 
 def seed_from_zeroshot(zeroshot: CategoryScoreMatrix, rho: float) -> SeedLabels:

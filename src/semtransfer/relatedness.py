@@ -10,9 +10,10 @@ Four pluggable measures over different evidence sources:
 
 The corpus is one flat token-id array, and the corpus measures use NumPy
 alone: each sums a weight over the pairs of entries that share a key (a
-token or a document), found by one join and summed with ``bincount``.
-Dice counts the windows two terms share from the overlaps of their runs of
-consecutive windows; ``dice_snippet`` without a window is ``dice_hit``.
+token, a document or a block of windows), found by one join and summed with
+``bincount``. Dice counts the windows two terms share from the overlaps of
+their runs of consecutive windows within each block; ``dice_snippet``
+without a window is ``dice_hit``.
 The module also has a tf*idf association miner for per-category script
 text and binarization policies that turn a real-valued relatedness matrix
 into a binary association matrix.
@@ -28,7 +29,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import AssociationMatrix, RelatednessMatrix, ValidationError, clean_identifier
+from .core import (AssociationMatrix, RelatednessMatrix, ValidationError, clean_identifier,
+                   freeze)
 
 _STRIP = string.punctuation
 
@@ -99,6 +101,11 @@ def build_corpus_index(documents: Sequence[tuple[str, str]]) -> CorpusIndex:
     return CorpusIndex(tuple(doc_ids), token_of_word[keep], doc_ptr, postings)
 
 
+def _ranges(start: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """``arange(start[i], start[i] + n[i])`` for each i, concatenated."""
+    return np.repeat(start - (np.cumsum(n) - n), n) + np.arange(n.sum())
+
+
 def _join(a_key: np.ndarray, b_key: np.ndarray):
     """Every pair (p, q) of entries with ``a_key[p] == b_key[q]`` (``b_key``
     sorted), listed in the order of ``a_key``, then of ``b_key``. Memory is
@@ -106,8 +113,7 @@ def _join(a_key: np.ndarray, b_key: np.ndarray):
     ``bincount``, so each sum accumulates in the order of ``a_key``."""
     lo = np.searchsorted(b_key, a_key, side="left")
     n = np.searchsorted(b_key, a_key, side="right") - lo
-    p = np.repeat(np.arange(len(a_key)), n)
-    return p, np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(len(p))
+    return np.repeat(np.arange(len(a_key)), n), _ranges(lo, n)
 
 
 def _term_tokens(term: str) -> list[str]:
@@ -145,40 +151,45 @@ def _occurrences(index: CorpusIndex, tokens: Sequence[str]):
 
 
 def _term_windows(index: CorpusIndex, terms: Sequence[str], window: int | None):
-    """(term, document, first, last) runs of the consecutive windows of
+    """(term, block, first, last) runs of the consecutive windows of
     ``window`` tokens that hold each term; a term's runs never overlap.
 
-    A document of n tokens has max(1, n - window + 1) windows, numbered
-    across documents, and an empty one has none; ``window=None`` makes each
-    document one window. A multi-word term is in a window when each of its
-    tokens is.
+    A document of n tokens has max(1, n - window + 1) windows, and an empty
+    one has none; ``window=None`` makes each document one window. Each
+    document's windows are numbered from the start of a block of ``window``
+    numbers, and runs are split at block ends, so two runs overlap only
+    within one block. A term has at most a few runs per block for each of
+    its tokens, so pairing runs by block stays linear in the windows. A
+    multi-word term is in a window when each of its tokens is.
     """
     toks, tokens, (term, col, _) = _select_tokens(index, terms)
     lengths = np.diff(index.doc_ptr)
     window = window or max(int(lengths.max()), 1)
     n_win = np.where(lengths > 0, np.maximum(lengths - window + 1, 1), 0)
-    first = np.cumsum(n_win) - n_win
+    blocks = -(-n_win // window)
+    first = window * (np.cumsum(blocks) - blocks)
     tok, doc, pos = _occurrences(index, tokens)
     # the windows holding position p of a document are p - window + 1 .. p,
-    # clipped to the document; per token both ends never decrease, so
-    # starting each span after the previous one's end removes overlaps
+    # clipped to the document; per token both ends never decrease, so a span
+    # that starts after the previous one's end starts a new run
     lo = first[doc] + np.maximum(pos - window + 1, 0)
     hi = first[doc] + np.minimum(pos, n_win[doc] - 1)
-    same = tok[1:] == tok[:-1]
-    lo[1:][same] = np.maximum(lo[1:][same], hi[:-1][same] + 1)
-    run = lo <= hi
-    tok, lo, hi = tok[run], lo[run], hi[run]
+    start = np.flatnonzero((np.diff(tok, prepend=-1) != 0) | (lo > np.r_[-2, hi[:-1]] + 1))
+    tok, lo, hi = tok[start], lo[start], np.maximum.reduceat(hi, start)
     # sweep each term's token runs, +1 where one starts and -1 after it ends:
     # the term is in the windows that all of its distinct tokens cover
     p, q = _join(col, tok)
-    n = int(n_win.sum()) + 1
+    n = int(window * blocks.sum()) + 1
     at = np.concatenate([term[p] * n + lo[q], term[p] * n + hi[q] + 1])
     order = np.argsort(at, kind="stable")  # merges the sorted runs of starts and ends
     at, cover = at[order], np.cumsum(np.repeat([1, -1], len(p))[order])
     need = np.array([len(set(ts)) for ts in toks])
     full = np.flatnonzero((cover[:-1] == need[at[:-1] // n]) & (at[1:] > at[:-1]))
     (term, lo), hi = np.divmod(at[full], n), at[full + 1] % n - 1
-    return term, np.searchsorted(first, lo, side="right") - 1, lo, hi
+    nb = hi // window - lo // window + 1
+    run, block = np.repeat(np.arange(len(lo)), nb), _ranges(lo // window, nb)
+    return (term[run], block, np.maximum(lo[run], block * window),
+            np.minimum(hi[run], block * window + window - 1))
 
 
 def _dice(both: np.ndarray, size_a: np.ndarray, size_b: np.ndarray) -> np.ndarray:
@@ -191,15 +202,15 @@ def _dice(both: np.ndarray, size_a: np.ndarray, size_b: np.ndarray) -> np.ndarra
     return out
 
 
-def _pair_sums(term: np.ndarray, doc: np.ndarray, n: int, m: int, weight) -> np.ndarray:
+def _pair_sums(term: np.ndarray, key: np.ndarray, n: int, m: int, weight) -> np.ndarray:
     """The n x m sums of ``weight(p, q)`` over every pair of an entry p of a
-    row term (``term < n``) and an entry q of a column term (``term - n``) in
-    the same document. Each cell adds its pairs in the order of its row
+    row term (``term < n``) and an entry q of a column term (``term - n``)
+    with the same key. Each cell adds its pairs in the order of its row
     entries."""
     a = np.flatnonzero(term < n)
     b = np.flatnonzero(term >= n)
-    b = b[np.argsort(doc[b], kind="stable")]
-    p, q = _join(doc[a], doc[b])
+    b = b[np.argsort(key[b], kind="stable")]
+    p, q = _join(key[a], key[b])
     p, q = a[p], b[q]
     return np.bincount(term[p] * m + term[q] - n, weights=weight(p, q),
                        minlength=n * m).reshape(n, m)
@@ -269,11 +280,9 @@ class Taxonomy:
                 seen.add(cur)
                 cur = parent[cur]
         prob = dict(self.prob)
-        missing = set(parent) - set(prob)
-        if missing:
+        if missing := set(parent) - set(prob):
             raise ValidationError(f"missing probabilities for nodes: {sorted(missing)}")
-        extra = set(prob) - set(parent)
-        if extra:
+        if extra := set(prob) - set(parent):
             raise ValidationError(f"probabilities for unknown nodes: {sorted(extra)}")
         for node, p in prob.items():
             if not (0.0 < p <= 1.0) or not math.isfinite(p):
@@ -288,11 +297,8 @@ class Taxonomy:
         for node, par in parent.items():
             if par is not None:
                 children[par].append(node)
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "prob", prob)
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "_children",
-                           {n: tuple(c) for n, c in children.items()})
+        freeze(self, parent=parent, prob=prob, root=root,
+               _children={n: tuple(c) for n, c in children.items()})
 
     def _require(self, node: str) -> None:
         if node not in self.parent:
@@ -408,16 +414,10 @@ def esa_relatedness(index: CorpusIndex, a: str, b: str) -> float:
 # tf*idf association mining from per-category script text
 
 
-def _phrase_count(tokens: Sequence[str], phrase: Sequence[str]) -> int:
-    n, m = len(tokens), len(phrase)
-    if m == 0 or n < m:
-        return 0
-    first = phrase[0]
-    hits = 0
-    for i in range(n - m + 1):
-        if tokens[i] == first and list(tokens[i:i + m]) == list(phrase):
-            hits += 1
-    return hits
+def _phrase_count(tokens: list[str], phrase: list[str]) -> int:
+    m = len(phrase)
+    return sum(tokens[i] == phrase[0] and tokens[i:i + m] == phrase
+               for i in range(len(tokens) - m + 1))
 
 
 def tfidf_associations(script_docs: Mapping[str, Sequence[str]],
@@ -438,26 +438,20 @@ def tfidf_associations(script_docs: Mapping[str, Sequence[str]],
         raise ValidationError("duplicate attribute in vocabulary")
     if not attributes:
         raise ValidationError("empty attribute vocabulary")
-    phrases = [tuple(_term_tokens(a)) for a in attributes]
+    phrases = [_term_tokens(a) for a in attributes]
 
     cat_tokens = [list(chain.from_iterable(map(tokenize, docs))) for docs in script_docs.values()]
     for cat, toks in zip(script_docs, cat_tokens):
         if not toks:
             raise ValidationError(f"category without script text: {cat!r}")
 
-    counts = np.zeros((len(categories), len(attributes)))
-    for i, toks in enumerate(cat_tokens):
-        for j, phrase in enumerate(phrases):
-            counts[i, j] = _phrase_count(toks, phrase)
-    df = (counts > 0).sum(axis=0)
-    n_cat = len(categories)
-    values = np.zeros_like(counts)
+    counts = np.array([[_phrase_count(toks, phrase) for phrase in phrases]
+                       for toks in cat_tokens], dtype=float)
+    # an attribute mentioned nowhere has only zero counts, so its idf is moot
+    idf = np.array([math.log(len(categories) / df) if df else 0.0
+                    for df in (counts > 0).sum(axis=0)])
     lengths = np.array([len(t) for t in cat_tokens], dtype=float)
-    for j in range(len(attributes)):
-        if df[j] == 0:
-            continue
-        idf = math.log(n_cat / df[j])
-        values[:, j] = counts[:, j] / lengths * idf
+    values = counts / lengths[:, None] * idf
     return RelatednessMatrix(categories, attributes, values, measure="tfidf")
 
 
@@ -482,9 +476,9 @@ def mine_relatedness(index: CorpusIndex, categories: Sequence[str],
         elif window is not None and window < 1:
             raise ValidationError(f"window must be >= 1 or None, got {window}")
         # a category and an attribute share the overlaps of their runs
-        term, doc, lo, hi = _term_windows(index, categories + attributes, window)
+        term, block, lo, hi = _term_windows(index, categories + attributes, window)
         n, m = len(categories), len(attributes)
-        both = _pair_sums(term, doc, n, m, lambda p, q: np.maximum(
+        both = _pair_sums(term, block, n, m, lambda p, q: np.maximum(
             np.minimum(hi[p], hi[q]) - np.maximum(lo[p], lo[q]) + 1, 0))
         size = np.bincount(term, weights=hi - lo + 1, minlength=n + m)
         values = _dice(both, size[:n], size[n:])

@@ -81,16 +81,10 @@ def _sample_signatures(rng: np.random.Generator, n_known: int, n_novel: int,
                        m: int) -> np.ndarray:
     """Distinct non-zero binary rows; known-block columns non-constant when possible."""
     n = n_known + n_novel
-
-    def distinct_nonzero(sig: np.ndarray) -> bool:
-        if (sig.sum(axis=1) == 0).any():
-            return False
-        return len({tuple(r) for r in sig}) == n
-
     fallback = None
     for _ in range(2000):
         sig = rng.integers(0, 2, size=(n, m)).astype(float)
-        if not distinct_nonzero(sig):
+        if (sig.sum(axis=1) == 0).any() or len({tuple(r) for r in sig}) < n:
             continue
         if fallback is None:
             fallback = sig
@@ -213,14 +207,12 @@ class CorpusPlan:
                 raise ValidationError(f"joint pair uses unknown attribute {a!r}")
             joint_by_cat[c] = joint_by_cat.get(c, 0) + cnt
             joint_by_attr[a] = joint_by_attr.get(a, 0) + cnt
-        for c, total in joint_by_cat.items():
-            if total > self.category_counts[c]:
-                raise ValidationError(
-                    f"infeasible plan: joint documents for {c!r} exceed its count")
-        for a, total in joint_by_attr.items():
-            if total > self.attribute_counts[a]:
-                raise ValidationError(
-                    f"infeasible plan: joint documents for {a!r} exceed its count")
+        for joint, counts in ((joint_by_cat, self.category_counts),
+                              (joint_by_attr, self.attribute_counts)):
+            for term, total in joint.items():
+                if total > counts[term]:
+                    raise ValidationError(
+                        f"infeasible plan: joint documents for {term!r} exceed its count")
         token_owner: dict[str, str] = {}
         for term in list(self.category_counts) + list(self.attribute_counts):
             toks = tokenize(term)

@@ -25,6 +25,7 @@ from .core import (
     CategoryScoreMatrix,
     RelatednessMatrix,
     ValidationError,
+    freeze,
 )
 from .relatedness import Taxonomy
 
@@ -44,7 +45,7 @@ class AttributePrior:
         if not np.isfinite(v).all() or (v <= 0).any() or (v >= 1).any():
             raise ValidationError("prior probabilities must lie strictly in (0, 1)")
         v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        freeze(self, values=v)
 
 
 def attribute_prior_from_associations(assoc: AssociationMatrix) -> AttributePrior:

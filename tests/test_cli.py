@@ -228,6 +228,26 @@ class TestErrorContract:
         else:
             assert lines == ["warning: categories with no associated attribute: n00"]
 
+    def test_warnings_follow_the_interpreter_filters(self, tmp_path):
+        # under Python's default filters a DeprecationWarning raised by library
+        # code stays hidden, while a UserWarning still prints as one line
+        (tmp_path / "chatty.py").write_text(
+            "import warnings\n"
+            "def handler(args):\n"
+            "    warnings.warn('old call', DeprecationWarning)\n"
+            "    warnings.warn('heads up')\n"
+            "    return 0\n")
+        probe = ("import sys, chatty, semtransfer.cli as cli\n"
+                 "cli.cmd_assoc = chatty.handler\n"
+                 "sys.exit(cli.main(['assoc', '--relatedness', 'r', '--policy',"
+                 " 'per_attribute_mean', '--out', 'o']))\n")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(sio.__file__).resolve().parents[1]),
+                                             str(tmp_path)])
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             cwd=tmp_path, env=env, timeout=120)
+        assert (out.returncode, out.stderr) == (0, "warning: heads up\n")
+
 
 def pipeline_config(tmp_path, **overrides):
     cfg = {

@@ -21,7 +21,7 @@ from semtransfer import (
     tokenize,
 )
 from semtransfer import RelatednessMatrix
-from semtransfer.relatedness import signature_relatedness
+from semtransfer.relatedness import _term_windows, signature_relatedness
 
 
 def brute_dice_docs(docs, a, b):
@@ -478,6 +478,32 @@ class TestMatchesSparseOracle:
         assert got.shape == want.shape
         assert np.array_equal(got, want)
         assert got.any()
+
+    @pytest.mark.parametrize("window", [3, 7])
+    def test_documents_much_longer_than_the_window(self, window):
+        # dense and sparse words, so runs merge, cross block ends and stay short
+        rng = np.random.default_rng(window)
+        vocab = [f"w{i}" for i in range(9)]
+        p = np.array([0.4, 0.2, 0.1, 0.1, 0.08, 0.06, 0.03, 0.02, 0.01])
+        docs = [(f"d{d}", " ".join(rng.choice(vocab, size=rng.integers(1, 300), p=p)))
+                for d in range(12)]
+        rows, cols = vocab[:5] + self.TERMS[:4], vocab[3:] + self.TERMS[3:]
+        got = mine_relatedness(build_corpus_index(docs), rows, cols, "dice_snippet",
+                               window=window).values
+        assert np.array_equal(got, sparse_measure(docs, rows, cols, "dice_snippet", window))
+
+    def test_runs_per_block_stay_few_in_long_documents(self):
+        # each term 300 times in one 10,000-token document, 21 or more tokens
+        # apart, and "w" nearly everywhere: pairing whole-document runs would
+        # give 300 x 300 pairs a cell
+        rng = np.random.default_rng(0)
+        toks = np.array(["w"] * 10_000, dtype=object)
+        for t in range(3):
+            toks[rng.choice(450, size=300, replace=False) * 22 + t] = f"t{t}"
+        term, block, lo, hi = _term_windows(build_corpus_index([("d", " ".join(toks))]),
+                                            ["t0", "t1", "t2 t1", "w"], 20)
+        assert np.bincount(term * (block.max() + 1) + block).max() <= 2
+        assert (hi - lo + 1).sum() > 300 * 20 * 2
 
     def test_esa_with_a_word_in_every_document(self):
         # "the" has idf 0, so "the w1 w2 w3" weighs 0 where w1..w3 are absent
