@@ -54,23 +54,14 @@ EXIT_NO_CONVERGENCE = 4
 _PARSE_ERRORS = (ParseError, OSError, json.JSONDecodeError)
 
 
-class StageError(Exception):
-    """A pipeline stage failed; carries the stage name and the original error."""
-
-    def __init__(self, stage: str, original: Exception):
-        super().__init__(f"{stage}: {original}")
-        self.stage = stage
-        self.original = original
-
-
 @contextmanager
 def _stage(name: str):
+    """Tag an error raised inside a pipeline stage with the stage's name."""
     try:
         yield
-    except StageError:
-        raise
     except (ValidationError, *_PARSE_ERRORS) as exc:
-        raise StageError(name, exc) from exc
+        exc.stage = name
+        raise
 
 
 def _load_terms(path) -> tuple[list[str], list[str]]:
@@ -552,12 +543,11 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         try:
             code = args.handler(args)
-        except (StageError, ValidationError, *_PARSE_ERRORS) as exc:
-            stage, cause = ((exc.stage, exc.original) if isinstance(exc, StageError)
-                            else (args.command, exc))
-            code = EXIT_VALIDATION if isinstance(cause, ValidationError) else EXIT_PARSE
-            print(json.dumps({"error": str(exc), "code": code, "stage": stage}, sort_keys=True),
-                  file=sys.stderr)
+        except (ValidationError, *_PARSE_ERRORS) as exc:
+            stage = getattr(exc, "stage", None)
+            code = EXIT_VALIDATION if isinstance(exc, ValidationError) else EXIT_PARSE
+            print(json.dumps({"error": f"{stage}: {exc}" if stage else str(exc), "code": code,
+                              "stage": stage or args.command}, sort_keys=True), file=sys.stderr)
             return code
     for message in dict.fromkeys(str(w.message) for w in caught):
         print(f"warning: {message}", file=sys.stderr)

@@ -10,7 +10,7 @@ doubles as an independent check on the iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
@@ -60,14 +60,18 @@ class SimilarityGraph:
 
     n: int
     W: sp.csr_matrix
-    S: sp.csr_matrix
+    S: sp.csr_matrix = field(init=False)
 
     def __post_init__(self):
-        if self.W.shape != (self.n, self.n) or self.S.shape != (self.n, self.n):
-            raise ValidationError("graph matrices must be n x n")
+        import scipy.sparse as sp
+
+        if self.W.shape != (self.n, self.n):
+            raise ValidationError("graph weights must be n x n")
         deg = np.asarray(self.W.sum(axis=1)).ravel()
         if (isolated := np.flatnonzero(deg <= 0)).size:
             raise ValidationError(f"isolated graph nodes: {isolated.tolist()}")
+        D = sp.diags(1.0 / np.sqrt(deg))
+        freeze(self, S=(D @ self.W @ D).tocsr())
 
 
 def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -123,18 +127,6 @@ def _top_k(r: np.ndarray, c: np.ndarray, v: np.ndarray, rows: int, k: int):
     return c[keep].reshape(rows, k), v[keep].reshape(rows, k)
 
 
-def _top_k_dense(sim: np.ndarray, part: np.ndarray, k: int):
-    """:func:`_top_k` over every column of a similarity block; ``part`` is
-    scratch space of the block's shape."""
-    n = sim.shape[1]
-    # Every value at or above the k-th largest is a candidate; sorting
-    # only those by (-similarity, index) resolves ties exactly.
-    np.copyto(part, sim)
-    part.partition(n - k, axis=1)
-    r, c = np.divmod(np.flatnonzero(sim >= part[:, n - k, None]), n)
-    return _top_k(r, c, sim[r, c], sim.shape[0], k)
-
-
 def build_knn_graph(vectors, k: int, kernel: str = "gaussian",
                     sigma: float | None = None) -> SimilarityGraph:
     """Mutual-max kNN graph: each node keeps its k most similar neighbors,
@@ -148,14 +140,14 @@ def build_knn_graph(vectors, k: int, kernel: str = "gaussian",
     edges instead of underflowing to an isolated node; a cosine similarity
     of 0 is genuine isolation and still raises.
 
-    The Gaussian kernel ranks by exact squared distances, bit for bit those
-    of SciPy's ``cdist``, without computing all of them. One matrix product
-    on the column-centered vectors gives approximate distances for a row
-    block. Every column within the row's k-th approximate distance plus
-    twice a rounding bound is a candidate, and only candidates get exact
-    distances (summed over dimensions in order) and an ``exp``. A row whose
-    k-th similarity is below the smallest normal float, where an excluded
-    column could still tie with it, is recomputed over all columns.
+    A row block gets one key per column that rises with distance: the
+    negated cosine, or approximate squared distances from one matrix product
+    on the column-centered vectors. Columns within the row's k-th key plus
+    twice a slack (0 for cosine, a rounding bound for Gaussian) are ranked
+    by similarity; Gaussian ones get exact squared distances, bit for bit
+    SciPy's ``cdist``, and an ``exp``. A Gaussian row whose k-th similarity
+    is below the smallest normal float, where an excluded column could
+    still tie with it, is ranked again over every other column.
     """
     if isinstance(vectors, AttributeScoreMatrix):
         vectors = vectors.values
@@ -207,41 +199,42 @@ def build_knn_graph(vectors, k: int, kernel: str = "gaussian",
         slack = (5 * d + 16) * 2.0 ** -53 * (sq + sq.max()) + 2.0 ** -37 * -scale
     else:
         norms = np.linalg.norm(X, axis=1, keepdims=True)
-        safe = np.where(norms < 1e-12, 1.0, norms)
-        unit = X / safe
+        unit = X / np.where(norms < 1e-12, 1.0, norms)
+        slack = np.zeros(n)  # cosines are ranked exactly
 
     block = min(n, max(1, _BLOCK_VALUES // n))
     cols = np.empty((n, k), dtype=np.intp)
     vals = np.empty((n, k))
+
+    def select(lo, key, rows, keep):
+        # the k most similar candidates (rows[i], c), where keep[i, c], of a
+        # block of keys ``key`` starting at row lo
+        i, c = np.divmod(np.flatnonzero(keep), n)
+        v = (-key[rows[i], c] if kernel == "cosine"
+             else np.exp(_sqdist(XT[:, lo + rows[i]], XT[:, c]) / scale))
+        cols[lo + rows], vals[lo + rows] = _top_k(i, c, v, rows.size, k)
+
     # Reused by every block; fresh buffers per block made peak RSS swing by ~30 MB.
-    sim_buf, part_buf = np.empty((2, block, n))
+    key_buf, part_buf = np.empty((2, block, n))
     keep_buf = np.empty((block, n), dtype=bool)
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        sim, part = sim_buf[:hi - lo], part_buf[:hi - lo]
+        key, part = key_buf[:hi - lo], part_buf[:hi - lo]
         local = np.arange(hi - lo)
         if kernel == "cosine":
-            np.matmul(unit[lo:hi], unit.T, out=sim)
-            np.clip(sim, 0.0, None, out=sim)
-            sim[local, lo + local] = -np.inf
-            cols[lo:hi], vals[lo:hi] = _top_k_dense(sim, part, k)
-            continue
-        np.matmul(left[lo:hi], right, out=sim)
-        sim[local, lo + local] = np.inf
-        np.copyto(part, sim)
+            np.matmul(unit[lo:hi], unit.T, out=key)
+            np.negative(np.clip(key, 0.0, None, out=key), out=key)
+        else:
+            np.matmul(left[lo:hi], right, out=key)
+        key[local, lo + local] = np.inf
+        np.copyto(part, key)
         part.partition(k - 1, axis=1)
-        keep = np.less_equal(sim, (part[:, k - 1] + 2.0 * slack[lo:hi])[:, None],
-                             out=keep_buf[:hi - lo])
-        r, c = np.divmod(np.flatnonzero(keep), n)
-        v = np.exp(_sqdist(XT[:, lo + r], XT[:, c]) / scale)
-        cols[lo:hi], vals[lo:hi] = _top_k(r, c, v, hi - lo, k)
-        weak = np.flatnonzero(vals[lo:hi, k - 1] < tiny)
-        if weak.size:
+        select(lo, key, local, np.less_equal(
+            key, (part[:, k - 1] + 2.0 * slack[lo:hi])[:, None], out=keep_buf[:hi - lo]))
+        if kernel == "gaussian" and (weak := np.flatnonzero(vals[lo:hi, k - 1] < tiny)).size:
             # exp underflowed at the k-th neighbor, so columns outside the
-            # filter may tie with it: rank these rows over every column
-            full = np.exp(_sqdist(XT[:, lo + weak, None], XT[:, None, :]) / scale)
-            full[np.arange(weak.size), lo + weak] = -np.inf
-            cols[lo + weak], vals[lo + weak] = _top_k_dense(full, part[:weak.size], k)
+            # filter may tie with it: every other column is a candidate
+            select(lo, key, weak, key[weak] < np.inf)
 
     if kernel == "gaussian":
         np.maximum(vals, tiny, out=vals)
@@ -249,14 +242,7 @@ def build_knn_graph(vectors, k: int, kernel: str = "gaussian",
     W = sp.csr_matrix((vals.ravel(), (rows, cols.ravel())), shape=(n, n))
     W = W.maximum(W.T)
     W.eliminate_zeros()
-
-    deg = np.asarray(W.sum(axis=1)).ravel()
-    if (bad := np.flatnonzero(deg <= 0)).size:
-        raise ValidationError(f"isolated graph nodes: {bad.tolist()}")
-    dinv = 1.0 / np.sqrt(deg)
-    D = sp.diags(dinv)
-    S = (D @ W @ D).tocsr()
-    return SimilarityGraph(n=n, W=W, S=S)
+    return SimilarityGraph(n=n, W=W)
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,17 +276,13 @@ def seed_from_zeroshot(zeroshot: CategoryScoreMatrix, rho: float) -> SeedLabels:
     if not (0.0 < rho <= 1.0):
         raise ValidationError(f"rho must lie in (0, 1], got {rho}")
     V = zeroshot.values
-    n, m = V.shape
-    take = int(np.ceil(rho * n))
-    Y = np.zeros((n, m))
-    for j in range(m):
-        col = V[:, j]
-        lo, hi = float(col.min()), float(col.max())
-        if hi - lo <= 0.0:
-            continue
-        scaled = (col - lo) / (hi - lo)
-        top = np.argsort(-col, kind="stable")[:take]
-        Y[top, j] = scaled[top]
+    lo = V.min(axis=0)
+    span = V.max(axis=0) - lo
+    top = np.argsort(-V, axis=0, kind="stable")[:int(np.ceil(rho * V.shape[0]))]
+    # a constant column's span becomes inf, so its weights are 0
+    scaled = (np.take_along_axis(V, top, axis=0) - lo) / np.where(span > 0.0, span, np.inf)
+    Y = np.zeros(V.shape)
+    np.put_along_axis(Y, top, scaled, axis=0)
     return SeedLabels(zeroshot.instances, zeroshot.categories, Y)
 
 

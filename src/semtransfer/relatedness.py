@@ -325,10 +325,6 @@ class Taxonomy:
         pb = self.ancestors(b)
         return pa.index(join) + pb.index(join)
 
-    def children(self, node: str) -> tuple[str, ...]:
-        self._require(node)
-        return self._children[node]
-
     def leaf_descendants(self, node: str) -> list[str]:
         """Leaves under ``node`` (the node itself if it is a leaf)."""
         self._require(node)

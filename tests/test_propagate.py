@@ -88,7 +88,7 @@ def _gaussian_oracle_inputs():
     outlier = np.vstack([np.full((1, 4), 1e3), rng.random((200, 4))])
     # 20 copies of each point: more exact ties at similarity 1 than k
     copies = np.repeat(rng.normal(size=(30, 3)), 20, axis=0)[rng.permutation(600)]
-    return {
+    inputs = {
         "offset": (1e6 + 1e-3 * rng.normal(size=(300, 4)), (1, 10, 15)),
         "scaled_down": (1e-3 * rng.normal(size=(300, 4)), (1, 10, 15)),
         "scaled_up": (1e3 * rng.normal(size=(300, 4)), (1, 10, 15)),
@@ -99,6 +99,13 @@ def _gaussian_oracle_inputs():
         # 3000 rows make blocks of 1398, 1398 and a ragged 204
         "three_blocks": (rng.normal(size=(3000, 3)), (15,)),
     }
+    # the same blocks with an outlier in the second and one in the ragged
+    # last: every similarity of their rows underflows to 0
+    far_rows = rng.normal(size=(3000, 3))
+    far_rows[1500] += 1e3
+    far_rows[2900] -= 1e3
+    inputs["far_rows_in_later_blocks"] = (far_rows, (1, 4))
+    return inputs
 
 
 GAUSSIAN_INPUTS = _gaussian_oracle_inputs()
@@ -265,6 +272,15 @@ class TestKnnGraph:
         block = _BLOCK_VALUES // n
         assert -(-n // block) == 3 and n % block
 
+    def test_far_rows_underflow_in_later_blocks(self):
+        X, _ = GAUSSIAN_INPUTS["far_rows_in_later_blocks"]
+        block = _BLOCK_VALUES // X.shape[0]
+        assert [row // block for row in (1500, 2900)] == [1, 2]
+        sigma = _median_heuristic(X)
+        for row in (1500, 2900):
+            d2 = np.delete(((X - X[row]) ** 2).sum(axis=1), row)
+            assert np.exp(-d2.min() / (2.0 * sigma * sigma)) == 0.0
+
     def test_median_heuristic_matches_pdist(self):
         # strided to at most 1000 rows; duplicate rows give zero distances
         rng = np.random.default_rng(41)
@@ -309,6 +325,22 @@ class TestSeeds:
         seeds = seed_from_zeroshot(zs, rho=1 / 3)
         assert seeds.Y[0, 0] == 1.0
         assert seeds.Y[1, 0] == 0.0
+
+    @pytest.mark.parametrize("rho", [0.05, 0.3, 1.0])
+    def test_matches_per_column_loop_bitwise(self, rho):
+        # rounded scores tie often; column 0 is constant
+        rng = np.random.default_rng(17)
+        V = np.round(rng.normal(size=(40, 6)), 1)
+        V[:, 0] = 0.7
+        want = np.zeros_like(V)
+        for j in range(V.shape[1]):
+            lo, hi = V[:, j].min(), V[:, j].max()
+            if hi > lo:
+                top = np.argsort(-V[:, j], kind="stable")[:int(np.ceil(rho * len(V)))]
+                want[top, j] = (V[top, j] - lo) / (hi - lo)
+        zs = CategoryScoreMatrix(tuple(f"i{i}" for i in range(40)),
+                                 tuple(f"c{j}" for j in range(6)), V)
+        assert seed_from_zeroshot(zs, rho).Y.tobytes() == want.tobytes()
 
     def test_rho_out_of_range_rejected(self):
         zs = CategoryScoreMatrix(("i0",), ("c0",), np.array([[0.5]]))
