@@ -12,6 +12,7 @@ from .core import (
     CategoryScoreMatrix,
     DatasetSplit,
     FeatureMatrix,
+    LabelledMatrix,
     ParseError,
     RelatednessMatrix,
     ValidationError,
@@ -78,7 +79,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssociationMatrix", "AttributeScoreMatrix", "CategoryScoreMatrix",
-    "DatasetSplit", "FeatureMatrix", "ParseError",
+    "DatasetSplit", "FeatureMatrix", "LabelledMatrix", "ParseError",
     "RelatednessMatrix", "ValidationError", "clean_identifier", "validate_split",
     "CorpusIndex", "Taxonomy", "binarize", "build_corpus_index",
     "dice_hitcount", "dice_snippet", "esa_relatedness",

@@ -25,7 +25,9 @@ from .core import (
     AssociationMatrix,
     AttributeScoreMatrix,
     CategoryScoreMatrix,
+    FeatureMatrix,
     ParseError,
+    RelatednessMatrix,
     ValidationError,
     validate_split,
 )
@@ -121,9 +123,9 @@ def _from_section(cls, cfg: dict, name: str, **defaults):
 
 
 def _write_dataset(out: Path, ds) -> None:
-    io.write_features(out / "features.tsv", ds.features)
+    io.write_matrix(out / "features.tsv", ds.features)
     io.write_labels(out / "labels.tsv", ds.labels)
-    io.write_association(out / "associations.tsv", ds.associations)
+    io.write_matrix(out / "associations.tsv", ds.associations)
     io.write_split(out / "split.json", ds.split)
 
 
@@ -164,12 +166,6 @@ def _check_split(split, assoc=None) -> None:
                               + "; ".join(violations[:5]))
 
 
-def _sub_association(assoc: AssociationMatrix, categories) -> AssociationMatrix:
-    rows = [assoc.category_index(c) for c in categories]
-    return AssociationMatrix(tuple(categories), assoc.attributes,
-                             assoc.values[rows], binary=assoc.binary)
-
-
 def _transfer(attr_scores, assoc, split, method="dap", *, top_k=5, taxonomy=None,
               attachments=None, mode="all") -> CategoryScoreMatrix:
     """Novel-category scores by ``dap``, ``sim`` or ``hier`` transfer.
@@ -181,10 +177,10 @@ def _transfer(attr_scores, assoc, split, method="dap", *, top_k=5, taxonomy=None
     novel = [c for c in assoc.categories if c in split.novel_categories]
     if not known or not novel:
         raise ValidationError("associations must cover known and novel categories")
-    known_assoc = _sub_association(assoc, known)
+    known_assoc = assoc.take(known)
     prior = attribute_prior_from_associations(known_assoc)
     if method == "dap":
-        return dap_scores(attr_scores, _sub_association(assoc, novel), prior)
+        return dap_scores(attr_scores, assoc.take(novel), prior)
     if method not in ("sim", "hier"):
         raise ValidationError(f"unknown transfer method: {method!r}")
     known_scores = dap_scores(attr_scores, known_assoc, prior)
@@ -234,20 +230,20 @@ def cmd_mine(args) -> int:
     categories, attributes = _load_terms(args.terms)
     rel = _mine(io.read_corpus_jsonl(args.corpus), categories, attributes, args.measure,
                 args.window, args.taxonomy_edges, args.taxonomy_probs)
-    io.write_relatedness(args.out, rel)
+    io.write_matrix(args.out, rel)
     return EXIT_OK
 
 
 def cmd_assoc(args) -> int:
-    rel = io.read_relatedness(args.relatedness)
+    rel = io.read_matrix(args.relatedness, RelatednessMatrix)
     assoc = binarize(rel, args.policy, k=args.k, threshold=args.threshold)
-    io.write_association(args.out, assoc)
+    io.write_matrix(args.out, assoc)
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    features = io.read_features(args.features)
-    assoc = io.read_association(args.assoc)
+    features = io.read_matrix(args.features, FeatureMatrix)
+    assoc = io.read_matrix(args.assoc, AssociationMatrix)
     split = io.read_split(args.split)
     _check_split(split, assoc)
     model = train_attribute_classifiers(features, split.train_instances, assoc,
@@ -258,28 +254,28 @@ def cmd_train(args) -> int:
 
 def cmd_zeroshot(args) -> int:
     model = io.load_model(args.model)
-    features = io.read_features(args.features)
-    assoc = io.read_association(args.assoc)
+    features = io.read_matrix(args.features, FeatureMatrix)
+    assoc = io.read_matrix(args.assoc, AssociationMatrix)
     split = io.read_split(args.split)
     _check_split(split, assoc)
     zs = _transfer(predict_attribute_scores(model, features), assoc, split)
-    io.write_category_scores(args.out, zs)
+    io.write_matrix(args.out, zs)
     return EXIT_OK
 
 
 def cmd_pst(args) -> int:
-    zs = io.read_category_scores(args.zeroshot)
-    vectors = io.read_attribute_scores(args.vectors)
+    zs = io.read_matrix(args.zeroshot, CategoryScoreMatrix)
+    vectors = io.read_matrix(args.vectors, AttributeScoreMatrix)
     fewshot = io.read_labels(args.fewshot) if args.fewshot else {}
     result = pst(zs, vectors, fewshot, _from_flags(PropagationConfig, args))
-    io.write_category_scores(args.out, result.scores)
+    io.write_matrix(args.out, result.scores)
     if args.predictions:
         io.write_labels(args.predictions, result.predictions)
     return _report_caps(_cap_warnings(propagation=result), args.strict)
 
 
 def cmd_eval(args) -> int:
-    scores = io.read_category_scores(args.scores)
+    scores = io.read_matrix(args.scores, CategoryScoreMatrix)
     truth = io.read_labels(args.truth)
     split = io.read_split(args.split)
     # a few-shot instance that is also a test instance would be scored on its own label
@@ -334,11 +330,13 @@ def cmd_pipeline(args) -> int:
             _write_dataset(out, ds)
             features, labels, base_assoc, split = ds.features, ds.labels, ds.associations, ds.split
         else:
-            sec = _section(cfg, "data", {"features", "labels", "associations", "split"})
-            features = io.read_features(_config_path(base, sec, "features", "data"))
-            labels = io.read_labels(_config_path(base, sec, "labels", "data"))
-            base_assoc = io.read_association(_config_path(base, sec, "associations", "data"))
-            split = io.read_split(_config_path(base, sec, "split", "data"))
+            keys = ("features", "labels", "associations", "split")
+            sec = _section(cfg, "data", set(keys))
+            path = {key: _config_path(base, sec, key, "data") for key in keys}
+            features = io.read_matrix(path["features"], FeatureMatrix)
+            labels = io.read_labels(path["labels"])
+            base_assoc = io.read_matrix(path["associations"], AssociationMatrix)
+            split = io.read_split(path["split"])
         _check_split(split, base_assoc)
 
     corpus = None
@@ -364,7 +362,7 @@ def cmd_pipeline(args) -> int:
             rel = _mine(corpus, base_assoc.categories, base_assoc.attributes,
                         _typed(sec, "measure", "dice_hit", "str", "mine"),
                         _typed(sec, "window", 20, "int | None", "mine"), *taxonomy)
-            io.write_relatedness(out / "relatedness.tsv", rel)
+            io.write_matrix(out / "relatedness.tsv", rel)
 
     with _stage("assoc"):
         if rel is not None:
@@ -375,7 +373,7 @@ def cmd_pipeline(args) -> int:
                 raise ValidationError("assoc section needs a policy")
             assoc = binarize(rel, sec["policy"], k=_typed(sec, "k", None, "int | None", "assoc"),
                              threshold=_typed(sec, "threshold", None, "float | None", "assoc"))
-            io.write_association(out / "associations_mined.tsv", assoc)
+            io.write_matrix(out / "associations_mined.tsv", assoc)
         else:
             if "assoc" in cfg:
                 raise ValidationError("assoc section given but nothing was mined")
@@ -388,7 +386,7 @@ def cmd_pipeline(args) -> int:
 
     with _stage("score"):
         attr_scores = predict_attribute_scores(model, features)
-        io.write_attribute_scores(out / "attribute_scores.tsv", attr_scores)
+        io.write_matrix(out / "attribute_scores.tsv", attr_scores)
 
     with _stage("transfer"):
         sec = _section(cfg, "transfer", {"method", "top_k", "taxonomy_edges",
@@ -401,7 +399,7 @@ def cmd_pipeline(args) -> int:
         zeroshot = _transfer(attr_scores, assoc, split, method,
                              top_k=_typed(sec, "top_k", 5, "int", "transfer"), taxonomy=taxonomy,
                              attachments=sec.get("attachments"), mode=sec.get("mode", "all"))
-        io.write_category_scores(out / "zeroshot_scores.tsv", zeroshot)
+        io.write_matrix(out / "zeroshot_scores.tsv", zeroshot)
 
     pst_result = None
     with _stage("pst"):
@@ -411,14 +409,9 @@ def cmd_pipeline(args) -> int:
                     if inst in split.fewshot_instances or inst in split.test_instances]
             if not rows:
                 raise ValidationError("no few-shot or test instances to propagate over")
-            zindex = {inst: i for i, inst in enumerate(zeroshot.instances)}
-            sel = [zindex[r] for r in rows]
-            zs_sub = CategoryScoreMatrix(tuple(rows), zeroshot.categories,
-                                         zeroshot.values[sel])
-            vec_sub = AttributeScoreMatrix(tuple(rows), attr_scores.attributes,
-                                           attr_scores.values[sel])
-            pst_result = pst(zs_sub, vec_sub, split.fewshot_instances, pconfig)
-            io.write_category_scores(out / "pst_scores.tsv", pst_result.scores)
+            pst_result = pst(zeroshot.take(rows), attr_scores.take(rows),
+                             split.fewshot_instances, pconfig)
+            io.write_matrix(out / "pst_scores.tsv", pst_result.scores)
             io.write_labels(out / "pst_predictions.tsv", pst_result.predictions)
 
     with _stage("eval"):

@@ -1,10 +1,10 @@
-"""Shared domain types: identifiers, matrix containers, dataset splits."""
+"""Shared domain types: identifiers, labelled matrices, dataset splits."""
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import Field, dataclass, field, fields, replace
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -25,36 +25,77 @@ def clean_identifier(identifier: str) -> str:
     return ident
 
 
+def clean_ids(ids: Iterable[str], what: str) -> tuple[str, ...]:
+    """Cleaned identifiers, rejected if two of them are equal."""
+    out = tuple(clean_identifier(i) for i in ids)
+    if len(set(out)) != len(out):
+        raise ValidationError(f"duplicate identifiers in {what}")
+    return out
+
+
 def freeze(obj, **fields) -> None:
     """Set ``fields`` of a frozen dataclass instance, as its __post_init__ may."""
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
 
 
-def _clean_ids(ids: Iterable[str], axis: str) -> tuple[str, ...]:
-    out = tuple(clean_identifier(i) for i in ids)
-    if len(set(out)) != len(out):
-        raise ValidationError(f"duplicate {axis} identifiers")
-    return out
+@dataclass(frozen=True, eq=False)
+class LabelledMatrix:
+    """A 2-D float matrix whose axes are tuples of unique identifiers.
 
+    A kind declares its identifier axes as the fields before ``values`` and
+    its tags (such as ``binary``) after it. The axes are cleaned; ``values``
+    becomes a read-only array that must be finite, fit the axes and lie in
+    the closed interval ``RANGE``. ``KIND`` is the kind's TSV ``type`` tag.
+    A kind with one axis (features) has free columns.
+    """
 
-def _clean_values(values, shape: tuple[int, int], what: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    if arr.ndim != 2 or arr.shape != shape:
-        raise ValidationError(f"{what}: expected shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{what}: non-finite entries")
-    arr.setflags(write=False)
-    return arr
+    KIND: ClassVar[str]
+    RANGE: ClassVar[tuple[float, float]] = (-np.inf, np.inf)
+
+    @classmethod
+    def layout(cls) -> tuple[list[Field], list[Field]]:
+        """The axis fields (before ``values``) and the tag fields (after it)."""
+        fs = fields(cls)
+        at = [f.name for f in fs].index("values")
+        return list(fs[:at]), list(fs[at + 1:])
+
+    def __post_init__(self):
+        axes = {f.name: clean_ids(getattr(self, f.name), f.name) for f in self.layout()[0]}
+        shape = tuple(map(len, axes.values()))
+        vals = np.array(self.values, dtype=float)
+        if vals.ndim != 2 or vals.shape[:len(shape)] != shape:
+            want = " x ".join(f"{n} {name}" for name, n in zip(axes, shape))
+            raise ValidationError(f"{self.KIND}: expected {want}, got shape {vals.shape}")
+        if not np.all(np.isfinite(vals)):
+            raise ValidationError(f"{self.KIND}: non-finite entries")
+        lo, hi = self.RANGE
+        if np.any(vals < lo) or np.any(vals > hi):
+            raise ValidationError(f"{self.KIND} entries must lie in [{lo:g}, {hi:g}]")
+        vals.setflags(write=False)
+        freeze(self, values=vals, **axes)
+
+    def take(self, ids: Sequence[str]):
+        """The same matrix restricted to the rows named by ``ids``, in that order."""
+        axis = self.layout()[0][0].name
+        index = {r: i for i, r in enumerate(getattr(self, axis))}
+        try:
+            rows = [index[r] for r in ids]
+        except KeyError as exc:
+            raise ValidationError(f"not in {axis}: {exc.args[0]!r}") from None
+        return replace(self, **{axis: tuple(ids), "values": self.values[rows]})
 
 
 @dataclass(frozen=True, eq=False)
-class AssociationMatrix:
+class AssociationMatrix(LabelledMatrix):
     """Category x attribute association strengths in [0, 1].
 
     In binary mode entries are restricted to {0, 1}; a category row with no
     nonzero entry is reported as a warning, not an error.
     """
+
+    KIND = "association"
+    RANGE = (0.0, 1.0)
 
     categories: tuple[str, ...]
     attributes: tuple[str, ...]
@@ -62,11 +103,8 @@ class AssociationMatrix:
     binary: bool = False
 
     def __post_init__(self):
-        cats = _clean_ids(self.categories, "category")
-        attrs = _clean_ids(self.attributes, "attribute")
-        vals = _clean_values(self.values, (len(cats), len(attrs)), "association matrix")
-        if np.any(vals < 0.0) or np.any(vals > 1.0):
-            raise ValidationError("association entries must lie in [0, 1]")
+        super().__post_init__()
+        cats, vals = self.categories, self.values
         if self.binary:
             if not np.all((vals == 0.0) | (vals == 1.0)):
                 raise ValidationError("binary association entries must be 0 or 1")
@@ -77,9 +115,8 @@ class AssociationMatrix:
                     stacklevel=2,
                 )
         # lookup maps built once; training looks up one category per label
-        freeze(self, categories=cats, attributes=attrs, values=vals,
-               _category_rows={c: i for i, c in enumerate(cats)},
-               _attribute_columns={a: j for j, a in enumerate(attrs)})
+        freeze(self, _category_rows={c: i for i, c in enumerate(cats)},
+               _attribute_columns={a: j for j, a in enumerate(self.attributes)})
 
     def category_index(self, category: str) -> int:
         try:
@@ -95,93 +132,65 @@ class AssociationMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class AttributeScoreMatrix:
+class AttributeScoreMatrix(LabelledMatrix):
     """Instance x attribute probabilities, entries in [0, 1]."""
+
+    KIND = "attribute_scores"
+    RANGE = (0.0, 1.0)
 
     instances: tuple[str, ...]
     attributes: tuple[str, ...]
     values: np.ndarray
 
-    def __post_init__(self):
-        insts = _clean_ids(self.instances, "instance")
-        attrs = _clean_ids(self.attributes, "attribute")
-        vals = _clean_values(self.values, (len(insts), len(attrs)), "attribute scores")
-        if np.any(vals < 0.0) or np.any(vals > 1.0):
-            raise ValidationError("attribute scores must lie in [0, 1]")
-        freeze(self, instances=insts, attributes=attrs, values=vals)
-
 
 @dataclass(frozen=True, eq=False)
-class FeatureMatrix:
+class FeatureMatrix(LabelledMatrix):
     """Instance x dimension dense feature matrix with finite entries."""
+
+    KIND = "features"
 
     instances: tuple[str, ...]
     values: np.ndarray
-
-    def __post_init__(self):
-        insts = _clean_ids(self.instances, "instance")
-        arr = np.array(self.values, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != len(insts):
-            raise ValidationError(
-                f"feature matrix: expected {len(insts)} rows, got shape {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("feature matrix: non-finite entries")
-        arr.setflags(write=False)
-        freeze(self, instances=insts, values=arr)
 
     @property
     def dim(self) -> int:
         return self.values.shape[1]
 
 
-VALID_MEASURES = (
-    "dice_hit",
-    "dice_snippet",
-    "lin",
-    "esa",
-    "tfidf",
-    "fused",
-)
+VALID_MEASURES = ("dice_hit", "dice_snippet", "lin", "esa", "tfidf", "signature")
 
 
 @dataclass(frozen=True, eq=False)
-class RelatednessMatrix:
-    """Dense real-valued relatedness scores with a measure tag.
+class RelatednessMatrix(LabelledMatrix):
+    """Dense nonnegative relatedness scores with a measure tag, None if untagged.
 
     Rows are categories and columns attributes by convention, but the
     container is also used for novel x known category relatedness.
     """
 
+    KIND = "relatedness"
+    RANGE = (0.0, np.inf)
+
     categories: tuple[str, ...]
     attributes: tuple[str, ...]
     values: np.ndarray
-    measure: str = "fused"
+    measure: str | None = None
 
     def __post_init__(self):
-        cats = _clean_ids(self.categories, "category")
-        attrs = _clean_ids(self.attributes, "attribute")
-        vals = _clean_values(self.values, (len(cats), len(attrs)), "relatedness matrix")
-        if np.any(vals < 0.0):
-            raise ValidationError("relatedness entries must be nonnegative")
-        if self.measure not in VALID_MEASURES:
+        super().__post_init__()
+        if self.measure is not None and self.measure not in VALID_MEASURES:
             raise ValidationError(f"unknown relatedness measure: {self.measure!r}")
-        freeze(self, categories=cats, attributes=attrs, values=vals)
 
 
 @dataclass(frozen=True, eq=False)
-class CategoryScoreMatrix:
+class CategoryScoreMatrix(LabelledMatrix):
     """Instance x category real scores."""
+
+    KIND = "category_scores"
 
     instances: tuple[str, ...]
     categories: tuple[str, ...]
     values: np.ndarray
-
-    def __post_init__(self):
-        insts = _clean_ids(self.instances, "instance")
-        cats = _clean_ids(self.categories, "category")
-        vals = _clean_values(self.values, (len(insts), len(cats)), "category scores")
-        freeze(self, instances=insts, categories=cats, values=vals)
 
 
 @dataclass(frozen=True, eq=False)

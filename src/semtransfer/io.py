@@ -1,16 +1,26 @@
-"""File formats: TSV matrices, JSONL corpora, taxonomy TSV pairs, JSON models and reports.
+"""File formats: matrix, labels and taxonomy TSVs, JSONL corpora, JSON splits, models and reports.
 
-All TSVs are UTF-8 and tab-separated. Matrix files put row identifiers in
-the first column and leave the first header cell empty; numbers carry 9
-significant digits. Lines starting with '#' are ``key=value`` metadata
-comments.
+Every file is UTF-8; one that is not is a ParseError. TSVs are
+tab-separated, and their blank lines, '#' lines and header lines (whose
+first cell is empty) hold no data.
+
+Every matrix kind of :mod:`semtransfer.core` is written by
+:func:`write_matrix` and read by :func:`read_matrix`. A matrix TSV starts
+with ``# key=value`` tags: ``type`` names the kind, and each field the kind
+declares after ``values`` (``binary``, ``measure``) is one more tag,
+omitted when None. Category scores also carry ``normalized=false``. The
+reader rejects a ``type`` naming another kind and accepts a file without
+one. Then come a header of column identifiers (``x0``, ``x1``, ... for
+features) and one line per row: its identifier, then its numbers with 9
+significant digits.
 """
 
 from __future__ import annotations
 
 import json
+from functools import partial
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -20,9 +30,14 @@ from .core import (
     CategoryScoreMatrix,
     DatasetSplit,
     FeatureMatrix,
+    LabelledMatrix,
     ParseError,
     RelatednessMatrix,
 )
+
+M = TypeVar("M", bound=LabelledMatrix)
+# tags a kind writes that hold no field
+_CONSTANT_TAGS = {"category_scores": {"normalized": "false"}}
 
 
 def _read_text(path) -> str:
@@ -30,6 +45,8 @@ def _read_text(path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8: {exc}") from exc
 
 
 def read_json(path) -> dict:
@@ -52,9 +69,9 @@ def format_number(value: float) -> str:
     return f"{value:.9g}"
 
 
-def _parse_bool(text: str) -> bool:
+def _parse_bool(path, text: str) -> bool:
     if text not in ("true", "false"):
-        raise ParseError(f"expected true/false, got {text!r}")
+        raise ParseError(f"{path}: expected true/false, got {text!r}")
     return text == "true"
 
 
@@ -103,55 +120,51 @@ def read_matrix_tsv(path):
     return row_ids, header, values, tags
 
 
-def write_association(path, assoc: AssociationMatrix) -> None:
-    tags = {"type": "association", "binary": "true" if assoc.binary else "false"}
-    write_matrix_tsv(path, assoc.categories, assoc.attributes, assoc.values, tags)
+def write_matrix(path, m: LabelledMatrix) -> None:
+    """Write a matrix of any kind, tagged with its kind and its tag fields."""
+    axes, tag_fields = m.layout()
+    tags = {"type": m.KIND}
+    for f in tag_fields:
+        value = getattr(m, f.name)
+        if value is not None:
+            tags[f.name] = ("true" if value else "false") if f.type == "bool" else str(value)
+    tags.update(_CONSTANT_TAGS.get(m.KIND, {}))
+    rows, *cols = (getattr(m, f.name) for f in axes)
+    cols = cols[0] if cols else [f"x{i}" for i in range(m.values.shape[1])]
+    write_matrix_tsv(path, rows, cols, m.values, tags)
 
 
-def read_association(path) -> AssociationMatrix:
+def read_matrix(path, kind: type[M]) -> M:
+    """Read a ``kind`` matrix; a ``type`` tag that names another kind is a ParseError."""
     rows, cols, values, tags = read_matrix_tsv(path)
-    binary = _parse_bool(tags.get("binary", "false"))
-    return AssociationMatrix(tuple(rows), tuple(cols), values, binary=binary)
+    if tags.get("type", kind.KIND) != kind.KIND:
+        raise ParseError(f"{path}: type={tags['type']}, expected type={kind.KIND}")
+    axes, tag_fields = kind.layout()
+    extra = {f.name: _parse_bool(path, tags[f.name]) if f.type == "bool" else tags[f.name]
+             for f in tag_fields if f.name in tags}
+    return kind(*(tuple(rows), tuple(cols))[:len(axes)], values, **extra)
 
 
-def write_relatedness(path, rel: RelatednessMatrix) -> None:
-    tags = {"type": "relatedness", "measure": rel.measure}
-    write_matrix_tsv(path, rel.categories, rel.attributes, rel.values, tags)
+# one name per matrix kind, for library callers
+write_association = write_relatedness = write_attribute_scores = write_matrix
+write_features = write_category_scores = write_matrix
+read_association = partial(read_matrix, kind=AssociationMatrix)
+read_relatedness = partial(read_matrix, kind=RelatednessMatrix)
+read_attribute_scores = partial(read_matrix, kind=AttributeScoreMatrix)
+read_features = partial(read_matrix, kind=FeatureMatrix)
+read_category_scores = partial(read_matrix, kind=CategoryScoreMatrix)
 
 
-def read_relatedness(path) -> RelatednessMatrix:
-    rows, cols, values, tags = read_matrix_tsv(path)
-    return RelatednessMatrix(tuple(rows), tuple(cols), values, measure=tags.get("measure", "fused"))
-
-
-def write_attribute_scores(path, scores: AttributeScoreMatrix) -> None:
-    write_matrix_tsv(path, scores.instances, scores.attributes, scores.values,
-                     {"type": "attribute_scores"})
-
-
-def read_attribute_scores(path) -> AttributeScoreMatrix:
-    rows, cols, values, _ = read_matrix_tsv(path)
-    return AttributeScoreMatrix(tuple(rows), tuple(cols), values)
-
-
-def write_features(path, features: FeatureMatrix) -> None:
-    dims = tuple(f"x{i}" for i in range(features.dim))
-    write_matrix_tsv(path, features.instances, dims, features.values, {"type": "features"})
-
-
-def read_features(path) -> FeatureMatrix:
-    rows, _, values, _ = read_matrix_tsv(path)
-    return FeatureMatrix(tuple(rows), values)
-
-
-def write_category_scores(path, scores: CategoryScoreMatrix) -> None:
-    tags = {"type": "category_scores", "normalized": "false"}
-    write_matrix_tsv(path, scores.instances, scores.categories, scores.values, tags)
-
-
-def read_category_scores(path) -> CategoryScoreMatrix:
-    rows, cols, values, _ = read_matrix_tsv(path)
-    return CategoryScoreMatrix(tuple(rows), tuple(cols), values)
+def _tsv_rows(path, width: int, what: str):
+    """(line number, cells) of each data line of a ``width``-column TSV, skipping
+    blank lines, '#' comments and headers (lines whose first cell is empty)."""
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+        if not line.strip() or line.startswith(("#", "\t")):
+            continue
+        cells = line.split("\t")
+        if len(cells) != width:
+            raise ParseError(f"{path}:{lineno}: expected {what}, got {len(cells)} cells")
+        yield lineno, cells
 
 
 def write_labels(path, labels: Mapping[str, str]) -> None:
@@ -161,17 +174,11 @@ def write_labels(path, labels: Mapping[str, str]) -> None:
 
 
 def read_labels(path) -> dict[str, str]:
-    text = _read_text(path)
     labels: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.startswith("#") or line.startswith("\t"):
-            continue
-        cells = line.split("\t")
-        if len(cells) != 2:
-            raise ParseError(f"{path}:{lineno}: expected 2 cells, got {len(cells)}")
-        if cells[0] in labels:
-            raise ParseError(f"{path}:{lineno}: duplicate instance {cells[0]!r}")
-        labels[cells[0]] = cells[1]
+    for lineno, (inst, cat) in _tsv_rows(path, 2, "instance<TAB>category"):
+        if inst in labels:
+            raise ParseError(f"{path}:{lineno}: duplicate instance {inst!r}")
+        labels[inst] = cat
     return labels
 
 
@@ -202,27 +209,16 @@ def read_taxonomy(edges_path, probs_path):
     from .relatedness import Taxonomy
 
     parent: dict[str, str | None] = {}
-    for lineno, line in enumerate(_read_text(edges_path).splitlines(), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        cells = line.split("\t")
-        if len(cells) != 2:
-            raise ParseError(f"{edges_path}:{lineno}: expected child<TAB>parent")
-        child, par = cells
+    for lineno, (child, par) in _tsv_rows(edges_path, 2, "child<TAB>parent"):
         if child in parent:
             raise ParseError(f"{edges_path}:{lineno}: duplicate child {child!r}")
         parent[child] = par
         parent.setdefault(par, None)
 
     prob: dict[str, float] = {}
-    for lineno, line in enumerate(_read_text(probs_path).splitlines(), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        cells = line.split("\t")
-        if len(cells) != 2:
-            raise ParseError(f"{probs_path}:{lineno}: expected node<TAB>probability")
+    for lineno, (node, value) in _tsv_rows(probs_path, 2, "node<TAB>probability"):
         try:
-            prob[cells[0]] = float(cells[1])
+            prob[node] = float(value)
         except ValueError as exc:
             raise ParseError(f"{probs_path}:{lineno}: {exc}") from exc
     return Taxonomy(parent=parent, prob=prob)

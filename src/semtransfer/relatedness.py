@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (AssociationMatrix, RelatednessMatrix, ValidationError, clean_identifier,
-                   freeze)
+                   clean_ids, freeze)
 
 _STRIP = string.punctuation
 
@@ -238,7 +238,7 @@ def signature_relatedness(assoc: AssociationMatrix, rows: Sequence[str],
     a = assoc.values[[at[c] for c in rows]]
     b = assoc.values[[at[c] for c in cols]]
     values = _dice(a @ b.T, a.sum(axis=1), b.sum(axis=1))
-    return RelatednessMatrix(tuple(rows), tuple(cols), values, measure="fused")
+    return RelatednessMatrix(tuple(rows), tuple(cols), values, measure="signature")
 
 
 # ---------------------------------------------------------------------------
@@ -426,12 +426,8 @@ def tfidf_associations(script_docs: Mapping[str, Sequence[str]],
     """
     if not script_docs:
         raise ValidationError("no script text given")
-    categories = tuple(clean_identifier(c) for c in script_docs)
-    if len(set(categories)) != len(categories):
-        raise ValidationError("duplicate category in script collection")
-    attributes = tuple(clean_identifier(a) for a in attribute_vocab)
-    if len(set(attributes)) != len(attributes):
-        raise ValidationError("duplicate attribute in vocabulary")
+    categories = clean_ids(script_docs, "categories")
+    attributes = clean_ids(attribute_vocab, "attributes")
     if not attributes:
         raise ValidationError("empty attribute vocabulary")
     phrases = [_term_tokens(a) for a in attributes]
@@ -460,12 +456,8 @@ def mine_relatedness(index: CorpusIndex, categories: Sequence[str],
                      window: int | None = 20,
                      taxonomy: Taxonomy | None = None) -> RelatednessMatrix:
     """Fill a categories x attributes matrix with one relatedness measure."""
-    categories = tuple(clean_identifier(c) for c in categories)
-    attributes = tuple(clean_identifier(a) for a in attributes)
-    if len(set(categories)) != len(categories):
-        raise ValidationError("duplicate category term")
-    if len(set(attributes)) != len(attributes):
-        raise ValidationError("duplicate attribute term")
+    categories = clean_ids(categories, "categories")
+    attributes = clean_ids(attributes, "attributes")
     if measure in ("dice_hit", "dice_snippet"):
         if measure == "dice_hit":
             window = None

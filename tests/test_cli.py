@@ -547,6 +547,108 @@ class TestInputValidation:
 
 
 
+def one_json_error(code, err):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1, err
+    assert json.loads(lines[0])["code"] == code
+    return json.loads(lines[0])
+
+
+def mined_relatedness(synth_dir, path):
+    code = main(["mine", "--corpus", str(synth_dir / "corpus.jsonl"),
+                 "--terms", str(synth_dir / "terms.json"), "--measure", "dice_hit",
+                 "--out", str(path)])
+    assert code == 0
+    return path
+
+
+class TestInputFiles:
+    def test_matrix_of_another_kind_exits_2(self, synth_dir, tmp_path, capsys):
+        rel = mined_relatedness(synth_dir, tmp_path / "rel.tsv")
+        code, err = run(capsys, "train", "--features", synth_dir / "features.tsv",
+                        "--assoc", rel, "--split", synth_dir / "split.json",
+                        "--out", tmp_path / "model.json")
+        assert code == 2
+        assert "type=relatedness" in one_json_error(code, err)["error"]
+        assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("family", ["tsv", "jsonl", "json"])
+    def test_invalid_utf8_exits_2(self, synth_dir, tmp_path, capsys, family):
+        rel = mined_relatedness(synth_dir, tmp_path / "rel.tsv")
+        target = {"tsv": rel, "jsonl": synth_dir / "corpus.jsonl",
+                  "json": synth_dir / "terms.json"}[family]
+        data = target.read_bytes()
+        target.write_bytes(data[:5] + b"\xff" + data[5:])
+        argv = (["assoc", "--relatedness", rel, "--policy", "per_attribute_mean"]
+                if family == "tsv" else
+                ["mine", "--corpus", synth_dir / "corpus.jsonl", "--terms",
+                 synth_dir / "terms.json", "--measure", "dice_hit"])
+        code, err = run(capsys, *argv, "--out", tmp_path / "out.tsv")
+        assert code == 2
+        assert "UTF-8" in one_json_error(code, err)["error"]
+
+
+def _mutate_matrix(data: bytes, mutation: str, pick: int, byte: int) -> bytes:
+    """``data``, a matrix TSV, broken by ``mutation`` at a place chosen by ``pick``."""
+    lines = data.decode().splitlines()
+    header = [ln.startswith("#") for ln in lines].index(False)
+    row = header + 1 + pick % (len(lines) - header - 1)
+    cells = lines[row].split("\t")
+    if mutation == "truncate":
+        return data[:pick % len(data)]
+    if mutation == "flip":
+        at = pick % len(data)
+        return data[:at] + bytes([data[at] ^ (byte or 1)]) + data[at + 1:]
+    if mutation == "bom":
+        return b"\xef\xbb\xbf" + data
+    if mutation == "crlf":
+        return data.replace(b"\n", b"\r\n")
+    if mutation == "cells":
+        cells = cells[:-1] if byte % 2 else cells + ["0.5"]
+    elif mutation in ("nan", "inf", "-inf"):
+        cells[1 + byte % (len(cells) - 1)] = mutation
+    elif mutation == "duplicate_row":
+        cells[0] = lines[row + 1 if row + 1 < len(lines) else row - 1].split("\t")[0]
+    lines[row] = "\t".join(cells)
+    return ("\n".join(lines) + "\n").encode()
+
+
+# Mutations that always leave a broken file; the others may leave a valid one.
+BREAKING = ("cells", "nan", "inf", "-inf", "duplicate_row", "bom")
+MUTATIONS = (*BREAKING, "truncate", "flip", "crlf")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=6,
+          phases=[Phase.generate], suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(places=st.fixed_dictionaries({m: st.tuples(st.integers(0, 10**6), st.integers(0, 255))
+                                     for m in MUTATIONS}))
+def test_mutated_matrix_files_keep_the_exit_contract(synth_dir, capsys, places):
+    # the one matrix reader serves every kind; relatedness and category scores
+    # go in through assoc and eval
+    rel = synth_dir / "rel.tsv"
+    if not rel.exists():
+        mined_relatedness(synth_dir, rel)
+        split = json.loads((synth_dir / "split.json").read_text())
+        sio.write_category_scores(synth_dir / "scores.tsv", CategoryScoreMatrix(
+            tuple(split["test_instances"]), tuple(sorted(split["novel_categories"])),
+            np.random.default_rng(0).random((len(split["test_instances"]),
+                                             len(split["novel_categories"])))))
+    cases = {rel: ["assoc", "--policy", "per_attribute_topk", "--k", "2",
+                   "--out", synth_dir / "a.tsv", "--relatedness"],
+             synth_dir / "scores.tsv": ["eval", "--truth", synth_dir / "labels.tsv",
+                                        "--split", synth_dir / "split.json",
+                                        "--out", synth_dir / "r.json", "--scores"]}
+    for path, argv in cases.items():
+        data = path.read_bytes()
+        bad = synth_dir / "bad.tsv"
+        for mutation, (pick, byte) in places.items():
+            bad.write_bytes(_mutate_matrix(data, mutation, pick, byte))
+            code, err = run(capsys, *argv, bad)
+            assert code in ((2, 3) if mutation in BREAKING else (0, 2, 3)), (mutation, err)
+            if code:
+                one_json_error(code, err)
+
+
 # Wrong JSON types and shapes: scalars of every type, and lists and objects of them.
 JSON_SCALARS = (st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-3, 3)
                 | st.text(max_size=3))

@@ -4,6 +4,7 @@ import pytest
 from semtransfer import (
     AssociationMatrix,
     AttributeScoreMatrix,
+    CategoryScoreMatrix,
     DatasetSplit,
     FeatureMatrix,
     RelatednessMatrix,
@@ -82,6 +83,56 @@ class TestOtherMatrices:
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError):
             FeatureMatrix(("i",), np.array([[np.nan]]))
+
+
+class TestLabelledMatrix:
+    KINDS = [
+        (AssociationMatrix, [("c",), ("a",)]),
+        (AttributeScoreMatrix, [("i",), ("a",)]),
+        (FeatureMatrix, [("i",)]),
+        (RelatednessMatrix, [("c",), ("a",)]),
+        (CategoryScoreMatrix, [("i",), ("c",)]),
+    ]
+
+    @pytest.mark.parametrize("kind, axes", KINDS)
+    def test_every_kind_shares_the_checks(self, kind, axes):
+        m = kind(*[(f" {ids[0]} ",) for ids in axes], [[0.5]])
+        assert [getattr(m, f.name) for f in kind.layout()[0]] == axes
+        with pytest.raises(ValueError):
+            m.values[0, 0] = 0.25
+        for bad in ([[np.inf]], [[0.5, 0.5], [0.5, 0.5]], [0.5]):
+            with pytest.raises(ValidationError):
+                kind(*axes, bad)
+        with pytest.raises(ValidationError):
+            kind(*[ids * 2 for ids in axes], np.full((2, 2), 0.5))
+
+    def test_scores_and_features_are_unbounded(self):
+        CategoryScoreMatrix(("i",), ("c",), [[-5.0]])
+        FeatureMatrix(("i",), [[-5.0, 1e300]])
+
+    def test_take_selects_rows_in_order(self):
+        m = AssociationMatrix(("c", "d", "e"), ("a", "b"), [[1, 0], [0, 1], [1, 1]],
+                              binary=True)
+        sub = m.take(["e", "c"])
+        assert sub.categories == ("e", "c")
+        assert sub.attributes == m.attributes
+        assert sub.values.tolist() == [[1.0, 1.0], [1.0, 0.0]]
+        assert sub.binary
+        assert sub.category_index("c") == 1
+
+    def test_take_keeps_the_free_columns(self):
+        f = FeatureMatrix(("i", "j"), [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        assert f.take(["j"]).values.tolist() == [[4.0, 5.0, 6.0]]
+
+    def test_take_rejects_unknown_rows(self):
+        m = CategoryScoreMatrix(("i",), ("c",), [[0.5]])
+        with pytest.raises(ValidationError, match="'x'"):
+            m.take(["i", "x"])
+
+    def test_relatedness_measure_defaults_to_untagged(self):
+        assert RelatednessMatrix(("c",), ("a",), [[0.5]]).measure is None
+        with pytest.raises(ValidationError):
+            RelatednessMatrix(("c",), ("a",), [[0.5]], measure="fused")
 
 
 class TestSplitValidation:

@@ -90,6 +90,77 @@ class TestMatrixTsv:
             sio.read_matrix_tsv(path)
 
 
+class TestMatrixKinds:
+    MATRICES = [
+        AssociationMatrix(("c", "d"), ("a",), [[1.0], [0.0]], binary=False),
+        AttributeScoreMatrix(("i",), ("a", "b"), [[0.25, 1.0]]),
+        FeatureMatrix(("i", "j"), [[-1.5, 2.0, 1e10], [0.0, 3.0, -7.0]]),
+        RelatednessMatrix(("c",), ("a", "b"), [[0.5, 2.0]], measure="dice_hit"),
+        CategoryScoreMatrix(("i",), ("c",), [[-0.5]]),
+    ]
+
+    @pytest.mark.parametrize("m", MATRICES, ids=lambda m: m.KIND)
+    def test_one_reader_and_writer_round_trip_every_kind(self, tmp_path, m):
+        path = tmp_path / "m.tsv"
+        sio.write_matrix(path, m)
+        text = path.read_text()
+        assert text.startswith(f"# type={m.KIND}\n")
+        back = sio.read_matrix(path, type(m))
+        axes, tags = m.layout()
+        for f in axes + tags:
+            assert getattr(back, f.name) == getattr(m, f.name)
+        assert np.array_equal(back.values, m.values)
+        sio.write_matrix(path, back)
+        assert path.read_text() == text
+
+    def test_tags_of_each_kind(self, tmp_path):
+        tags = []
+        for m in self.MATRICES:
+            sio.write_matrix(tmp_path / "m.tsv", m)
+            tags.append([ln for ln in (tmp_path / "m.tsv").read_text().splitlines()
+                         if ln.startswith("#")])
+        assert tags == [["# type=association", "# binary=false"], ["# type=attribute_scores"],
+                        ["# type=features"], ["# type=relatedness", "# measure=dice_hit"],
+                        ["# type=category_scores", "# normalized=false"]]
+
+    def test_features_number_their_columns(self, tmp_path):
+        sio.write_features(tmp_path / "f.tsv", self.MATRICES[2])
+        assert (tmp_path / "f.tsv").read_text().splitlines()[1] == "\tx0\tx1\tx2"
+
+    def test_untagged_measure_is_omitted_and_reads_back_untagged(self, tmp_path):
+        path = tmp_path / "rel.tsv"
+        sio.write_relatedness(path, RelatednessMatrix(("c",), ("a",), [[0.5]]))
+        assert path.read_text() == "# type=relatedness\n\ta\nc\t0.5\n"
+        assert sio.read_relatedness(path).measure is None
+        path.write_text("\ta\nc\t0.5\n")
+        assert sio.read_matrix(path, RelatednessMatrix).measure is None
+
+    def test_type_of_another_kind_is_parse_error(self, tmp_path):
+        path = tmp_path / "rel.tsv"
+        sio.write_relatedness(path, RelatednessMatrix(("c",), ("a",), [[0.5]], measure="esa"))
+        with pytest.raises(ParseError, match="type=relatedness"):
+            sio.read_association(path)
+        path.write_text("\ta\nc\t0.5\n")
+        assert sio.read_association(path).values.tolist() == [[0.5]]
+
+    def test_bad_binary_tag_is_parse_error(self, tmp_path):
+        path = tmp_path / "assoc.tsv"
+        path.write_text("# binary=yes\n\ta\nc\t1\n")
+        with pytest.raises(ParseError, match="assoc.tsv: expected true/false"):
+            sio.read_matrix(path, AssociationMatrix)
+
+
+@pytest.mark.parametrize("reader, name", [
+    (sio.read_matrix_tsv, "m.tsv"), (sio.read_labels, "labels.tsv"),
+    (sio.read_corpus_jsonl, "corpus.jsonl"), (sio.read_json, "doc.json"),
+])
+def test_invalid_utf8_is_parse_error(tmp_path, reader, name):
+    path = tmp_path / name
+    path.write_bytes(b'{"id": "d\xff"}\n')
+    with pytest.raises(ParseError, match="UTF-8"):
+        reader(path)
+
+
 class TestLabels:
     def test_round_trip(self, tmp_path):
         labels = {"i0": "cat", "i1": "dog"}

@@ -59,3 +59,37 @@ def test_probe_job_counts_a_pipeline_with_fewshot_labels(tmp_path):
     assert counts["propagate.clamped"] == fewshot
     assert counts["classify.attributes"] == 8
     assert counts["propagate.sweeps"] >= 1
+
+
+def test_probe_job_counts_the_bytes_of_every_file_read_and_written(tmp_path):
+    """The io layer of the benchmark sees the matrix reader and writer."""
+    from semtransfer import SynthConfig, gen_dataset
+    import semtransfer.io as sio
+
+    ds = gen_dataset(SynthConfig(n_known=4, n_novel=3, n_attributes=8, feature_dim=8,
+                                 train_per_known=10, test_per_novel=10, fewshot_per_novel=2,
+                                 seed=5))
+    data = {"features": tmp_path / "features.tsv", "labels": tmp_path / "labels.tsv",
+            "associations": tmp_path / "associations.tsv", "split": tmp_path / "split.json"}
+    sio.write_features(data["features"], ds.features)
+    sio.write_labels(data["labels"], ds.labels)
+    sio.write_association(data["associations"], ds.associations)
+    sio.write_split(data["split"], ds.split)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"data": {k: str(p) for k, p in data.items()},
+                                  "train": {"max_iters": 50}, "pst": {"k": 4}}))
+    rel = tmp_path / "rel.tsv"
+    rel.write_text("# type=relatedness\n\ta\tb\nc\t0.5\t0\nd\t0.25\t1\n")
+
+    out, assoc = tmp_path / "out", tmp_path / "assoc.tsv"
+    counts = run_probe(tmp_path, [
+        ["pipeline", "--config", str(config), "--out-dir", str(out)],
+        ["assoc", "--relatedness", str(rel), "--policy", "per_attribute_mean",
+         "--out", str(assoc)],
+    ])
+    assert {p.name for p in out.iterdir()} >= {"attribute_scores.tsv", "zeroshot_scores.tsv",
+                                                "pst_scores.tsv"}
+    read = [config, *data.values(), rel]
+    written = [*out.iterdir(), assoc]
+    assert counts["io.read_bytes"] == sum(p.stat().st_size for p in read)
+    assert counts["io.write_bytes"] == sum(p.stat().st_size for p in written)

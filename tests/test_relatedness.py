@@ -547,6 +547,9 @@ class TestSignatureRelatedness:
         with pytest.raises(ValidationError):
             signature_relatedness(assoc, ["x"], ["x"])
 
+    def test_tagged_signature(self):
+        assert signature_relatedness(self._assoc(), ["x"], ["y"]).measure == "signature"
+
 
 class TestBinarize:
     def _rel(self):
