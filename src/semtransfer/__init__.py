@@ -29,7 +29,6 @@ from .relatedness import (
     esa_relatedness,
     lin_relatedness,
     mine_relatedness,
-    tfidf_associations,
     tokenize,
 )
 from .classify import (
@@ -83,7 +82,7 @@ __all__ = [
     "RelatednessMatrix", "ValidationError", "clean_identifier", "validate_split",
     "CorpusIndex", "Taxonomy", "binarize", "build_corpus_index",
     "dice_hitcount", "dice_snippet", "esa_relatedness",
-    "lin_relatedness", "mine_relatedness", "tfidf_associations", "tokenize",
+    "lin_relatedness", "mine_relatedness", "tokenize",
     "AttributeModel", "TrainConfig", "logistic_loss_and_grad",
     "predict_attribute_scores", "train_attribute_classifiers",
     "AttributePrior", "attribute_prior_from_associations", "dap_scores",

@@ -38,7 +38,6 @@ from .relatedness import (
     build_corpus_index,
     mine_relatedness,
     signature_relatedness,
-    tfidf_associations,
 )
 from .synth import SynthConfig, corpus_plan_from_associations, gen_corpus, gen_dataset
 from .transfer import (
@@ -142,14 +141,8 @@ def _mine(corpus, categories, attributes, measure: str, window: int | None,
           taxonomy_edges=None, taxonomy_probs=None):
     """Relatedness of every category-attribute pair under ``measure``.
 
-    ``tfidf`` groups the documents by the id prefix before the first ``/``;
     ``lin`` needs both taxonomy files; window 0 means whole documents.
     """
-    if measure == "tfidf":
-        groups: dict[str, list[str]] = {}
-        for doc_id, text in corpus:
-            groups.setdefault(doc_id.split("/", 1)[0], []).append(text)
-        return tfidf_associations({c: groups.get(c, []) for c in categories}, attributes)
     taxonomy = None
     if measure == "lin":
         if not (taxonomy_edges and taxonomy_probs):
@@ -447,8 +440,15 @@ def _from_flags(cls, args):
     return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ParseError (exit 2, one JSON line); subparsers inherit this."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="semtransfer",
         description="Zero- and few-shot category recognition from attribute knowledge.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -530,17 +530,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = None
     # warnings that the active filters let through are held back, so that a
     # failure prints one JSON line and anything else prints each distinct one
     with warnings.catch_warnings(record=True) as caught:
         try:
+            args = build_parser().parse_args(argv)
             code = args.handler(args)
         except (ValidationError, *_PARSE_ERRORS) as exc:
             stage = getattr(exc, "stage", None)
             code = EXIT_VALIDATION if isinstance(exc, ValidationError) else EXIT_PARSE
             print(json.dumps({"error": f"{stage}: {exc}" if stage else str(exc), "code": code,
-                              "stage": stage or args.command}, sort_keys=True), file=sys.stderr)
+                              "stage": stage or getattr(args, "command", "usage")},
+                             sort_keys=True), file=sys.stderr)
             return code
     for message in dict.fromkeys(str(w.message) for w in caught):
         print(f"warning: {message}", file=sys.stderr)

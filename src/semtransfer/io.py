@@ -217,6 +217,8 @@ def read_taxonomy(edges_path, probs_path):
 
     prob: dict[str, float] = {}
     for lineno, (node, value) in _tsv_rows(probs_path, 2, "node<TAB>probability"):
+        if node in prob:
+            raise ParseError(f"{probs_path}:{lineno}: duplicate node {node!r}")
         try:
             prob[node] = float(value)
         except ValueError as exc:

@@ -1,22 +1,23 @@
 """Semantic relatedness between category and attribute terms.
 
-Four pluggable measures over different evidence sources:
+Five pluggable measures over different evidence sources:
 
 * ``dice_hit``      -- Dice coefficient on document hit counts.
 * ``dice_snippet``  -- Dice coefficient on sliding token windows.
 * ``lin``           -- information-theoretic similarity on a probability
                        annotated taxonomy.
 * ``esa``           -- cosine of tf-idf concept vectors.
+* ``tfidf``         -- tf*idf of attribute phrases in each category's text,
+                       the documents whose id prefix names the category.
 
 The corpus is one flat token-id array, and the corpus measures use NumPy
-alone: each sums a weight over the pairs of entries that share a key (a
-token, a document or a block of windows), found by one join and summed with
-``bincount``. Dice counts the windows two terms share from the overlaps of
-their runs of consecutive windows within each block; ``dice_snippet``
-without a window is ``dice_hit``.
-The module also has a tf*idf association miner for per-category script
-text and binarization policies that turn a real-valued relatedness matrix
-into a binary association matrix.
+alone. Dice and ESA sum a weight over the pairs of entries that share a key
+(a token, a document or a block of windows), found by one join and summed
+with ``bincount``; Dice counts the windows two terms share from the overlaps
+of their runs of consecutive windows within each block, and ``dice_snippet``
+without a window is ``dice_hit``. ``tfidf`` follows each phrase token by
+token from the occurrences of its first token. Binarization policies turn a
+real-valued relatedness matrix into a binary association matrix.
 """
 
 from __future__ import annotations
@@ -314,16 +315,11 @@ class Taxonomy:
 
     def lca(self, a: str, b: str) -> str:
         above_a = set(self.ancestors(a))
-        for node in self.ancestors(b):
-            if node in above_a:
-                return node
-        return self.root
+        return next(node for node in self.ancestors(b) if node in above_a)
 
     def tree_distance(self, a: str, b: str) -> int:
         join = self.lca(a, b)
-        pa = self.ancestors(a)
-        pb = self.ancestors(b)
-        return pa.index(join) + pb.index(join)
+        return self.ancestors(a).index(join) + self.ancestors(b).index(join)
 
     def leaf_descendants(self, node: str) -> list[str]:
         """Leaves under ``node`` (the node itself if it is a leaf)."""
@@ -332,8 +328,7 @@ class Taxonomy:
         stack = [node]
         while stack:
             cur = stack.pop()
-            kids = self._children[cur]
-            if kids:
+            if kids := self._children[cur]:
                 stack.extend(reversed(kids))
             else:
                 out.append(cur)
@@ -342,13 +337,10 @@ class Taxonomy:
 
 def lin_relatedness(tax: Taxonomy, a: str, b: str) -> float:
     """2 log p(lcs) / (log p(a) + log p(b)), zero when only the root joins them."""
-    p_join = max(tax.prob[tax.lca(a, b)], 1e-12)
-    pa = max(tax.prob[a], 1e-12)
-    pb = max(tax.prob[b], 1e-12)
+    p_join, pa, pb = (max(tax.prob[n], 1e-12) for n in (tax.lca(a, b), a, b))
     denom = math.log(pa) + math.log(pb)
-    if denom == 0.0:
-        return 0.0
-    return 2.0 * math.log(p_join) / denom
+    # adding 0.0 turns the -0.0 of a join with p(lcs) = 1 into 0.0
+    return 2.0 * math.log(p_join) / denom + 0.0 if denom else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -407,44 +399,50 @@ def esa_relatedness(index: CorpusIndex, a: str, b: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# tf*idf association mining from per-category script text
+# tf*idf of attribute phrases in per-category text
 
 
-def _phrase_count(tokens: list[str], phrase: list[str]) -> int:
-    m = len(phrase)
-    return sum(tokens[i] == phrase[0] and tokens[i:i + m] == phrase
-               for i in range(len(tokens) - m + 1))
+def _tfidf(index: CorpusIndex, categories: Sequence[str], attributes: Sequence[str]) -> np.ndarray:
+    """(occurrences of an attribute in a category's text / the category's
+    token count) * log(#categories / #categories mentioning the attribute).
 
-
-def tfidf_associations(script_docs: Mapping[str, Sequence[str]],
-                       attribute_vocab: Sequence[str]) -> RelatednessMatrix:
-    """Mine category-attribute strengths from per-category text collections.
-
-    Entry (y, a) = (occurrences of a in y's text / y's token count) *
-    log(#categories / #categories mentioning a). Attributes mentioned
-    nowhere get zero everywhere.
+    A category's text is the documents whose id up to the first ``/`` names
+    it; other documents are ignored. A phrase occurs where its tokens follow
+    each other within one document, overlapping occurrences included.
     """
-    if not script_docs:
-        raise ValidationError("no script text given")
-    categories = clean_ids(script_docs, "categories")
-    attributes = clean_ids(attribute_vocab, "attributes")
-    if not attributes:
-        raise ValidationError("empty attribute vocabulary")
+    if not (categories and attributes):
+        raise ValidationError("tfidf needs categories and attributes")
     phrases = [_term_tokens(a) for a in attributes]
-
-    cat_tokens = [list(chain.from_iterable(map(tokenize, docs))) for docs in script_docs.values()]
-    for cat, toks in zip(script_docs, cat_tokens):
-        if not toks:
-            raise ValidationError(f"category without script text: {cat!r}")
-
-    counts = np.array([[_phrase_count(toks, phrase) for phrase in phrases]
-                       for toks in cat_tokens], dtype=float)
+    row = {c: i for i, c in enumerate(categories)}
+    cat = np.array([row.get(d.split("/", 1)[0], -1) for d in index.doc_ids], dtype=np.int64)
+    doc_len = np.diff(index.doc_ptr)
+    lengths = np.bincount(cat[cat >= 0], weights=doc_len[cat >= 0], minlength=len(categories))
+    if (empty := np.flatnonzero(lengths == 0)).size:
+        raise ValidationError(f"category without script text: {categories[empty[0]]!r}")
+    # each phrase's token ids: -2 for a token the corpus lacks, -1 past its end
+    ids = np.full((len(phrases), max(map(len, phrases))), -1, dtype=np.int64)
+    for j, phrase in enumerate(phrases):
+        ids[j, :len(phrase)] = [index.postings.get(t, -2) for t in phrase]
+    # a phrase may start at each occurrence of its first token whose document
+    # is a category's and has room for the rest; a start stays while each of
+    # the phrase's next tokens matches
+    firsts = sorted({p[0] for p in phrases} & index.postings.keys())
+    col = {t: i for i, t in enumerate(firsts)}
+    tok, doc, pos = _occurrences(index, firsts)
+    phrase, q = _join(np.array([col.get(p[0], -1) for p in phrases]), tok)
+    doc, at = doc[q], (index.doc_ptr[doc] + pos)[q]
+    keep = (cat[doc] >= 0) & (at + (ids[phrase] != -1).sum(axis=1) <= index.doc_ptr[doc + 1])
+    phrase, doc, at = phrase[keep], doc[keep], at[keep]
+    for k in range(1, ids.shape[1]):
+        want = ids[phrase, k]
+        keep = (want == -1) | (index.tokens[np.minimum(at + k, len(index.tokens) - 1)] == want)
+        phrase, doc, at = phrase[keep], doc[keep], at[keep]
+    counts = np.bincount(cat[doc] * len(phrases) + phrase,
+                         minlength=len(categories) * len(phrases)).reshape(len(categories), -1)
     # an attribute mentioned nowhere has only zero counts, so its idf is moot
     idf = np.array([math.log(len(categories) / df) if df else 0.0
                     for df in (counts > 0).sum(axis=0)])
-    lengths = np.array([len(t) for t in cat_tokens], dtype=float)
-    values = counts / lengths[:, None] * idf
-    return RelatednessMatrix(categories, attributes, values, measure="tfidf")
+    return counts / lengths[:, None] * idf
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +470,8 @@ def mine_relatedness(index: CorpusIndex, categories: Sequence[str],
         values = _dice(both, size[:n], size[n:])
     elif measure == "esa":
         values = _esa(index, categories, attributes)
+    elif measure == "tfidf":
+        values = _tfidf(index, categories, attributes)
     elif measure == "lin":
         if taxonomy is None:
             raise ValidationError("lin measure needs a taxonomy")
@@ -492,21 +492,17 @@ def binarize(rel: RelatednessMatrix, policy: str, *, k: int | None = None,
     their column mean.
     """
     values = rel.values
-    out = np.zeros_like(values)
     if policy == "per_attribute_topk":
         if k is None or k < 1:
             raise ValidationError("per_attribute_topk needs k >= 1")
-        kk = min(k, values.shape[0])
-        for j in range(values.shape[1]):
-            top = np.argsort(-values[:, j], kind="stable")[:kk]
-            out[top, j] = 1.0
+        out = np.zeros_like(values)
+        np.put_along_axis(out, np.argsort(-values, axis=0, kind="stable")[:k], 1.0, axis=0)
     elif policy == "global_threshold":
         if threshold is None:
             raise ValidationError("global_threshold needs a threshold")
         out = (values >= threshold).astype(float)
     elif policy == "per_attribute_mean":
-        means = values.mean(axis=0, keepdims=True)
-        out = (values >= means).astype(float)
+        out = (values >= values.mean(axis=0, keepdims=True)).astype(float)
     else:
         raise ValidationError(f"unknown binarize policy: {policy!r}")
     return AssociationMatrix(rel.categories, rel.attributes, out, binary=True)

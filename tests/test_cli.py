@@ -160,12 +160,74 @@ class TestStepChain:
         assert mined == (tmp_path / "relatedness.tsv").read_bytes()
 
 
+    def test_tfidf_counts_no_phrase_across_documents(self, tmp_path, capsys):
+        sio.write_corpus_jsonl(tmp_path / "corpus.jsonl",
+                               [("X/0", "a long"), ("X/1", "tail b"), ("Y/0", "long tail")])
+        (tmp_path / "terms.json").write_text(json.dumps({"categories": ["X", "Y"],
+                                                         "attributes": ["long tail"]}))
+        code, _ = run(capsys, "mine", "--corpus", tmp_path / "corpus.jsonl",
+                      "--terms", tmp_path / "terms.json", "--measure", "tfidf",
+                      "--out", tmp_path / "rel.tsv")
+        assert code == 0
+        rel = sio.read_relatedness(tmp_path / "rel.tsv")
+        assert rel.values[0, 0] == 0.0
+        assert rel.values[1, 0] > 0.0
+
+
 # how many classifiers capped, and how far the worst was from tol
 CAP_WARNING = (r"^warning: 8 of 8 attribute classifiers hit max_iters=1; "
                r"largest gradient norm \d(\.\d+)?(e[+-]\d+)? \(tol 1e-06\)$")
 
 
 class TestErrorContract:
+    @pytest.mark.parametrize("argv", [
+        ["mine", "--measure", "bogus", "--corpus", "c.jsonl", "--terms", "t.json",
+         "--out", "o.tsv"],
+        [],
+        ["assoc", "--relatedness", "r.tsv", "--out", "o.tsv"],
+        ["assoc", "--relatedness", "r.tsv", "--policy", "per_attribute_topk", "--k", "x",
+         "--out", "o.tsv"],
+        ["eval", "--scores", "s.tsv", "--truth", "t.tsv", "--split", "s.json",
+         "--out", "o.json", "--bogus"],
+    ])
+    def test_usage_errors_exit_2_with_one_json_line(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1, captured.err
+        assert json.loads(lines[0])["code"] == 2
+        assert json.loads(lines[0])["stage"] == "usage"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["mine", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: semtransfer" in capsys.readouterr().out
+
+    def test_lin_duplicate_probability_node_exits_2(self, tmp_path, capsys):
+        sio.write_corpus_jsonl(tmp_path / "corpus.jsonl", [("d0", "x y")])
+        (tmp_path / "terms.json").write_text(json.dumps({"categories": ["x"],
+                                                         "attributes": ["y", "z"]}))
+        (tmp_path / "edges.tsv").write_text("x\troot\ny\tx\nz\troot\n")
+        probs = "root\t1\nx\t0.5\ny\t0.25\nz\t0.5\n"
+        (tmp_path / "probs.tsv").write_text(probs)
+        argv = ["mine", "--corpus", tmp_path / "corpus.jsonl", "--terms", tmp_path / "terms.json",
+                "--measure", "lin", "--taxonomy-edges", tmp_path / "edges.tsv",
+                "--taxonomy-probs", tmp_path / "probs.tsv", "--out", tmp_path / "lin.tsv"]
+        code, _ = run(capsys, *argv)
+        assert code == 0
+        # x and z join only at the root, which gives +0, written as "0"
+        cells = (tmp_path / "lin.tsv").read_text().splitlines()[-1].split("\t")
+        assert cells[0] == "x" and cells[2] == "0"
+        (tmp_path / "probs.tsv").write_text(probs + "y\t0.1\n")
+        code, err = run(capsys, *argv)
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert "probs.tsv:5: duplicate node 'y'" in last_error(err)["error"]
+
     def test_missing_file_exits_2_with_json_error(self, tmp_path, capsys):
         code, err = run(capsys, "assoc", "--relatedness", tmp_path / "nope.tsv",
                         "--policy", "per_attribute_mean", "--out", tmp_path / "o.tsv")

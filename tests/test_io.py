@@ -212,6 +212,13 @@ class TestTaxonomyFiles:
         with pytest.raises(ParseError):
             sio.read_taxonomy(edges, probs)
 
+    def test_duplicate_probability_node_rejected(self, tmp_path):
+        edges, probs = tmp_path / "edges.tsv", tmp_path / "probs.tsv"
+        edges.write_text("x\troot\n")
+        probs.write_text("root\t1\nx\t0.2\nx\t0.1\n")
+        with pytest.raises(ParseError, match=r"probs.tsv:3: duplicate node 'x'"):
+            sio.read_taxonomy(edges, probs)
+
 
 class TestModelJson:
     def test_round_trip_exact(self, tmp_path):

@@ -17,7 +17,6 @@ from semtransfer import (
     esa_relatedness,
     lin_relatedness,
     mine_relatedness,
-    tfidf_associations,
     tokenize,
 )
 from semtransfer import RelatednessMatrix
@@ -306,6 +305,7 @@ class TestLin:
 
     def test_root_join_gives_zero(self):
         assert lin_relatedness(self._tax(), "n1", "far") == 0.0
+        assert math.copysign(1.0, lin_relatedness(self._tax(), "n1", "far")) == 1.0
 
     def test_unknown_node_rejected(self):
         with pytest.raises(ValidationError):
@@ -386,11 +386,39 @@ class TestEsa:
             assert 0.0 <= esa_relatedness(idx, a, b) <= 1.0
 
 
+def mine_tfidf(script_docs, attributes):
+    """tfidf of ``attributes`` over {category: [text, ...]}, one document per text."""
+    docs = [(f"{c}/{i}", text) for c, texts in script_docs.items() for i, text in enumerate(texts)]
+    index = build_corpus_index(docs or [("none", "")])
+    return mine_relatedness(index, list(script_docs), attributes, "tfidf")
+
+
+def tfidf_oracle(docs, categories, attributes):
+    """Phrase counts per document, summed per category, under the formula
+    ``counts / lengths[:, None] * idf``."""
+    counts = np.zeros((len(categories), len(attributes)))
+    lengths = np.zeros(len(categories))
+    for doc_id, text in docs:
+        prefix = doc_id.split("/", 1)[0]
+        if prefix not in categories:
+            continue
+        i = categories.index(prefix)
+        toks = tokenize(text)
+        lengths[i] += len(toks)
+        for j, attr in enumerate(attributes):
+            phrase = tokenize(attr)
+            counts[i, j] += sum(toks[s:s + len(phrase)] == phrase
+                                for s in range(len(toks) - len(phrase) + 1))
+    idf = np.array([math.log(len(categories) / df) if df else 0.0
+                    for df in (counts > 0).sum(axis=0)])
+    return counts / lengths[:, None] * idf
+
+
 class TestTfidfAssociations:
     def test_hand_value(self):
         # category X: 5 tokens, one "claw" -> tf 0.2; only 1 of 2 categories
         # mentions it -> idf log 2
-        rel = tfidf_associations(
+        rel = mine_tfidf(
             {"X": ["claw den rock tree moss"], "Y": ["river fish water reed mud"]},
             ["claw"])
         i = rel.categories.index("X")
@@ -399,15 +427,15 @@ class TestTfidfAssociations:
         assert rel.values[rel.categories.index("Y"), j] == 0.0
 
     def test_attribute_in_every_category_gets_zero_idf(self):
-        rel = tfidf_associations({"X": ["claw claw"], "Y": ["claw den"]}, ["claw"])
+        rel = mine_tfidf({"X": ["claw claw"], "Y": ["claw den"]}, ["claw"])
         assert np.all(rel.values == 0.0)
 
     def test_unseen_attribute_is_zero_everywhere(self):
-        rel = tfidf_associations({"X": ["den"], "Y": ["river"]}, ["wings"])
+        rel = mine_tfidf({"X": ["den"], "Y": ["river"]}, ["wings"])
         assert np.all(rel.values == 0.0)
 
     def test_multiword_attribute_counts_contiguous_occurrences(self):
-        rel = tfidf_associations(
+        rel = mine_tfidf(
             {"X": ["long tail swims long tail"], "Y": ["tail long nothing here now"]},
             ["long tail"])
         # X has 2 contiguous matches of 5 tokens; Y has none (wrong order)
@@ -419,7 +447,40 @@ class TestTfidfAssociations:
 
     def test_category_without_text_rejected(self):
         with pytest.raises(ValidationError):
-            tfidf_associations({"X": [], "Y": ["den"]}, ["claw"])
+            mine_tfidf({"X": [], "Y": ["den"]}, ["claw"])
+
+    def test_phrase_is_counted_within_one_document(self):
+        rel = mine_tfidf({"X": ["a long", "tail b"], "Y": ["long tail"]}, ["long tail"])
+        assert rel.values[0, 0] == 0.0
+        assert rel.values[1, 0] == pytest.approx(0.5 * math.log(2), abs=1e-12)
+
+    def test_overlapping_occurrences_count(self):
+        rel = mine_tfidf({"X": ["a a a"], "Y": ["b"]}, ["a a"])
+        assert rel.values[0, 0] == pytest.approx((2 / 3) * math.log(2), abs=1e-12)
+
+    def test_empty_term_lists_rejected(self):
+        with pytest.raises(ValidationError):
+            mine_tfidf({"X": ["den"]}, [])
+        with pytest.raises(ValidationError):
+            mine_tfidf({}, ["den"])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_per_document_counts_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        vocab = [f"w{i}" for i in range(4 + seed)]
+        categories = [f"c{i}" for i in range(2 + seed % 3)]
+        docs = [(f"{rng.choice(categories + ['other'])}/{d}",
+                 " ".join(rng.choice(vocab, size=rng.integers(0, 12))))
+                for d in range(20)]
+        docs += [(f"{c}/pad", " ".join(rng.choice(vocab, size=3))) for c in categories]
+        # multi-word phrases, repeated tokens ("w0 w0") and absent tokens
+        attributes = ["w0", "w0 w0", "w1 w2", "w2 w1 w2", "absent", "w1 absent",
+                      *dict.fromkeys(" ".join(rng.choice(vocab, size=rng.integers(1, 4)))
+                                     for _ in range(8))]
+        attributes = list(dict.fromkeys(attributes))
+        rel = mine_relatedness(build_corpus_index(docs), categories, attributes, "tfidf")
+        want = tfidf_oracle(docs, categories, attributes)
+        assert rel.values.tobytes() == want.tobytes()
 
 
 class TestMineRelatedness:
@@ -570,6 +631,19 @@ class TestBinarize:
         assoc = binarize(self._rel(), "per_attribute_topk", k=1)
         assert assoc.values[0, 2] == 1.0
         assert assoc.values[1, 2] == 0.0
+
+    @pytest.mark.filterwarnings("ignore:categories with no associated attribute")
+    @pytest.mark.parametrize("k", [1, 2, 3, 7])
+    def test_topk_equals_a_stable_sort_per_column(self, k):
+        rng = np.random.default_rng(k)
+        values = rng.integers(0, 3, size=(5, 9)) / 2.0  # heavily tied
+        rel = RelatednessMatrix(tuple(f"c{i}" for i in range(5)),
+                                tuple(f"a{j}" for j in range(9)), values)
+        want = np.zeros_like(values)
+        for j in range(values.shape[1]):
+            want[np.argsort(-values[:, j], kind="stable")[:k], j] = 1.0
+        got = binarize(rel, "per_attribute_topk", k=k).values
+        assert got.tobytes() == want.tobytes()
 
     def test_topk_caps_at_category_count(self):
         assoc = binarize(self._rel(), "per_attribute_topk", k=10)
