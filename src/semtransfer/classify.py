@@ -116,11 +116,7 @@ def train_attribute_classifiers(features: FeatureMatrix, labels: Mapping[str, st
     """
     if not labels:
         raise ValidationError("no training labels")
-    inst_index = {inst: i for i, inst in enumerate(features.instances)}
-    missing = [inst for inst in labels if inst not in inst_index]
-    if missing:
-        raise ValidationError(f"labeled instance without features: {missing[0]!r}")
-    X_raw = features.values[[inst_index[inst] for inst in labels]]
+    X_raw = features.take(list(labels)).values
     cat_rows = [assoc.category_index(cat) for cat in labels.values()]
     targets = np.ascontiguousarray(assoc.values[cat_rows].T)  # (n_attributes, n_train)
 
@@ -151,8 +147,16 @@ def train_attribute_classifiers(features: FeatureMatrix, labels: Mapping[str, st
             break
         E = np.exp(-np.abs(Z))  # p(1 - p) = e / (1 + e)^2, exact in both tails
         # every row starts at theta = 0, so step 0 needs only one Hessian
-        H = np.array([X1T * (e / (n * (1.0 + e) ** 2)) @ X1 for e in (E[:1] if step == 0 else E)])
-        D = np.linalg.solve(H + np.diag(reg), G[:, :, None])[:, :, 0]
+        H = np.array([X1T * (e / (n * (1.0 + e) ** 2)) @ X1
+                      for e in (E[:1] if step == 0 else E)]) + np.diag(reg)
+        try:
+            D = np.linalg.solve(H, G[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:  # collinear features or saturated probabilities
+            # with l2 below rounding; name the first singular system (step 0 has one)
+            singular = np.broadcast_to(np.linalg.slogdet(H)[0] == 0, active.shape)
+            bad = assoc.attributes[active[singular.argmax()]]
+            raise ValidationError(f"attribute {bad!r}: singular Newton system at "
+                                  f"l2={config.l2:g}; l2 is too small for these features") from None
         # halve the Newton step until it passes Armijo's test up to rounding slack:
         # far from the optimum (weak l2, separable data) the full step overshoots
         t = np.ones(active.size)

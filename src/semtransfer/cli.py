@@ -34,6 +34,8 @@ from .core import (
 from .metrics import PROTOCOLS, evaluate_zero_shot
 from .propagate import KERNELS, PropagationConfig, pst
 from .relatedness import (
+    MEASURES,
+    POLICIES,
     binarize,
     build_corpus_index,
     mine_relatedness,
@@ -137,18 +139,23 @@ def _write_corpus(out: Path, assoc: AssociationMatrix, docs_per_pair: int,
     return corpus
 
 
-def _mine(corpus, categories, attributes, measure: str, window: int | None,
+def _mine(read_corpus, categories, attributes, measure: str, window: int | None,
           taxonomy_edges=None, taxonomy_probs=None):
     """Relatedness of every category-attribute pair under ``measure``.
 
-    ``lin`` needs both taxonomy files; window 0 means whole documents.
+    ``lin`` needs both taxonomy files and no corpus; the other measures index
+    the documents ``read_corpus()`` returns. Window 0 means whole documents.
     """
-    taxonomy = None
+    index = taxonomy = None
     if measure == "lin":
         if not (taxonomy_edges and taxonomy_probs):
             raise ValidationError("lin measure needs taxonomy edges and probabilities")
         taxonomy = io.read_taxonomy(taxonomy_edges, taxonomy_probs)
-    return mine_relatedness(build_corpus_index(corpus), categories, attributes, measure,
+    elif measure in MEASURES:
+        if read_corpus is None:
+            raise ValidationError(f"{measure} needs a corpus")
+        index = build_corpus_index(read_corpus())
+    return mine_relatedness(index, categories, attributes, measure,
                             window=window or None, taxonomy=taxonomy)
 
 
@@ -221,7 +228,8 @@ def _report_caps(lines: list[str], strict: bool) -> int:
 
 def cmd_mine(args) -> int:
     categories, attributes = _load_terms(args.terms)
-    rel = _mine(io.read_corpus_jsonl(args.corpus), categories, attributes, args.measure,
+    read_corpus = (lambda: io.read_corpus_jsonl(args.corpus)) if args.corpus else None
+    rel = _mine(read_corpus, categories, attributes, args.measure,
                 args.window, args.taxonomy_edges, args.taxonomy_probs)
     io.write_matrix(args.out, rel)
     return EXIT_OK
@@ -346,13 +354,12 @@ def cmd_pipeline(args) -> int:
     rel = None
     with _stage("mine"):
         if "mine" in cfg:
-            if corpus is None:
-                raise ValidationError("mining needs a corpus section")
             sec = _section(cfg, "mine",
                            {"measure", "window", "taxonomy_edges", "taxonomy_probs"})
             taxonomy = [_config_path(base, sec, key, "mine") if key in sec else None
                         for key in ("taxonomy_edges", "taxonomy_probs")]
-            rel = _mine(corpus, base_assoc.categories, base_assoc.attributes,
+            rel = _mine(None if corpus is None else lambda: corpus,
+                        base_assoc.categories, base_assoc.attributes,
                         _typed(sec, "measure", "dice_hit", "str", "mine"),
                         _typed(sec, "window", 20, "int | None", "mine"), *taxonomy)
             io.write_matrix(out / "relatedness.tsv", rel)
@@ -454,10 +461,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mine", help="mine a relatedness matrix from a corpus")
-    p.add_argument("--corpus", required=True, help="JSONL documents with id/text fields")
+    p.add_argument("--corpus", help="JSONL documents with id/text fields (all measures but lin)")
     p.add_argument("--terms", required=True, help="JSON with categories/attributes lists")
-    p.add_argument("--measure", required=True,
-                   choices=["dice_hit", "dice_snippet", "esa", "lin", "tfidf"])
+    p.add_argument("--measure", required=True, choices=MEASURES)
     p.add_argument("--window", type=int, default=20,
                    help="snippet window in tokens; 0 means whole documents")
     p.add_argument("--taxonomy-edges", help="child<TAB>parent edge list (lin)")
@@ -467,8 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("assoc", help="binarize relatedness into associations")
     p.add_argument("--relatedness", required=True)
-    p.add_argument("--policy", required=True,
-                   choices=["per_attribute_topk", "global_threshold", "per_attribute_mean"])
+    p.add_argument("--policy", required=True, choices=POLICIES)
     p.add_argument("--k", type=int)
     p.add_argument("--threshold", type=float)
     p.add_argument("--out", required=True)

@@ -76,14 +76,17 @@ class LabelledMatrix:
         freeze(self, values=vals, **axes)
 
     def take(self, ids: Sequence[str]):
-        """The same matrix restricted to the rows named by ``ids``, in that order."""
+        """The same matrix restricted to the rows named by ``ids``, in that order,
+        without repeating the warnings that the source matrix already gave."""
         axis = self.layout()[0][0].name
         index = {r: i for i, r in enumerate(getattr(self, axis))}
         try:
             rows = [index[r] for r in ids]
         except KeyError as exc:
             raise ValidationError(f"not in {axis}: {exc.args[0]!r}") from None
-        return replace(self, **{axis: tuple(ids), "values": self.values[rows]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return replace(self, **{axis: tuple(ids), "values": self.values[rows]})
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,25 +113,16 @@ class AssociationMatrix(LabelledMatrix):
                 raise ValidationError("binary association entries must be 0 or 1")
             empty = [cats[i] for i in np.flatnonzero(vals.sum(axis=1) == 0)]
             if empty:
-                warnings.warn(
-                    f"categories with no associated attribute: {', '.join(empty)}",
-                    stacklevel=2,
-                )
-        # lookup maps built once; training looks up one category per label
-        freeze(self, _category_rows={c: i for i, c in enumerate(cats)},
-               _attribute_columns={a: j for j, a in enumerate(self.attributes)})
+                warnings.warn(f"categories with no associated attribute: {', '.join(empty)}",
+                              stacklevel=3)  # the caller of the generated __init__
+        # built once; training looks up one category per label
+        freeze(self, _category_rows={c: i for i, c in enumerate(cats)})
 
     def category_index(self, category: str) -> int:
         try:
             return self._category_rows[category]
         except KeyError:
             raise ValidationError(f"unknown category: {category!r}") from None
-
-    def attribute_index(self, attribute: str) -> int:
-        try:
-            return self._attribute_columns[attribute]
-        except KeyError:
-            raise ValidationError(f"unknown attribute: {attribute!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,7 +151,7 @@ class FeatureMatrix(LabelledMatrix):
         return self.values.shape[1]
 
 
-VALID_MEASURES = ("dice_hit", "dice_snippet", "lin", "esa", "tfidf", "signature")
+VALID_MEASURES = ("dice_hit", "dice_snippet", "esa", "lin", "tfidf", "signature")
 
 
 @dataclass(frozen=True, eq=False)

@@ -113,13 +113,9 @@ def multiclass_accuracy(scores: CategoryScoreMatrix, truth: Mapping[str, str],
         instances = [i for i in scores.instances if i in truth]
     if not instances:
         raise ValidationError("no instances to score")
-    idx = {inst: i for i, inst in enumerate(scores.instances)}
-    for inst in instances:
-        if inst not in idx:
-            raise ValidationError(f"instance without scores: {inst!r}")
-        if inst not in truth:
-            raise ValidationError(f"instance without truth label: {inst!r}")
-    picks = np.argmax(scores.values[[idx[inst] for inst in instances]], axis=1)
+    picks = np.argmax(scores.take(instances).values, axis=1)
+    if missing := [inst for inst in instances if inst not in truth]:
+        raise ValidationError(f"instance without truth label: {missing[0]!r}")
     right = _positives([truth[inst] for inst in instances], scores.categories)
     return int(right[np.arange(len(instances)), picks].sum()) / len(instances)
 
@@ -167,12 +163,7 @@ def evaluate_zero_shot(scores: CategoryScoreMatrix, truth: Mapping[str, str],
         raise ValidationError("no novel-category test instances")
 
     pool = novel_pool + (distractor_pool if protocol == "with_distractors" else [])
-    idx = {inst: i for i, inst in enumerate(scores.instances)}
-    if missing := [inst for inst in pool if inst not in idx]:
-        raise ValidationError(f"test instances without scores: {missing[:5]}")
-    V = scores.values[[idx[inst] for inst in pool]]
-    if not np.isfinite(V).all():
-        raise ValidationError("scores must be finite")
+    V = scores.take(pool).values
     positives = _positives([truth[inst] for inst in pool], scores.categories)
 
     per_auc: dict[str, float] = {}

@@ -30,10 +30,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import (AssociationMatrix, RelatednessMatrix, ValidationError, clean_identifier,
-                   clean_ids, freeze)
+from .core import (VALID_MEASURES, AssociationMatrix, RelatednessMatrix, ValidationError,
+                   clean_identifier, clean_ids, freeze)
 
 _STRIP = string.punctuation
+
+MEASURES = tuple(m for m in VALID_MEASURES if m != "signature")  # the minable ones
+POLICIES = ("per_attribute_topk", "global_threshold", "per_attribute_mean")
 
 
 def tokenize(text: str) -> list[str]:
@@ -235,9 +238,7 @@ def signature_relatedness(assoc: AssociationMatrix, rows: Sequence[str],
     """Dice overlap of binary attribute signatures, ``rows`` x ``cols`` categories."""
     if not assoc.binary:
         raise ValidationError("similarity transfer needs binary associations")
-    at = {c: i for i, c in enumerate(assoc.categories)}
-    a = assoc.values[[at[c] for c in rows]]
-    b = assoc.values[[at[c] for c in cols]]
+    a, b = assoc.take(rows).values, assoc.take(cols).values
     values = _dice(a @ b.T, a.sum(axis=1), b.sum(axis=1))
     return RelatednessMatrix(tuple(rows), tuple(cols), values, measure="signature")
 
@@ -354,32 +355,22 @@ def _esa(index: CorpusIndex, rows: Sequence[str], cols: Sequence[str]) -> np.nda
     is the raw in-document count, idf is log(#docs / df)). Terms with equal
     token lists give exactly 1 and terms without any weight give 0.
 
-    Every sum runs in the order that ``scipy.sparse``'s CSR products use, so
-    the values are bit for bit those of ``select @ tfidf`` and its cross
-    products, a formulation the tests keep as an oracle.
+    Every sum runs in ascending order: a concept vector's over its tokens,
+    the cross products' and the norms' over documents.
     """
     toks, tokens, (sel_term, sel_col, mult) = _select_tokens(index, [*rows, *cols])
     tok, doc, _ = _occurrences(index, tokens)
     key, count = np.unique(tok * index.n_docs + doc, return_counts=True)
     tok, doc = np.divmod(key, index.n_docs)
     idf = np.array([math.log(index.n_docs / d) for d in np.bincount(tok, minlength=len(tokens))])
-    # concept vectors, summed in the order a CSR product inserts their
-    # entries: per term, its tokens ascending, each token's documents ascending
+    # concept vectors: each (term, document) entry adds its tokens ascending
     p, q = _join(sel_col, tok)
-    key, first, inverse = np.unique(sel_term[p] * index.n_docs + doc[q],
-                                    return_index=True, return_inverse=True)
+    key, inverse = np.unique(sel_term[p] * index.n_docs + doc[q], return_inverse=True)
     v = np.bincount(inverse, weights=mult[p] * (count * idf[tok])[q])
-    # CSR keeps each row in reverse order of insertion and drops zero sums
-    # (a token in every document has idf 0)
-    stored = np.argsort(first)[::-1]
-    stored = stored[v[stored] != 0]
-    (term, doc), v = np.divmod(key[stored], index.n_docs), v[stored]
+    # zero sums are dropped (a token in every document has idf 0)
+    (term, doc), v = np.divmod(key[v != 0], index.n_docs), v[v != 0]
     n, m = len(rows), len(cols)
     cross = _pair_sums(term, doc, n, m, lambda p, q: v[p] * v[q])
-    # an elementwise product keeps the order of a CSR matrix whose rows are
-    # all sorted and reverses any other's; the squared norms add up in it
-    if np.any((term[1:] == term[:-1]) & (doc[1:] <= doc[:-1])):
-        term, v = term[::-1], v[::-1]
     starts = np.flatnonzero(np.diff(term, prepend=-1))
     norms = np.zeros(len(toks))
     if starts.size:
@@ -449,11 +440,11 @@ def _tfidf(index: CorpusIndex, categories: Sequence[str], attributes: Sequence[s
 # Whole-matrix mining, binarization
 
 
-def mine_relatedness(index: CorpusIndex, categories: Sequence[str],
+def mine_relatedness(index: CorpusIndex | None, categories: Sequence[str],
                      attributes: Sequence[str], measure: str, *,
                      window: int | None = 20,
                      taxonomy: Taxonomy | None = None) -> RelatednessMatrix:
-    """Fill a categories x attributes matrix with one relatedness measure."""
+    """Fill a categories x attributes matrix with one measure; only ``lin`` needs no index."""
     categories = clean_ids(categories, "categories")
     attributes = clean_ids(attributes, "attributes")
     if measure in ("dice_hit", "dice_snippet"):

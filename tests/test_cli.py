@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 import semtransfer.io as sio
-from semtransfer import AttributeScoreMatrix, CategoryScoreMatrix, TrainConfig
+from semtransfer import AssociationMatrix, AttributeScoreMatrix, CategoryScoreMatrix, TrainConfig
 from semtransfer.cli import build_parser, main
 
 
@@ -227,6 +227,69 @@ class TestErrorContract:
         assert code == 2
         assert len(err.strip().splitlines()) == 1
         assert "probs.tsv:5: duplicate node 'y'" in last_error(err)["error"]
+
+    def test_lin_touches_no_corpus(self, tmp_path, capsys):
+        # lin reads only the taxonomy: a corpus it could not index, or none, changes nothing
+        sio.write_corpus_jsonl(tmp_path / "corpus.jsonl", [("d", "x y"), ("d", "y z")])
+        (tmp_path / "terms.json").write_text(json.dumps({"categories": ["x"],
+                                                         "attributes": ["y", "z"]}))
+        (tmp_path / "edges.tsv").write_text("x\troot\ny\tx\nz\troot\n")
+        (tmp_path / "probs.tsv").write_text("root\t1\nx\t0.5\ny\t0.25\nz\t0.5\n")
+        argv = ["mine", "--terms", tmp_path / "terms.json", "--measure", "lin",
+                "--taxonomy-edges", tmp_path / "edges.tsv",
+                "--taxonomy-probs", tmp_path / "probs.tsv", "--out"]
+        with_corpus = run(capsys, *argv, tmp_path / "a.tsv", "--corpus", tmp_path / "corpus.jsonl")
+        without = run(capsys, *argv, tmp_path / "b.tsv")
+        assert with_corpus == without == (0, "")
+        assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
+
+    @pytest.mark.parametrize("measure", ["dice_hit", "dice_snippet", "esa", "tfidf"])
+    def test_corpus_measure_without_corpus_exits_3(self, synth_dir, tmp_path, capsys, measure):
+        code, err = run(capsys, "mine", "--terms", synth_dir / "terms.json",
+                        "--measure", measure, "--out", tmp_path / "rel.tsv")
+        lines = err.strip().splitlines()
+        assert (code, len(lines)) == (3, 1), err
+        assert json.loads(lines[0])["error"] == f"{measure} needs a corpus"
+
+    def test_pipeline_corpus_measure_without_corpus_exits_3(self, synth_dir, capsys):
+        config = data_config(synth_dir, mine={"measure": "esa"},
+                             assoc={"policy": "per_attribute_topk", "k": 2})
+        code, err = run(capsys, "pipeline", "--config", config)
+        lines = err.strip().splitlines()
+        assert (code, len(lines)) == (3, 1), err
+        assert json.loads(lines[0]) == {"code": 3, "error": "mine: esa needs a corpus",
+                                        "stage": "mine"}
+
+    def test_singular_training_exits_3(self, tmp_path, capsys):
+        # noise-free clusters give collinear features, which an l2 of 1e-20 cannot regularize
+        data = tmp_path / "s0"
+        assert run(capsys, "synth", "--out-dir", data, "--seed", "3",
+                   "--cluster-noise", "0")[0] == 0
+        code, err = run(capsys, "train", "--features", data / "features.tsv",
+                        "--assoc", data / "associations.tsv", "--split", data / "split.json",
+                        "--l2", "1e-20", "--out", tmp_path / "m.json")
+        lines = err.strip().splitlines()
+        assert (code, len(lines)) == (3, 1), err
+        payload = json.loads(lines[0])
+        assert payload["stage"] == "train"
+        assert "attribute 'a00'" in payload["error"] and "l2=1e-20" in payload["error"]
+        assert not (tmp_path / "m.json").exists()
+
+    def test_zeroshot_warns_once_about_empty_rows(self, synth_dir, tmp_path, capsys):
+        inputs = ["--features", synth_dir / "features.tsv", "--split", synth_dir / "split.json"]
+        code, _ = run(capsys, "train", *inputs, "--assoc", synth_dir / "associations.tsv",
+                      "--out", tmp_path / "model.json")
+        assert code == 0
+        assoc = sio.read_association(synth_dir / "associations.tsv")
+        values = np.array(assoc.values)
+        values[[assoc.category_index("k00"), assoc.category_index("n00")]] = 0.0
+        with pytest.warns(UserWarning):
+            empty = AssociationMatrix(assoc.categories, assoc.attributes, values, binary=True)
+        sio.write_matrix(tmp_path / "empty.tsv", empty)
+        code, err = run(capsys, "zeroshot", "--model", tmp_path / "model.json", *inputs,
+                        "--assoc", tmp_path / "empty.tsv", "--out", tmp_path / "zs.tsv")
+        assert code == 0
+        assert err.splitlines() == ["warning: categories with no associated attribute: k00, n00"]
 
     def test_missing_file_exits_2_with_json_error(self, tmp_path, capsys):
         code, err = run(capsys, "assoc", "--relatedness", tmp_path / "nope.tsv",

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,12 @@ from semtransfer import (
     RelatednessMatrix,
     ValidationError,
     clean_identifier,
+    evaluate_zero_shot,
+    multiclass_accuracy,
+    train_attribute_classifiers,
     validate_split,
 )
+from semtransfer.relatedness import signature_relatedness
 
 
 class TestIdentifiers:
@@ -36,8 +42,10 @@ class TestAssociationMatrix:
             AssociationMatrix(("c",), ("a",), np.array([[0.5]]), binary=True)
 
     def test_binary_zero_row_warns(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             AssociationMatrix(("c", "d"), ("a",), np.array([[1.0], [0.0]]), binary=True)
+        # the warning points at the line that calls the constructor
+        assert [w.filename for w in record] == [__file__]
 
     def test_values_read_only(self):
         m = AssociationMatrix(("c",), ("a",), np.array([[0.5]]))
@@ -55,12 +63,9 @@ class TestAssociationMatrix:
     def test_index_helpers(self):
         m = AssociationMatrix(("c", "d"), ("a", "b"), np.zeros((2, 2)))
         assert m.category_index("d") == 1
-        assert m.attribute_index("a") == 0
         assert [m.category_index(c) for c in ("d", "c", "d")] == [1, 0, 1]
         with pytest.raises(ValidationError):
             m.category_index("a")
-        with pytest.raises(ValidationError):
-            m.attribute_index("c")
 
 
 class TestOtherMatrices:
@@ -120,6 +125,14 @@ class TestLabelledMatrix:
         assert sub.binary
         assert sub.category_index("c") == 1
 
+    def test_take_gives_no_warning_again(self):
+        with pytest.warns(UserWarning):
+            m = AssociationMatrix(("c", "d", "e"), ("a",), [[0], [0], [1]], binary=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sub = m.take(["d", "c"])
+        assert sub.values.tolist() == [[0.0], [0.0]]
+
     def test_take_keeps_the_free_columns(self):
         f = FeatureMatrix(("i", "j"), [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         assert f.take(["j"]).values.tolist() == [[4.0, 5.0, 6.0]]
@@ -178,3 +191,28 @@ class TestSplitValidation:
         assert validate_split(self._split()) == []
         split = self._split(fewshot_instances={"i2": "n0"})
         assert validate_split(split) == ["instance both few-shot and test: i2"]
+
+
+def _missing_row_calls():
+    """Each selection by identifier, handed the ids x and y that its matrix lacks."""
+    features = FeatureMatrix(("i", "j"), [[0.0], [1.0]])
+    assoc = AssociationMatrix(("c", "d"), ("a", "b"), [[1, 0], [0, 1]], binary=True)
+    scores = CategoryScoreMatrix(("i", "j"), ("c", "d"), [[1.0, 0.0], [0.0, 1.0]])
+    truth = {"i": "c", "x": "d", "y": "c", "j": "d"}
+    split = DatasetSplit(set(), {"c", "d"}, {}, truth)
+    return {
+        "train": lambda: train_attribute_classifiers(features, {"i": "c", "x": "c", "y": "d"},
+                                                     assoc),
+        "accuracy": lambda: multiclass_accuracy(scores, truth, ["i", "x", "y"]),
+        "evaluate": lambda: evaluate_zero_shot(scores, truth, split),
+        "signature": lambda: signature_relatedness(assoc, ["c", "x", "y"], ["d"]),
+    }
+
+
+@pytest.mark.parametrize("call,message", [
+    ("train", "not in instances: 'x'"), ("accuracy", "not in instances: 'x'"),
+    ("evaluate", "not in instances: 'x'"), ("signature", "not in categories: 'x'")])
+def test_row_selection_names_the_first_missing_id(call, message):
+    with pytest.raises(ValidationError) as exc:
+        _missing_row_calls()[call]()
+    assert str(exc.value) == message

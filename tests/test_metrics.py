@@ -203,6 +203,12 @@ class TestMulticlassAccuracy:
             multiclass_accuracy(scores, {"i0": "c0"}, ["ghost"])
 
 
+    def test_repeated_instance_rejected(self):
+        scores = CategoryScoreMatrix(("i0",), ("c0",), np.array([[1.0]]))
+        with pytest.raises(ValidationError, match="duplicate"):
+            multiclass_accuracy(scores, {"i0": "c0"}, ["i0", "i0"])
+
+
 def _eval_fixture():
     """Two novel categories, four novel test rows, two known distractors."""
     instances = ("t0", "t1", "t2", "t3", "d0", "d1")

@@ -20,7 +20,7 @@ from semtransfer import (
     tokenize,
 )
 from semtransfer import RelatednessMatrix
-from semtransfer.relatedness import _term_windows, signature_relatedness
+from semtransfer.relatedness import MEASURES, POLICIES, _term_windows, signature_relatedness
 
 
 def brute_dice_docs(docs, a, b):
@@ -86,6 +86,7 @@ def sparse_measure(docs, rows, cols, measure, window=None):
         df = np.diff(token_rows.indptr)
         token_rows.data *= np.repeat([math.log(len(docs) / d) for d in df], df)
         vectors = select @ token_rows
+        vectors.sort_indices()
         norms = np.sqrt((vectors * vectors).sum(axis=1))
         denom = np.outer(norms[:n], norms[n:])
         cos = np.zeros(denom.shape)
@@ -502,6 +503,25 @@ class TestMineRelatedness:
         idx = build_corpus_index([("d0", "a")])
         with pytest.raises(ValidationError):
             mine_relatedness(idx, ["a"], ["b"], "lin")
+
+    def test_every_declared_measure_and_policy_is_dispatched(self):
+        idx = build_corpus_index([("bear/0", "bear claw"), ("otter/0", "otter fin")])
+        tax = Taxonomy({"root": None, "bear": "root", "claw": "bear", "otter": "root"},
+                       {"root": 1.0, "bear": 0.5, "claw": 0.25, "otter": 0.5})
+        for measure in MEASURES:
+            rel = mine_relatedness(idx, ["bear", "otter"], ["claw"], measure, taxonomy=tax)
+            assert rel.measure == measure
+            assert rel.values[0, 0] > rel.values[1, 0] == 0
+        for policy in POLICIES:
+            with pytest.warns(UserWarning, match="otter"):
+                assoc = binarize(rel, policy, k=1, threshold=rel.values[0, 0])
+            assert assoc.values.tolist() == [[1.0], [0.0]]
+
+    def test_lin_reads_no_index(self):
+        tax = Taxonomy({"root": None, "bear": "root", "claw": "bear"},
+                       {"root": 1.0, "bear": 0.5, "claw": 0.25})
+        rel = mine_relatedness(None, ["bear"], ["claw"], "lin", taxonomy=tax)
+        assert rel.values[0, 0] == lin_relatedness(tax, "bear", "claw")
 
     def test_index_is_collected_after_mining(self):
         idx = build_corpus_index([("d0", "bear claw"), ("d1", "otter fin bear")])
