@@ -33,6 +33,15 @@ def clean_ids(ids: Iterable[str], what: str) -> tuple[str, ...]:
     return out
 
 
+def positions(axis: Sequence[str], ids: Iterable[str], name: str) -> list[int]:
+    """Position of each of ``ids`` in ``axis``; a missing one is an error naming it."""
+    index = {r: i for i, r in enumerate(axis)}
+    try:
+        return [index[r] for r in ids]
+    except KeyError as exc:
+        raise ValidationError(f"not in {name}: {exc.args[0]!r}") from None
+
+
 def freeze(obj, **fields) -> None:
     """Set ``fields`` of a frozen dataclass instance, as its __post_init__ may."""
     for name, value in fields.items():
@@ -79,11 +88,7 @@ class LabelledMatrix:
         """The same matrix restricted to the rows named by ``ids``, in that order,
         without repeating the warnings that the source matrix already gave."""
         axis = self.layout()[0][0].name
-        index = {r: i for i, r in enumerate(getattr(self, axis))}
-        try:
-            rows = [index[r] for r in ids]
-        except KeyError as exc:
-            raise ValidationError(f"not in {axis}: {exc.args[0]!r}") from None
+        rows = positions(getattr(self, axis), ids, axis)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             return replace(self, **{axis: tuple(ids), "values": self.values[rows]})

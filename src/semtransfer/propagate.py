@@ -15,13 +15,14 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .core import AttributeScoreMatrix, CategoryScoreMatrix, ValidationError, freeze
+from .core import AttributeScoreMatrix, CategoryScoreMatrix, ValidationError, freeze, positions
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
 KERNELS = ("gaussian", "cosine")
-# Similarity values held per row block of the kNN build (~32 MB of float64).
+# Keys per row block of the kNN build: two float32 blocks of this many
+# (~16 MB each) for the Gaussian filter, two float64 ones for cosine.
 _BLOCK_VALUES = 1 << 22
 # Distances per row block of the median heuristic (~256 KB of float64).
 _CACHE_VALUES = 1 << 15
@@ -56,10 +57,21 @@ class PropagationConfig:
 
 @dataclass(frozen=True, eq=False)
 class SimilarityGraph:
-    """Symmetric weights W and the normalized operator S = D^-1/2 W D^-1/2."""
+    """Symmetric weights W and the normalized operator S = D^-1/2 W D^-1/2.
+
+    ``build_knn_graph`` also records the Gaussian ``sigma`` (None for
+    cosine) and its filter's counts: the candidates it ranked over all rows,
+    the row blocks whose Gaussian filter fell back from float32 to float64,
+    and the rows ranked over every column because their k-th similarity
+    underflowed.
+    """
 
     n: int
     W: sp.csr_matrix
+    sigma: float | None = None
+    candidates: int = 0
+    fallback_blocks: int = 0
+    weak_rows: int = 0
     S: sp.csr_matrix = field(init=False)
 
     def __post_init__(self):
@@ -141,13 +153,17 @@ def build_knn_graph(vectors, k: int, kernel: str = "gaussian",
     of 0 is genuine isolation and still raises.
 
     A row block gets one key per column that rises with distance: the
-    negated cosine, or approximate squared distances from one matrix product
-    on the column-centered vectors. Columns within the row's k-th key plus
-    twice a slack (0 for cosine, a rounding bound for Gaussian) are ranked
-    by similarity; Gaussian ones get exact squared distances, bit for bit
-    SciPy's ``cdist``, and an ``exp``. A Gaussian row whose k-th similarity
-    is below the smallest normal float, where an excluded column could
-    still tie with it, is ranked again over every other column.
+    negated cosine, or approximate squared distances from one float32
+    matrix product on the column-centered vectors. Columns within the row's
+    k-th key plus twice a slack (0 for cosine, a rounding bound for
+    Gaussian) are candidates. The Gaussian filter falls back to float64
+    keys, half the block's rows at a time in the same memory, where float32
+    would overflow or underflow, or where a block keeps more than 4k
+    candidates per row. Candidates are ranked by similarity; Gaussian ones
+    get exact float64 squared distances, bit for bit SciPy's ``cdist``, and
+    an ``exp``. A Gaussian row whose k-th similarity is below the smallest
+    normal float, where an excluded column could still tie with it, is
+    ranked again over every other column.
     """
     if isinstance(vectors, AttributeScoreMatrix):
         vectors = vectors.values
@@ -167,12 +183,14 @@ def build_knn_graph(vectors, k: int, kernel: str = "gaussian",
 
     k = min(k, n - 1)
     tiny = np.finfo(float).tiny
+    rounded = None  # the float32 inputs of the Gaussian filter, if float32 is safe
 
     if kernel == "gaussian":
         left = np.ones((n, d + 1))  # [xc_i, 1]
         Xc = np.subtract(X, X.mean(axis=0), out=left[:, :d])
         sq = np.einsum("ij,ij->i", Xc, Xc)
-        if not np.isfinite(4.0 * sq.max()):  # no squared distance exceeds 4 max s
+        top = sq.max()
+        if not np.isfinite(4.0 * top):  # no squared distance exceeds 4 max s
             raise ValidationError("vectors too large: squared distances overflow")
         if sigma is None:
             sigma = _median_heuristic(X)
@@ -196,45 +214,86 @@ def build_knn_graph(vectors, k: int, kernel: str = "gaussian",
         # |a|u <= 745u (beyond that exp underflows to 0) and exp by an ulp,
         # together under 1/80 of that gap, so its similarity is the smaller
         # as long as the k-th selected one is at least the smallest normal float.
-        slack = (5 * d + 16) * 2.0 ** -53 * (sq + sq.max()) + 2.0 ** -37 * -scale
+        slack = (5 * d + 16) * 2.0 ** -53 * (sq + top) + 2.0 ** -37 * -scale
+        # The float32 product A32_ij, with v = 2^-24: rounding [xc_i, 1] and
+        # [-2 xc_j; s_j] to float32 puts at most two factors (1 + e), |e| <= v,
+        # on each of its d + 1 terms, and the GEMM at most d + 1 more in any
+        # summation order. So |A32_ij - (s_j - 2 xc_i.xc_j)| <= g (s_i + 2 s_j)
+        # with g = (d + 3)v / (1 - (d + 3)v), as 2|xc_i||xc_j| <= s_i + s_j.
+        # The float64 terms stay: B32_i = B_i + g (s_i + 2 max s) + v (s_i + max s).
+        # The spare v covers underflow: while max s >= 2^-100 and d < 2^22,
+        # inputs and products that go subnormal add at most
+        # (2d + 2) 2^-150 (1 + 2 sqrt(max s)) < v max s / 2 to A32_ij. No sum
+        # overflows while 4 max s is a finite float32. The threshold
+        # A32_ik + 2(B32_i + m) is summed in float64 and rounded up to a float32.
+        v = 2.0 ** -24
+        g = (d + 3) * v / (1 - (d + 3) * v)
+        slack32 = slack + g * (sq + 2.0 * top) + v * (sq + top)
+        exact = left, right
+        if 2.0 ** -100 <= top and 4.0 * top <= np.finfo(np.float32).max and d < 1 << 22:
+            rounded = left.astype(np.float32), right.astype(np.float32)
     else:
         norms = np.linalg.norm(X, axis=1, keepdims=True)
         unit = X / np.where(norms < 1e-12, 1.0, norms)
         slack = np.zeros(n)  # cosines are ranked exactly
+        exact = unit, unit.T
 
     block = min(n, max(1, _BLOCK_VALUES // n))
+    # float32 key blocks have `block` rows; float64 ones of the Gaussian
+    # filter have `half` rows, so that both fit the same buffer
+    half = block if kernel == "cosine" else max(1, block // 2)
+    # Reused by every block; fresh buffers per block made peak RSS swing by ~30 MB.
+    buf = np.empty(max(2 * half, block) * n)
+    keep_buf = np.empty((block, n), dtype=bool)
     cols = np.empty((n, k), dtype=np.intp)
     vals = np.empty((n, k))
+    counts = {"candidates": 0, "fallback_blocks": 0, "weak_rows": 0}
 
     def select(lo, key, rows, keep):
         # the k most similar candidates (rows[i], c), where keep[i, c], of a
         # block of keys ``key`` starting at row lo
         i, c = np.divmod(np.flatnonzero(keep), n)
-        v = (-key[rows[i], c] if kernel == "cosine"
-             else np.exp(_sqdist(XT[:, lo + rows[i]], XT[:, c]) / scale))
-        cols[lo + rows], vals[lo + rows] = _top_k(i, c, v, rows.size, k)
+        sim = (-key[rows[i], c] if kernel == "cosine"
+               else np.exp(_sqdist(XT[:, lo + rows[i]], XT[:, c]) / scale))
+        cols[lo + rows], vals[lo + rows] = _top_k(i, c, sim, rows.size, k)
 
-    # Reused by every block; fresh buffers per block made peak RSS swing by ~30 MB.
-    key_buf, part_buf = np.empty((2, block, n))
-    keep_buf = np.empty((block, n), dtype=bool)
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        key, part = key_buf[:hi - lo], part_buf[:hi - lo]
-        local = np.arange(hi - lo)
+    def rank(lo, hi, f32):
+        # filters and ranks rows lo..hi; False if float32 keys kept over 4k
+        # candidates per row, leaving the rows unranked
+        rows = hi - lo
+        key, part = buf.view(np.float32 if f32 else float)[:2 * rows * n].reshape(2, rows, n)
+        local = np.arange(rows)
+        L, R = rounded if f32 else exact
+        np.matmul(L[lo:hi], R, out=key)
         if kernel == "cosine":
-            np.matmul(unit[lo:hi], unit.T, out=key)
             np.negative(np.clip(key, 0.0, None, out=key), out=key)
-        else:
-            np.matmul(left[lo:hi], right, out=key)
         key[local, lo + local] = np.inf
         np.copyto(part, key)
         part.partition(k - 1, axis=1)
-        select(lo, key, local, np.less_equal(
-            key, (part[:, k - 1] + 2.0 * slack[lo:hi])[:, None], out=keep_buf[:hi - lo]))
+        bound = part[:, k - 1] + 2.0 * (slack32 if f32 else slack)[lo:hi]
+        if f32:
+            bound = np.nextafter(np.minimum(bound, np.finfo(np.float32).max).astype(np.float32),
+                                 np.float32(np.inf))
+        keep = np.less_equal(key, bound[:, None], out=keep_buf[:rows])
+        kept = np.count_nonzero(keep)
+        if f32 and kept > 4 * k * rows:
+            return False
+        counts["candidates"] += kept
+        select(lo, key, local, keep)
         if kernel == "gaussian" and (weak := np.flatnonzero(vals[lo:hi, k - 1] < tiny)).size:
             # exp underflowed at the k-th neighbor, so columns outside the
             # filter may tie with it: every other column is a candidate
+            counts["weak_rows"] += weak.size
             select(lo, key, weak, key[weak] < np.inf)
+        return True
+
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        if rounded is not None and rank(lo, hi, True):
+            continue
+        counts["fallback_blocks"] += kernel == "gaussian"
+        for sub in range(lo, hi, half):
+            rank(sub, min(sub + half, hi), False)
 
     if kernel == "gaussian":
         np.maximum(vals, tiny, out=vals)
@@ -242,7 +301,7 @@ def build_knn_graph(vectors, k: int, kernel: str = "gaussian",
     W = sp.csr_matrix((vals.ravel(), (rows, cols.ravel())), shape=(n, n))
     W = W.maximum(W.T)
     W.eliminate_zeros()
-    return SimilarityGraph(n=n, W=W)
+    return SimilarityGraph(n=n, W=W, sigma=sigma, **counts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,20 +349,11 @@ def clamp_fewshot(seeds: SeedLabels, labels: Mapping[str, str]) -> SeedLabels:
     """Overwrite labeled rows with one-hot targets and pin them."""
     if not labels:
         return seeds
-    inst_index = {inst: i for i, inst in enumerate(seeds.instances)}
-    cat_index = {cat: j for j, cat in enumerate(seeds.categories)}
+    rows = positions(seeds.instances, labels.keys(), "instances")
     Y = seeds.Y.copy()
-    clamped = set(seeds.clamped)
-    for inst, cat in labels.items():
-        if inst not in inst_index:
-            raise ValidationError(f"labeled instance not in graph: {inst!r}")
-        if cat not in cat_index:
-            raise ValidationError(f"label category not scored: {cat!r}")
-        i = inst_index[inst]
-        Y[i] = 0.0
-        Y[i, cat_index[cat]] = 1.0
-        clamped.add(i)
-    return SeedLabels(seeds.instances, seeds.categories, Y, frozenset(clamped))
+    Y[rows] = 0.0
+    Y[rows, positions(seeds.categories, labels.values(), "categories")] = 1.0
+    return SeedLabels(seeds.instances, seeds.categories, Y, seeds.clamped | frozenset(rows))
 
 
 @dataclass(frozen=True, eq=False)

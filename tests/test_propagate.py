@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -281,6 +283,71 @@ class TestKnnGraph:
             d2 = np.delete(((X - X[row]) ** 2).sum(axis=1), row)
             assert np.exp(-d2.min() / (2.0 * sigma * sigma)) == 0.0
 
+    def test_fewshot_shaped_input_stays_in_float32(self):
+        # the fewshot-graph benchmark's PST shape: 5232 nodes, 24 attributes
+        X = np.random.default_rng(43).random((5232, 24))
+        k = 15
+        graph = build_knn_graph(X, k=k)
+        assert graph.fallback_blocks == 0 and graph.weak_rows == 0
+        assert k * graph.n <= graph.candidates < 2 * k * graph.n
+        assert graph.sigma == _median_heuristic(X)
+
+    @pytest.mark.parametrize("X", [ORACLE_INPUTS["large"], ORACLE_INPUTS["rounded"],
+                                   GAUSSIAN_INPUTS["grid_tie"][0],
+                                   GAUSSIAN_INPUTS["three_blocks"][0]],
+                             ids=["large", "rounded", "grid_tie", "three_blocks"])
+    def test_tie_inputs_are_filtered_in_float32(self, X):
+        # the oracle tests above check the float32 filter only if it runs
+        assert build_knn_graph(X, k=10).fallback_blocks == 0
+
+    def test_float32_filter_reranks_underflowing_rows(self):
+        # two rows 150 away (over 38 sigma) from a cluster whose spread keeps
+        # the float32 bound small: every similarity of their rows underflows
+        rng = np.random.default_rng(59)
+        X = np.vstack([rng.normal(size=(300, 3)), [[150.0, 0, 0]], [[0, -150.0, 0]]])
+        for k, (W, S) in dense_knn_oracle(X, (1, 5, 15), "gaussian").items():
+            graph = build_knn_graph(X, k=k)
+            assert (graph.fallback_blocks, graph.weak_rows) == (0, 2)
+            assert_graphs_equal(graph, W, S)
+
+    @pytest.mark.parametrize("X, k, blocks", [
+        # 4 max s overflows float32
+        pytest.param(1e20 * np.random.default_rng(47).normal(size=(300, 4)), 10, 1,
+                     id="overflow"),
+        # float32 products go subnormal (max s < 2^-100) and lose precision:
+        # a tied lattice whose coordinates are scaled to about 1e-20 ...
+        pytest.param(2.0 ** -70 * GAUSSIAN_INPUTS["grid_tie"][0], 7, 1, id="subnormal_grid"),
+        # ... and, near 1e-25, underflow to 0
+        pytest.param(1e-25 * np.random.default_rng(53).normal(size=(300, 4)), 10, 1,
+                     id="subnormal"),
+        # mixed scales: the lattice rows' bound admits most of the square
+        pytest.param(GAUSSIAN_INPUTS["far_grid"][0], 7, 1, id="mixed_scale"),
+        # 3000 rows in 3 blocks, the last two with a far row; the float64
+        # fallback splits each block in half
+        pytest.param(GAUSSIAN_INPUTS["far_rows_in_later_blocks"][0], 4, 3,
+                     id="mixed_scale_blocks"),
+    ])
+    def test_float64_fallback_matches_dense_oracle_bitwise(self, X, k, blocks):
+        graph = build_knn_graph(X, k=k)
+        assert graph.fallback_blocks == blocks
+        W, S = dense_knn_oracle(X, (k,), "gaussian")[k]
+        assert_graphs_equal(graph, W, S)
+
+    @pytest.mark.parametrize("name, k", [("three_blocks", 15), ("far_rows_in_later_blocks", 4)])
+    def test_float32_filter_and_its_fallback_share_the_block_memory(self, name, k):
+        # two float32 key blocks, or two float64 ones of half the rows, take
+        # 8 bytes per block value, and the keep mask 1; two float64 blocks
+        # of full height would take 16
+        X = GAUSSIAN_INPUTS[name][0]
+        tracemalloc.start()
+        try:
+            graph = build_knn_graph(X, k=k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert graph.fallback_blocks == (0 if name == "three_blocks" else 3)
+        assert peak < 12 * _BLOCK_VALUES
+
     def test_median_heuristic_matches_pdist(self):
         # strided to at most 1000 rows; duplicate rows give zero distances
         rng = np.random.default_rng(41)
@@ -361,12 +428,17 @@ class TestClamping:
         assert np.array_equal(seeds.Y[0], [0.5, 0.0])
 
     def test_unknown_instance_rejected(self):
-        with pytest.raises(ValidationError):
-            clamp_fewshot(self._seeds(), {"ghost": "c0"})
+        with pytest.raises(ValidationError, match="^not in instances: 'ghost'$"):
+            clamp_fewshot(self._seeds(), {"i0": "c0", "ghost": "c0"})
 
     def test_unknown_category_rejected(self):
-        with pytest.raises(ValidationError):
-            clamp_fewshot(self._seeds(), {"i0": "zebra"})
+        with pytest.raises(ValidationError, match="^not in categories: 'zebra'$"):
+            clamp_fewshot(self._seeds(), {"i0": "c0", "i1": "zebra"})
+
+    def test_clamping_keeps_earlier_clamped_rows(self):
+        seeds = clamp_fewshot(clamp_fewshot(self._seeds(), {"i0": "c1"}), {"i2": "c0"})
+        assert seeds.clamped == frozenset({0, 2})
+        assert np.array_equal(seeds.Y, [[0.0, 1.0], [0.0, 0.5], [1.0, 0.0]])
 
     def test_empty_labels_are_noop(self):
         seeds = self._seeds()
