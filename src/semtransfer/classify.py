@@ -24,6 +24,7 @@ from .core import (
     FeatureMatrix,
     ValidationError,
     freeze,
+    positions,
 )
 
 PROB_FLOOR = 1e-12
@@ -117,7 +118,7 @@ def train_attribute_classifiers(features: FeatureMatrix, labels: Mapping[str, st
     if not labels:
         raise ValidationError("no training labels")
     X_raw = features.take(list(labels)).values
-    cat_rows = [assoc.category_index(cat) for cat in labels.values()]
+    cat_rows = positions(assoc.categories, labels.values(), "categories")
     targets = np.ascontiguousarray(assoc.values[cat_rows].T)  # (n_attributes, n_train)
 
     mu, sd = X_raw.mean(axis=0), X_raw.std(axis=0)

@@ -75,48 +75,43 @@ def _load_terms(path) -> tuple[list[str], list[str]]:
     return [str(t) for t in doc["categories"]], [str(t) for t in doc["attributes"]]
 
 
-def _check_keys(section: dict, allowed: set[str], where: str) -> None:
-    if unknown := set(section) - allowed:
-        raise ValidationError(f"unknown {where} keys: {sorted(unknown)}")
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "None": type(None),
+               "dict": dict, "path": str}
 
 
-def _section(cfg: dict, name: str, allowed: set[str]) -> dict:
-    sec = cfg.get(name, {})
+def _section(cfg: dict, name: str, schema: dict, base: Path | None = None) -> dict:
+    """Section ``name`` of ``cfg`` (``cfg`` itself for ``"config"``), every key
+    of ``schema`` filled in.
+
+    ``schema`` maps each key to its JSON type, such as ``"int | None"``, and
+    its default, where ``...`` marks a required key. A ``"path"`` is a string
+    resolved against ``base``. ``"any"`` leaves the check to the section's stage.
+    """
+    sec = cfg if name == "config" else cfg.get(name, {})
     if not isinstance(sec, dict):
         raise ValidationError(f"config section {name!r} must be a JSON object")
-    _check_keys(sec, allowed, name)
-    return dict(sec)
-
-
-_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "None": type(None)}
-
-
-def _typed(sec: dict, key: str, default, annotation: str, where: str):
-    """``sec[key]`` (or ``default``), rejected unless its JSON type matches
-    ``annotation``, such as ``"int | None"``."""
-    value = sec.get(key, default)
-    if isinstance(value, bool) or not isinstance(
-            value, tuple(_JSON_TYPES[t] for t in annotation.split(" | "))):
-        raise ValidationError(f"{where} {key} must be {annotation}, got {value!r}")
-    return value
-
-
-def _config_path(base: Path, sec: dict, key: str, where: str) -> Path:
-    """Path ``sec[key]``, which must be given as a string, resolved against ``base``."""
-    if key not in sec:
-        raise ValidationError(f"{where} section needs {key!r}")
-    return base / _typed(sec, key, None, "str", where)
+    if unknown := set(sec) - set(schema):
+        raise ValidationError(f"unknown {name} keys: {sorted(unknown)}")
+    out = {}
+    for key, (annotation, default) in schema.items():
+        if key not in sec and default is ...:
+            raise ValidationError(f"{name} section needs {key!r}")
+        value = out[key] = sec.get(key, default)
+        if key not in sec or annotation == "any":
+            continue
+        if isinstance(value, bool) or not isinstance(
+                value, tuple(_JSON_TYPES[t] for t in annotation.split(" | "))):
+            raise ValidationError(f"{name} {key} must be {annotation}, got {value!r}")
+        if annotation == "path":
+            out[key] = base / value
+    return out
 
 
 def _from_section(cls, cfg: dict, name: str, **defaults):
-    """Build a config dataclass from section ``name``, whose keys must be
-    field names and whose values must match the fields' JSON types."""
-    fields = dataclasses.fields(cls)
-    sec = {**defaults, **_section(cfg, name, {f.name for f in fields})}
-    for f in fields:
-        if f.name in sec:
-            _typed(sec, f.name, None, f.type, name)
-    return cls(**sec)
+    """Config dataclass ``cls`` from section ``name``, whose keys are its fields,
+    typed and defaulted as the fields are unless ``defaults`` overrides them."""
+    return cls(**_section(cfg, name, {f.name: (f.type, defaults.get(f.name, f.default))
+                                      for f in dataclasses.fields(cls)}))
 
 
 # ---------------------------------------------------------------------------
@@ -303,25 +298,23 @@ def cmd_synth(args) -> int:
 # End-to-end pipeline
 
 
-_TOP_KEYS = {"output_dir", "seed", "synth", "data", "corpus", "mine", "assoc",
-             "train", "transfer", "pst", "eval"}
+_TAXONOMY = dict.fromkeys(("taxonomy_edges", "taxonomy_probs"), ("path", None))
 
 
 def cmd_pipeline(args) -> int:
     with _stage("config"):
         cfg = io.read_json(args.config)
-        _check_keys(cfg, _TOP_KEYS, "config")
         # paths inside the config resolve against the config file itself;
         # the --out-dir flag resolves against the working directory as usual
         base = Path(args.config).resolve().parent
-        if args.out_dir:
-            out = Path(args.out_dir)
-        elif cfg.get("output_dir"):
-            out = _config_path(base, cfg, "output_dir", "config")
-        else:
+        sections = ("synth", "data", "corpus", "mine", "assoc", "train", "transfer", "pst", "eval")
+        top = _section(cfg, "config", {"output_dir": ("str", ""), "seed": ("int", 0),
+                                       **dict.fromkeys(sections, ("any", None))})
+        if not (args.out_dir or top["output_dir"]):
             raise ValidationError("no output directory (config output_dir or --out-dir)")
+        out = Path(args.out_dir) if args.out_dir else base / top["output_dir"]
         out.mkdir(parents=True, exist_ok=True)
-        seed = _typed(cfg, "seed", 0, "int", "config")
+        seed = top["seed"]
 
     with _stage("data"):
         if ("synth" in cfg) == ("data" in cfg):
@@ -331,9 +324,8 @@ def cmd_pipeline(args) -> int:
             _write_dataset(out, ds)
             features, labels, base_assoc, split = ds.features, ds.labels, ds.associations, ds.split
         else:
-            keys = ("features", "labels", "associations", "split")
-            sec = _section(cfg, "data", set(keys))
-            path = {key: _config_path(base, sec, key, "data") for key in keys}
+            path = _section(cfg, "data", dict.fromkeys(
+                ("features", "labels", "associations", "split"), ("path", ...)), base)
             features = io.read_matrix(path["features"], FeatureMatrix)
             labels = io.read_labels(path["labels"])
             base_assoc = io.read_matrix(path["associations"], AssociationMatrix)
@@ -343,36 +335,30 @@ def cmd_pipeline(args) -> int:
     corpus = None
     with _stage("corpus"):
         if "corpus" in cfg:
-            sec = _section(cfg, "corpus", {"path", "docs_per_pair", "filler_docs"})
-            if "path" in sec:
-                corpus = io.read_corpus_jsonl(_config_path(base, sec, "path", "corpus"))
+            sec = _section(cfg, "corpus", {"path": ("path", None), "docs_per_pair": ("int", 3),
+                                           "filler_docs": ("int", 0)}, base)
+            if sec["path"] is not None:
+                corpus = io.read_corpus_jsonl(sec["path"])
             else:
-                corpus = _write_corpus(out, base_assoc,
-                                       _typed(sec, "docs_per_pair", 3, "int", "corpus"),
-                                       _typed(sec, "filler_docs", 0, "int", "corpus"), seed)
+                corpus = _write_corpus(out, base_assoc, sec["docs_per_pair"],
+                                       sec["filler_docs"], seed)
 
     rel = None
     with _stage("mine"):
         if "mine" in cfg:
-            sec = _section(cfg, "mine",
-                           {"measure", "window", "taxonomy_edges", "taxonomy_probs"})
-            taxonomy = [_config_path(base, sec, key, "mine") if key in sec else None
-                        for key in ("taxonomy_edges", "taxonomy_probs")]
+            sec = _section(cfg, "mine", {"measure": ("str", "dice_hit"),
+                                         "window": ("int | None", 20), **_TAXONOMY}, base)
             rel = _mine(None if corpus is None else lambda: corpus,
-                        base_assoc.categories, base_assoc.attributes,
-                        _typed(sec, "measure", "dice_hit", "str", "mine"),
-                        _typed(sec, "window", 20, "int | None", "mine"), *taxonomy)
+                        base_assoc.categories, base_assoc.attributes, **sec)
             io.write_matrix(out / "relatedness.tsv", rel)
 
     with _stage("assoc"):
         if rel is not None:
             if "assoc" not in cfg:
                 raise ValidationError("mined relatedness needs an assoc section to binarize")
-            sec = _section(cfg, "assoc", {"policy", "k", "threshold"})
-            if "policy" not in sec:
-                raise ValidationError("assoc section needs a policy")
-            assoc = binarize(rel, sec["policy"], k=_typed(sec, "k", None, "int | None", "assoc"),
-                             threshold=_typed(sec, "threshold", None, "float | None", "assoc"))
+            assoc = binarize(rel, **_section(cfg, "assoc", {
+                "policy": ("str", ...), "k": ("int | None", None),
+                "threshold": ("float | None", None)}))
             io.write_matrix(out / "associations_mined.tsv", assoc)
         else:
             if "assoc" in cfg:
@@ -389,16 +375,16 @@ def cmd_pipeline(args) -> int:
         io.write_matrix(out / "attribute_scores.tsv", attr_scores)
 
     with _stage("transfer"):
-        sec = _section(cfg, "transfer", {"method", "top_k", "taxonomy_edges",
-                                         "taxonomy_probs", "attachments", "mode"})
-        method = sec.get("method", "dap")
+        sec = _section(cfg, "transfer", {"method": ("str", "dap"), "top_k": ("int", 5),
+                                         **_TAXONOMY, "attachments": ("dict", None),
+                                         "mode": ("str", "all")}, base)
+        paths = [sec.pop(key) for key in _TAXONOMY]
         taxonomy = None
-        if method == "hier":
-            taxonomy = io.read_taxonomy(_config_path(base, sec, "taxonomy_edges", "transfer"),
-                                        _config_path(base, sec, "taxonomy_probs", "transfer"))
-        zeroshot = _transfer(attr_scores, assoc, split, method,
-                             top_k=_typed(sec, "top_k", 5, "int", "transfer"), taxonomy=taxonomy,
-                             attachments=sec.get("attachments"), mode=sec.get("mode", "all"))
+        if sec["method"] == "hier":
+            if missing := [key for key, path in zip(_TAXONOMY, paths) if path is None]:
+                raise ValidationError(f"hier transfer needs {' and '.join(missing)}")
+            taxonomy = io.read_taxonomy(*paths)
+        zeroshot = _transfer(attr_scores, assoc, split, taxonomy=taxonomy, **sec)
         io.write_matrix(out / "zeroshot_scores.tsv", zeroshot)
 
     pst_result = None
@@ -415,7 +401,7 @@ def cmd_pipeline(args) -> int:
             io.write_labels(out / "pst_predictions.tsv", pst_result.predictions)
 
     with _stage("eval"):
-        protocol = _section(cfg, "eval", {"protocol"}).get("protocol", "novel_only")
+        protocol = _section(cfg, "eval", {"protocol": ("str", "novel_only")})["protocol"]
         results = {"zeroshot": _evaluate(zeroshot, labels, split, protocol)}
         if pst_result is not None:
             results["pst"] = _evaluate(pst_result.scores, labels, split, protocol)

@@ -120,14 +120,9 @@ class AssociationMatrix(LabelledMatrix):
             if empty:
                 warnings.warn(f"categories with no associated attribute: {', '.join(empty)}",
                               stacklevel=3)  # the caller of the generated __init__
-        # built once; training looks up one category per label
-        freeze(self, _category_rows={c: i for i, c in enumerate(cats)})
 
     def category_index(self, category: str) -> int:
-        try:
-            return self._category_rows[category]
-        except KeyError:
-            raise ValidationError(f"unknown category: {category!r}") from None
+        return positions(self.categories, [category], "categories")[0]
 
 
 @dataclass(frozen=True, eq=False)

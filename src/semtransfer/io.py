@@ -198,9 +198,9 @@ def read_corpus_jsonl(path) -> list[tuple[str, str]]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
-            raise ParseError(f"{path}:{lineno}: corpus lines need 'id' and 'text' fields")
-        docs.append((str(obj["id"]), str(obj["text"])))
+        if not (isinstance(obj, dict) and all(isinstance(obj.get(k), str) for k in ("id", "text"))):
+            raise ParseError(f"{path}:{lineno}: corpus lines need string 'id' and 'text' fields")
+        docs.append((obj["id"], obj["text"]))
     return docs
 
 
@@ -209,9 +209,11 @@ def read_taxonomy(edges_path, probs_path):
     from .relatedness import Taxonomy
 
     parent: dict[str, str | None] = {}
+    children: set[str] = set()  # a node named as a parent may have its own edge later
     for lineno, (child, par) in _tsv_rows(edges_path, 2, "child<TAB>parent"):
-        if child in parent:
+        if child in children:
             raise ParseError(f"{edges_path}:{lineno}: duplicate child {child!r}")
+        children.add(child)
         parent[child] = par
         parent.setdefault(par, None)
 

@@ -15,7 +15,8 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .core import AttributeScoreMatrix, CategoryScoreMatrix, ValidationError, freeze, positions
+from .core import (AttributeScoreMatrix, CategoryScoreMatrix, LabelledMatrix, ValidationError,
+                   freeze, positions)
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -305,25 +306,21 @@ def build_knn_graph(vectors, k: int, kernel: str = "gaussian",
 
 
 @dataclass(frozen=True, eq=False)
-class SeedLabels:
-    """Per-category seed weights Y plus the rows held fixed while propagating."""
+class SeedLabels(LabelledMatrix):
+    """Per-category seed weights plus the rows held fixed while propagating."""
+
+    KIND = "seeds"
+    RANGE = (0.0, np.inf)
 
     instances: tuple[str, ...]
     categories: tuple[str, ...]
-    Y: np.ndarray
+    values: np.ndarray
     clamped: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        Y = np.asarray(self.Y, dtype=float)
-        if Y.shape != (len(self.instances), len(self.categories)):
-            raise ValidationError(
-                f"seed matrix must be {(len(self.instances), len(self.categories))}, got {Y.shape}")
-        if not np.isfinite(Y).all() or (Y < 0).any():
-            raise ValidationError("seed weights must be finite and non-negative")
+        super().__post_init__()
         if bad := [i for i in self.clamped if not 0 <= i < len(self.instances)]:
             raise ValidationError(f"clamped rows out of range: {bad}")
-        Y.setflags(write=False)
-        freeze(self, Y=Y)
 
 
 def seed_from_zeroshot(zeroshot: CategoryScoreMatrix, rho: float) -> SeedLabels:
@@ -350,7 +347,7 @@ def clamp_fewshot(seeds: SeedLabels, labels: Mapping[str, str]) -> SeedLabels:
     if not labels:
         return seeds
     rows = positions(seeds.instances, labels.keys(), "instances")
-    Y = seeds.Y.copy()
+    Y = seeds.values.copy()
     Y[rows] = 0.0
     Y[rows, positions(seeds.categories, labels.values(), "categories")] = 1.0
     return SeedLabels(seeds.instances, seeds.categories, Y, seeds.clamped | frozenset(rows))
@@ -373,7 +370,7 @@ def propagate(graph: SimilarityGraph, seeds: SeedLabels,
     if graph.n != len(seeds.instances):
         raise ValidationError(
             f"graph has {graph.n} nodes but seeds cover {len(seeds.instances)} instances")
-    Y = seeds.Y
+    Y = seeds.values
     clamped = sorted(seeds.clamped)
     alpha = config.alpha
     F = Y.copy()  # clamped rows of Y already hold their one-hot targets
@@ -407,7 +404,7 @@ def propagate_closed_form(graph: SimilarityGraph, seeds: SeedLabels,
             f"graph has {graph.n} nodes but seeds cover {len(seeds.instances)} instances")
     A = (sp.identity(graph.n, format="csc") - alpha * graph.S.tocsc())
     solver = splu(A.tocsc())
-    F = (1.0 - alpha) * solver.solve(seeds.Y)
+    F = (1.0 - alpha) * solver.solve(seeds.values)
     return CategoryScoreMatrix(seeds.instances, seeds.categories, F)
 
 

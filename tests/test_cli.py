@@ -542,7 +542,6 @@ HIER_TRANSFER = {"method": "hier", "taxonomy_edges": "edges.tsv", "taxonomy_prob
 
 def write_taxonomy(data_dir):
     """The taxonomy files of ``HIER_TRANSFER``: the known categories in two groups."""
-    # a node may only be named as a parent after its own edge
     parents = {"g0": "root", "g1": "root", "k00": "g0", "k01": "g0", "k02": "g1", "k03": "g1"}
     probs = {"root": 1.0, "g0": 0.5, "g1": 0.5, "k00": 0.25, "k01": 0.25, "k02": 0.25,
              "k03": 0.25}
@@ -713,8 +712,9 @@ class TestInputFiles:
         assert "UTF-8" in one_json_error(code, err)["error"]
 
 
-def _mutate_matrix(data: bytes, mutation: str, pick: int, byte: int) -> bytes:
-    """``data``, a matrix TSV, broken by ``mutation`` at a place chosen by ``pick``."""
+def _mutate(data: bytes, mutation: str, pick: int, byte: int) -> bytes:
+    """``data``, a TSV, JSONL or JSON file, broken by ``mutation`` at a place chosen
+    by ``pick``. Line mutations leave '#' lines and the line after them (a header) alone."""
     lines = data.decode().splitlines()
     header = [ln.startswith("#") for ln in lines].index(False)
     row = header + 1 + pick % (len(lines) - header - 1)
@@ -738,6 +738,15 @@ def _mutate_matrix(data: bytes, mutation: str, pick: int, byte: int) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+def write_category_scores(data_dir):
+    """Random scores of the test instances for the novel categories, as ``scores.tsv``."""
+    split = json.loads((data_dir / "split.json").read_text())
+    sio.write_category_scores(data_dir / "scores.tsv", CategoryScoreMatrix(
+        tuple(split["test_instances"]), tuple(sorted(split["novel_categories"])),
+        np.random.default_rng(0).random((len(split["test_instances"]),
+                                         len(split["novel_categories"])))))
+
+
 # Mutations that always leave a broken file; the others may leave a valid one.
 BREAKING = ("cells", "nan", "inf", "-inf", "duplicate_row", "bom")
 MUTATIONS = (*BREAKING, "truncate", "flip", "crlf")
@@ -753,11 +762,7 @@ def test_mutated_matrix_files_keep_the_exit_contract(synth_dir, capsys, places):
     rel = synth_dir / "rel.tsv"
     if not rel.exists():
         mined_relatedness(synth_dir, rel)
-        split = json.loads((synth_dir / "split.json").read_text())
-        sio.write_category_scores(synth_dir / "scores.tsv", CategoryScoreMatrix(
-            tuple(split["test_instances"]), tuple(sorted(split["novel_categories"])),
-            np.random.default_rng(0).random((len(split["test_instances"]),
-                                             len(split["novel_categories"])))))
+        write_category_scores(synth_dir)
     cases = {rel: ["assoc", "--policy", "per_attribute_topk", "--k", "2",
                    "--out", synth_dir / "a.tsv", "--relatedness"],
              synth_dir / "scores.tsv": ["eval", "--truth", synth_dir / "labels.tsv",
@@ -767,9 +772,53 @@ def test_mutated_matrix_files_keep_the_exit_contract(synth_dir, capsys, places):
         data = path.read_bytes()
         bad = synth_dir / "bad.tsv"
         for mutation, (pick, byte) in places.items():
-            bad.write_bytes(_mutate_matrix(data, mutation, pick, byte))
+            bad.write_bytes(_mutate(data, mutation, pick, byte))
             code, err = run(capsys, *argv, bad)
             assert code in ((2, 3) if mutation in BREAKING else (0, 2, 3)), (mutation, err)
+            if code:
+                one_json_error(code, err)
+
+
+# The mutations every reader gets; the TSV readers must reject the first two.
+READER_MUTATIONS = ("cells", "duplicate_row", "truncate", "flip", "bom", "crlf")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=6,
+          phases=[Phase.generate], suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(places=st.fixed_dictionaries({m: st.tuples(st.integers(0, 10**6), st.integers(0, 255))
+                                     for m in READER_MUTATIONS}))
+def test_mutated_input_files_keep_the_exit_contract(synth_dir, capsys, places):
+    # labels, taxonomy, corpus, split and model files, each through a command that reads it
+    d = synth_dir
+    if not (d / "model.json").exists():
+        write_taxonomy(d)
+        write_category_scores(d)
+        (d / "lin_terms.json").write_text(json.dumps({"categories": ["k00", "k01"],
+                                                      "attributes": ["k02", "g1"]}))
+        assert main(["train", "--features", str(d / "features.tsv"), "--assoc",
+                     str(d / "associations.tsv"), "--split", str(d / "split.json"),
+                     "--out", str(d / "model.json")]) == 0
+    evaluate = ["eval", "--scores", d / "scores.tsv", "--out", d / "r.json"]
+    lin = ["mine", "--terms", d / "lin_terms.json", "--measure", "lin", "--out", d / "lin.tsv"]
+    cases = {
+        "labels.tsv": [*evaluate, "--split", d / "split.json", "--truth"],
+        "split.json": [*evaluate, "--truth", d / "labels.tsv", "--split"],
+        "edges.tsv": [*lin, "--taxonomy-probs", d / "probs.tsv", "--taxonomy-edges"],
+        "probs.tsv": [*lin, "--taxonomy-edges", d / "edges.tsv", "--taxonomy-probs"],
+        "corpus.jsonl": ["mine", "--terms", d / "terms.json", "--measure", "dice_snippet",
+                         "--window", "5", "--out", d / "rel.tsv", "--corpus"],
+        "model.json": ["zeroshot", "--features", d / "features.tsv", "--assoc",
+                       d / "associations.tsv", "--split", d / "split.json",
+                       "--out", d / "zs.tsv", "--model"],
+    }
+    for name, argv in cases.items():
+        data = (d / name).read_bytes()
+        bad = d / f"bad_{name}"
+        for mutation, (pick, byte) in places.items():
+            bad.write_bytes(_mutate(data, mutation, pick, byte))
+            code, err = run(capsys, *argv, bad)
+            breaking = name.endswith(".tsv") and mutation in READER_MUTATIONS[:2]
+            assert code in ((2, 3) if breaking else (0, 2, 3)), (name, mutation, err)
             if code:
                 one_json_error(code, err)
 

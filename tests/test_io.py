@@ -188,6 +188,14 @@ class TestCorpusJsonl:
         with pytest.raises(ParseError):
             sio.read_corpus_jsonl(path)
 
+    @pytest.mark.parametrize("line", ['{"id": "bear/0", "text": null}', '{"id": 5, "text": "x"}',
+                                      '{"id": "d1", "text": ["sea", "otter"]}'])
+    def test_non_string_field_rejected(self, tmp_path, line):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": "d0", "text": "a brown bear"}\n' + line + "\n")
+        with pytest.raises(ParseError, match=r"corpus.jsonl:2: corpus lines need string"):
+            sio.read_corpus_jsonl(path)
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text("{broken\n")
@@ -204,6 +212,20 @@ class TestTaxonomyFiles:
         assert tax.root == "root"
         assert tax.parent["leaf1"] == "mid"
         assert tax.prob["mid"] == 0.25
+
+    def test_edge_order_does_not_matter(self, tmp_path):
+        probs = tmp_path / "probs.tsv"
+        probs.write_text("root\t1\ng0\t0.5\nk00\t0.25\nk01\t0.25\n")
+        read = []
+        for name, text in (("up.tsv", "g0\troot\nk00\tg0\nk01\tg0\n"),
+                           ("down.tsv", "k00\tg0\nk01\tg0\ng0\troot\n")):
+            (tmp_path / name).write_text(text)
+            tax = sio.read_taxonomy(tmp_path / name, probs)
+            read.append((tax.parent, tax.prob, tax.root, tax.leaf_descendants("root")))
+        assert read[0] == read[1]
+        (tmp_path / "twice.tsv").write_text("k00\tg0\ng0\troot\nk00\troot\n")
+        with pytest.raises(ParseError, match=r"twice.tsv:3: duplicate child 'k00'"):
+            sio.read_taxonomy(tmp_path / "twice.tsv", probs)
 
     def test_bad_edge_line_rejected(self, tmp_path):
         edges, probs = tmp_path / "edges.tsv", tmp_path / "probs.tsv"

@@ -378,20 +378,20 @@ class TestSeeds:
                                  np.array([[0.2], [1.0], [0.6], [0.2]]))
         seeds = seed_from_zeroshot(zs, rho=0.5)
         # ceil(0.5 * 4) = 2 seeds; weights are min-max rescaled scores
-        assert np.allclose(seeds.Y[:, 0], [0.0, 1.0, 0.5, 0.0], atol=1e-15)
+        assert np.allclose(seeds.values[:, 0], [0.0, 1.0, 0.5, 0.0], atol=1e-15)
         assert seeds.clamped == frozenset()
 
     def test_constant_column_yields_no_seeds(self):
         zs = CategoryScoreMatrix(("i0", "i1"), ("c0",), np.array([[0.3], [0.3]]))
         seeds = seed_from_zeroshot(zs, rho=1.0)
-        assert np.all(seeds.Y == 0.0)
+        assert np.all(seeds.values == 0.0)
 
     def test_ties_prefer_earlier_instances(self):
         zs = CategoryScoreMatrix(("i0", "i1", "i2"), ("c0",),
                                  np.array([[0.5], [0.5], [0.0]]))
         seeds = seed_from_zeroshot(zs, rho=1 / 3)
-        assert seeds.Y[0, 0] == 1.0
-        assert seeds.Y[1, 0] == 0.0
+        assert seeds.values[0, 0] == 1.0
+        assert seeds.values[1, 0] == 0.0
 
     @pytest.mark.parametrize("rho", [0.05, 0.3, 1.0])
     def test_matches_per_column_loop_bitwise(self, rho):
@@ -407,7 +407,7 @@ class TestSeeds:
                 want[top, j] = (V[top, j] - lo) / (hi - lo)
         zs = CategoryScoreMatrix(tuple(f"i{i}" for i in range(40)),
                                  tuple(f"c{j}" for j in range(6)), V)
-        assert seed_from_zeroshot(zs, rho).Y.tobytes() == want.tobytes()
+        assert seed_from_zeroshot(zs, rho).values.tobytes() == want.tobytes()
 
     def test_rho_out_of_range_rejected(self):
         zs = CategoryScoreMatrix(("i0",), ("c0",), np.array([[0.5]]))
@@ -422,10 +422,10 @@ class TestClamping:
 
     def test_clamped_rows_become_one_hot(self):
         seeds = clamp_fewshot(self._seeds(), {"i2": "c1"})
-        assert np.array_equal(seeds.Y[2], [0.0, 1.0])
+        assert np.array_equal(seeds.values[2], [0.0, 1.0])
         assert seeds.clamped == frozenset({2})
         # unlabeled rows untouched
-        assert np.array_equal(seeds.Y[0], [0.5, 0.0])
+        assert np.array_equal(seeds.values[0], [0.5, 0.0])
 
     def test_unknown_instance_rejected(self):
         with pytest.raises(ValidationError, match="^not in instances: 'ghost'$"):
@@ -438,11 +438,21 @@ class TestClamping:
     def test_clamping_keeps_earlier_clamped_rows(self):
         seeds = clamp_fewshot(clamp_fewshot(self._seeds(), {"i0": "c1"}), {"i2": "c0"})
         assert seeds.clamped == frozenset({0, 2})
-        assert np.array_equal(seeds.Y, [[0.0, 1.0], [0.0, 0.5], [1.0, 0.0]])
+        assert np.array_equal(seeds.values, [[0.0, 1.0], [0.0, 0.5], [1.0, 0.0]])
 
     def test_empty_labels_are_noop(self):
         seeds = self._seeds()
         assert clamp_fewshot(seeds, {}) is seeds
+
+    @pytest.mark.parametrize("values, clamped, message", [
+        (np.zeros((3, 3)), frozenset(), r"seeds: expected 3 instances x 2 categories"),
+        ([[0.5, 0.0], [0.0, -0.1], [0.2, 0.2]], frozenset(), r"seeds entries must lie in"),
+        ([[0.5, 0.0], [np.nan, 0.5], [0.2, 0.2]], frozenset(), r"seeds: non-finite entries"),
+        (np.zeros((3, 2)), frozenset({1, 3}), r"clamped rows out of range: \[3\]"),
+    ], ids=["shape", "negative", "nan", "clamped"])
+    def test_invalid_seeds_rejected(self, values, clamped, message):
+        with pytest.raises(ValidationError, match=message):
+            SeedLabels(("i0", "i1", "i2"), ("c0", "c1"), values, clamped)
 
 
 def two_node_graph():

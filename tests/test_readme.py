@@ -58,3 +58,33 @@ def test_python_api_example_gives_the_quoted_figures(capsys):
     refined = st.evaluate_zero_shot(namespace["result"].scores, namespace["ds"].labels,
                                     namespace["ds"].split, "novel_only")
     assert round(refined.accuracy, 2) == pst_accuracy
+
+
+def test_config_reference_names_the_keys_each_stage_checks(tmp_path, capsys):
+    # a list in place of any key the table names is rejected by that key's
+    # stage as a wrong type or shape, never as an unknown key
+    rows = re.findall(r"^\| (top level|`\w+`) \| ([^|]+) \|", section("### Config reference"),
+                      re.M)
+    base = {"output_dir": "run", "corpus": {}, "mine": {},
+            "assoc": {"policy": "per_attribute_mean"},
+            "synth": {"n_known": 2, "n_novel": 1, "n_attributes": 4, "feature_dim": 4,
+                      "train_per_known": 5, "test_per_novel": 5}}
+    checked = []
+    for where, keys in rows:
+        for key in re.findall(r"`(\w+)`", keys):
+            cfg = json.loads(json.dumps(base))
+            if where == "top level":
+                cfg[key] = []
+                stage = "config" if key in ("output_dir", "seed") else key
+            else:
+                stage = where.strip("`")
+                cfg.setdefault(stage, {})[key] = []
+                if stage == "data":
+                    del cfg["synth"]
+            (tmp_path / "config.json").write_text(json.dumps(cfg))
+            code = main(["pipeline", "--config", str(tmp_path / "config.json")])
+            error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert code == 3 and "unknown" not in error["error"], (where, key, error)
+            assert error["stage"] == {"synth": "data"}.get(stage, stage), (where, key, error)
+            checked.append(key)
+    assert len(checked) == 53  # as many keys as the pipeline declares
