@@ -134,6 +134,17 @@ def _write_corpus(out: Path, assoc: AssociationMatrix, docs_per_pair: int,
     return corpus
 
 
+_TAXONOMY = dict.fromkeys(("taxonomy_edges", "taxonomy_probs"), ("path", None))
+
+
+def _taxonomy(who: str, taxonomy_edges, taxonomy_probs):
+    """The taxonomy in the edge and probability files that ``who`` needs."""
+    paths = (taxonomy_edges, taxonomy_probs)
+    if missing := [key for key, path in zip(_TAXONOMY, paths) if not path]:
+        raise ValidationError(f"{who} needs {' and '.join(missing)}")
+    return io.read_taxonomy(*paths)
+
+
 def _mine(read_corpus, categories, attributes, measure: str, window: int | None,
           taxonomy_edges=None, taxonomy_probs=None):
     """Relatedness of every category-attribute pair under ``measure``.
@@ -143,9 +154,7 @@ def _mine(read_corpus, categories, attributes, measure: str, window: int | None,
     """
     index = taxonomy = None
     if measure == "lin":
-        if not (taxonomy_edges and taxonomy_probs):
-            raise ValidationError("lin measure needs taxonomy edges and probabilities")
-        taxonomy = io.read_taxonomy(taxonomy_edges, taxonomy_probs)
+        taxonomy = _taxonomy("lin measure", taxonomy_edges, taxonomy_probs)
     elif measure in MEASURES:
         if read_corpus is None:
             raise ValidationError(f"{measure} needs a corpus")
@@ -161,8 +170,8 @@ def _check_split(split, assoc=None) -> None:
                               + "; ".join(violations[:5]))
 
 
-def _transfer(attr_scores, assoc, split, method="dap", *, top_k=5, taxonomy=None,
-              attachments=None, mode="all") -> CategoryScoreMatrix:
+def _transfer(attr_scores, assoc, split, method="dap", *, top_k=5, taxonomy_edges=None,
+              taxonomy_probs=None, attachments=None, mode="all") -> CategoryScoreMatrix:
     """Novel-category scores by ``dap``, ``sim`` or ``hier`` transfer.
 
     ``assoc`` holds both the known and the novel categories. As in DAP, the
@@ -182,7 +191,18 @@ def _transfer(attr_scores, assoc, split, method="dap", *, top_k=5, taxonomy=None
     if method == "sim":
         return direct_similarity_scores(known_scores, signature_relatedness(assoc, novel, known),
                                         top_k=top_k)
+    taxonomy = _taxonomy("hier transfer", taxonomy_edges, taxonomy_probs)
     return hierarchy_transfer(taxonomy, known_scores, attachments, mode=mode)
+
+
+def _pst(zeroshot, vectors, split, config):
+    """PST over the few-shot and test rows of ``zeroshot``, in its order, with
+    the few-shot labels clamped; ``vectors`` holds their graph coordinates."""
+    rows = [inst for inst in zeroshot.instances
+            if inst in split.fewshot_instances or inst in split.test_instances]
+    if not rows:
+        raise ValidationError("no few-shot or test instances to propagate over")
+    return pst(zeroshot.take(rows), vectors, split.fewshot_instances, config)
 
 
 def _evaluate(scores, truth, split, protocol) -> dict:
@@ -205,8 +225,9 @@ def _cap_warnings(model=None, propagation=None) -> list[str]:
                          f"max_iters={cap}; largest gradient norm "
                          f"{max(meta['grad_norm']):.3g} (tol {meta['config']['tol']:g})")
     if propagation is not None and not propagation.converged:
-        lines.append(f"propagation stopped after {propagation.iterations} sweeps "
-                     "without converging")
+        lines.append(f"propagation stopped after {propagation.iterations} sweeps without "
+                     f"converging; final change {propagation.delta:.3g} "
+                     f"(tol {propagation.tol:g})")
     return lines
 
 
@@ -262,8 +283,9 @@ def cmd_zeroshot(args) -> int:
 def cmd_pst(args) -> int:
     zs = io.read_matrix(args.zeroshot, CategoryScoreMatrix)
     vectors = io.read_matrix(args.vectors, AttributeScoreMatrix)
-    fewshot = io.read_labels(args.fewshot) if args.fewshot else {}
-    result = pst(zs, vectors, fewshot, _from_flags(PropagationConfig, args))
+    split = io.read_split(args.split)
+    _check_split(split)
+    result = _pst(zs, vectors, split, _from_flags(PropagationConfig, args))
     io.write_matrix(args.out, result.scores)
     if args.predictions:
         io.write_labels(args.predictions, result.predictions)
@@ -296,9 +318,6 @@ def cmd_synth(args) -> int:
 
 # ---------------------------------------------------------------------------
 # End-to-end pipeline
-
-
-_TAXONOMY = dict.fromkeys(("taxonomy_edges", "taxonomy_probs"), ("path", None))
 
 
 def cmd_pipeline(args) -> int:
@@ -375,28 +394,16 @@ def cmd_pipeline(args) -> int:
         io.write_matrix(out / "attribute_scores.tsv", attr_scores)
 
     with _stage("transfer"):
-        sec = _section(cfg, "transfer", {"method": ("str", "dap"), "top_k": ("int", 5),
-                                         **_TAXONOMY, "attachments": ("dict", None),
-                                         "mode": ("str", "all")}, base)
-        paths = [sec.pop(key) for key in _TAXONOMY]
-        taxonomy = None
-        if sec["method"] == "hier":
-            if missing := [key for key, path in zip(_TAXONOMY, paths) if path is None]:
-                raise ValidationError(f"hier transfer needs {' and '.join(missing)}")
-            taxonomy = io.read_taxonomy(*paths)
-        zeroshot = _transfer(attr_scores, assoc, split, taxonomy=taxonomy, **sec)
+        zeroshot = _transfer(attr_scores, assoc, split, **_section(cfg, "transfer", {
+            "method": ("str", "dap"), "top_k": ("int", 5), **_TAXONOMY,
+            "attachments": ("dict", None), "mode": ("str", "all")}, base))
         io.write_matrix(out / "zeroshot_scores.tsv", zeroshot)
 
     pst_result = None
     with _stage("pst"):
         if "pst" in cfg:
-            pconfig = _from_section(PropagationConfig, cfg, "pst")
-            rows = [inst for inst in features.instances
-                    if inst in split.fewshot_instances or inst in split.test_instances]
-            if not rows:
-                raise ValidationError("no few-shot or test instances to propagate over")
-            pst_result = pst(zeroshot.take(rows), attr_scores.take(rows),
-                             split.fewshot_instances, pconfig)
+            pst_result = _pst(zeroshot, attr_scores, split,
+                              _from_section(PropagationConfig, cfg, "pst"))
             io.write_matrix(out / "pst_scores.tsv", pst_result.scores)
             io.write_labels(out / "pst_predictions.tsv", pst_result.predictions)
 
@@ -486,7 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pst", help="refine scores by graph label propagation")
     p.add_argument("--zeroshot", required=True, help="category score TSV")
     p.add_argument("--vectors", required=True, help="attribute score TSV (graph coordinates)")
-    p.add_argument("--fewshot", help="labels TSV of clamped instances")
+    p.add_argument("--split", required=True,
+                   help="split JSON; propagates over its few-shot and test instances")
     _add_config_flags(p, PropagationConfig, kernel=KERNELS)
     p.add_argument("--predictions", help="also write argmax labels TSV here")
     p.add_argument("--strict", action="store_true",

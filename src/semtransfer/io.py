@@ -1,8 +1,8 @@
 """File formats: matrix, labels and taxonomy TSVs, JSONL corpora, JSON splits, models and reports.
 
-Every file is UTF-8; one that is not is a ParseError. TSVs are
-tab-separated, and their blank lines, '#' lines and header lines (whose
-first cell is empty) hold no data.
+Every file is UTF-8 without a byte-order mark; one that is not is a ParseError.
+TSVs are tab-separated, and their blank lines, '#' lines and header lines
+(whose first cell is empty) hold no data.
 
 Every matrix kind of :mod:`semtransfer.core` is written by
 :func:`write_matrix` and read by :func:`read_matrix`. A matrix TSV starts
@@ -42,11 +42,14 @@ _CONSTANT_TAGS = {"category_scores": {"normalized": "false"}}
 
 def _read_text(path) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8: {exc}") from exc
+    if text.startswith("\ufeff"):
+        raise ParseError(f"{path}: starts with a UTF-8 byte-order mark")
+    return text
 
 
 def read_json(path) -> dict:

@@ -361,6 +361,8 @@ class PropagationResult:
     predictions: dict[str, str]
     converged: bool
     iterations: int
+    delta: float  # max-abs change of the last sweep
+    tol: float
 
 
 def propagate(graph: SimilarityGraph, seeds: SeedLabels,
@@ -386,7 +388,7 @@ def propagate(graph: SimilarityGraph, seeds: SeedLabels,
     return PropagationResult(
         scores=CategoryScoreMatrix(seeds.instances, seeds.categories, F),
         predictions={inst: seeds.categories[j] for inst, j in zip(seeds.instances, picks)},
-        converged=delta < config.tol, iterations=iterations)
+        converged=delta < config.tol, iterations=iterations, delta=delta, tol=config.tol)
 
 
 def propagate_closed_form(graph: SimilarityGraph, seeds: SeedLabels,
@@ -408,23 +410,15 @@ def propagate_closed_form(graph: SimilarityGraph, seeds: SeedLabels,
     return CategoryScoreMatrix(seeds.instances, seeds.categories, F)
 
 
-def pst(zeroshot: CategoryScoreMatrix, vectors,
+def pst(zeroshot: CategoryScoreMatrix, vectors: AttributeScoreMatrix,
         fewshot_labels: Mapping[str, str] | None = None,
         config: PropagationConfig = PropagationConfig()) -> PropagationResult:
     """Full propagation pipeline from zero-shot scores to predictions.
 
-    ``vectors`` gives the graph coordinates (attribute score matrix or a
-    plain array aligned row-for-row with the zero-shot instances).
+    The graph coordinates of each zero-shot instance are its row of
+    ``vectors``, aligned by id, so ``vectors`` may hold other rows too.
     """
-    if isinstance(vectors, AttributeScoreMatrix):
-        if vectors.instances != zeroshot.instances:
-            raise ValidationError("graph vectors and zero-shot scores disagree on instances")
-        coords = vectors.values
-    else:
-        coords = np.asarray(vectors, dtype=float)
-        if coords.shape[0] != len(zeroshot.instances):
-            raise ValidationError("graph vectors and zero-shot scores disagree on instances")
-    graph = build_knn_graph(coords, config.k, config.kernel, config.sigma)
+    graph = build_knn_graph(vectors.take(zeroshot.instances), config.k, config.kernel, config.sigma)
     seeds = seed_from_zeroshot(zeroshot, config.rho)
     if fewshot_labels:
         seeds = clamp_fewshot(seeds, fewshot_labels)

@@ -12,7 +12,8 @@ from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 import semtransfer.io as sio
-from semtransfer import AssociationMatrix, AttributeScoreMatrix, CategoryScoreMatrix, TrainConfig
+from semtransfer import (AssociationMatrix, AttributeScoreMatrix, CategoryScoreMatrix,
+                         DatasetSplit, TrainConfig)
 from semtransfer.cli import build_parser, main
 
 
@@ -94,16 +95,13 @@ class TestStepChain:
         vectors = tmp_path / "attr_scores.tsv"
         sio.write_attribute_scores(vectors, attr_scores)
 
-        fewshot = tmp_path / "fewshot.tsv"
-        sio.write_labels(fewshot, split.fewshot_instances)
-
         pst_out = tmp_path / "pst.tsv"
         preds = tmp_path / "preds.tsv"
         code, _ = run(capsys, "pst", "--zeroshot", zs, "--vectors", vectors,
-                      "--fewshot", fewshot, "--k", "8", "--rho", "0.15",
+                      "--split", synth_dir / "split.json", "--k", "8", "--rho", "0.15",
                       "--predictions", preds, "--out", pst_out)
         assert code == 0
-        assert set(sio.read_labels(preds)) == set(feats.instances)
+        assert set(sio.read_labels(preds)) == {*split.fewshot_instances, *split.test_instances}
 
         report = tmp_path / "report.json"
         code, _ = run(capsys, "eval", "--scores", zs,
@@ -141,6 +139,23 @@ class TestStepChain:
         assert code == 0
         for name in ("model.json", "zeroshot_scores.tsv"):
             assert (tmp_path / name).read_bytes() == (synth_dir / "run" / name).read_bytes(), name
+
+    def test_pst_reproduces_the_pipeline(self, synth_dir, tmp_path, capsys):
+        code, _ = run(capsys, "pipeline", "--config", data_config(synth_dir))
+        assert code == 0
+        piped = synth_dir / "run"
+        code, _ = run(capsys, "pst", "--zeroshot", piped / "zeroshot_scores.tsv",
+                      "--vectors", piped / "attribute_scores.tsv",
+                      "--split", synth_dir / "split.json", "--k", "8", "--rho", "0.15",
+                      "--alpha", "0.8", "--predictions", tmp_path / "pst_predictions.tsv",
+                      "--out", tmp_path / "pst_scores.tsv")
+        assert code == 0
+        ours, theirs = (sio.read_category_scores(d / "pst_scores.tsv") for d in (tmp_path, piped))
+        assert (ours.instances, ours.categories) == (theirs.instances, theirs.categories)
+        # the inputs were written with 9 significant digits, the pipeline's were not
+        np.testing.assert_allclose(ours.values, theirs.values, rtol=1e-7)
+        name = "pst_predictions.tsv"
+        assert (tmp_path / name).read_bytes() == (piped / name).read_bytes()
 
     def test_pipeline_mines_tfidf_as_the_mine_command_does(self, synth_dir, tmp_path, capsys):
         # tfidf groups documents by their id prefix: name each after its first term
@@ -335,6 +350,39 @@ class TestErrorContract:
         assert re.search(CAP_WARNING, err, re.M), err
         assert "warning: propagation stopped after 1 sweeps without converging" in err
 
+    def test_pst_cap_warning_gives_numbers_as_in_the_pipeline(self, synth_dir, tmp_path,
+                                                                capsys):
+        config = data_config(synth_dir, pst={"k": 8, "rho": 0.15, "max_iters": 1})
+        code, err = run(capsys, "pipeline", "--config", config)
+        assert code == 0
+        lines = [ln for ln in err.splitlines() if "propagation" in ln]
+        assert len(lines) == 1 and re.fullmatch(
+            r"warning: propagation stopped after 1 sweeps without converging; "
+            r"final change \d(\.\d+)?(e[+-]\d+)? \(tol 1e-06\)", lines[0]), err
+        piped = synth_dir / "run"
+        code, err = run(capsys, "pst", "--zeroshot", piped / "zeroshot_scores.tsv",
+                        "--vectors", piped / "attribute_scores.tsv",
+                        "--split", synth_dir / "split.json", "--k", "8", "--rho", "0.15",
+                        "--max-iters", "1", "--out", tmp_path / "pst.tsv")
+        assert code == 0
+        assert err.splitlines() == lines
+
+    def test_lin_without_probabilities_exits_3(self, tmp_path, capsys):
+        (tmp_path / "terms.json").write_text(json.dumps({"categories": ["x"],
+                                                         "attributes": ["y"]}))
+        (tmp_path / "edges.tsv").write_text("x\troot\ny\tx\n")
+        code, err = run(capsys, "mine", "--terms", tmp_path / "terms.json", "--measure", "lin",
+                        "--taxonomy-edges", tmp_path / "edges.tsv", "--out", tmp_path / "lin.tsv")
+        assert one_json_error(code, err) == {"code": 3, "stage": "mine",
+                                             "error": "lin measure needs taxonomy_probs"}
+
+    def test_hier_pipeline_without_edges_exits_3(self, synth_dir, capsys):
+        write_taxonomy(synth_dir)
+        transfer = {k: v for k, v in HIER_TRANSFER.items() if k != "taxonomy_edges"}
+        code, err = run(capsys, "pipeline", "--config", data_config(synth_dir, transfer=transfer))
+        assert one_json_error(code, err) == {
+            "code": 3, "stage": "transfer", "error": "transfer: hier transfer needs taxonomy_edges"}
+
     @pytest.mark.parametrize("protocol,want", [("novel_only", 0), ("bogus", 3)])
     def test_python_warnings_keep_the_stderr_contract(self, synth_dir, capsys, protocol, want):
         # top-1 mining leaves n00 without an attribute, which core warns about
@@ -490,6 +538,8 @@ def test_cli_import_skips_unused_scipy_modules(tmp_path):
                                                      "attributes": ["x", "y"]}))
     (tmp_path / "edges.tsv").write_text("c0\troot\nc1\troot\nx\tc0\ny\tc1\n")
     (tmp_path / "probs.tsv").write_text("root\t1\nc0\t0.5\nc1\t0.5\nx\t0.2\ny\t0.3\n")
+    sio.write_split(tmp_path / "split.json", DatasetSplit(
+        frozenset({"k0"}), frozenset({"c0", "c1"}), {}, dict.fromkeys(instances, "c0")))
     probe = (
         "import sys, semtransfer.cli as cli\n"
         "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
@@ -500,7 +550,7 @@ def test_cli_import_skips_unused_scipy_modules(tmp_path):
         " '--taxonomy-probs', 'probs.tsv', '--out', m + '.tsv'])\n"
         "    print(m, code, loaded())\n"
         "code = cli.main(['pst', '--zeroshot', 'zs.tsv', '--vectors', 'vectors.tsv',"
-        " '--k', '3', '--out', 'pst.tsv'])\n"
+        " '--split', 'split.json', '--k', '3', '--out', 'pst.tsv'])\n"
         "print('pst', code, [m for m in ('scipy.sparse', 'scipy.sparse.linalg', 'scipy.spatial',"
         " 'scipy.special') if m in sys.modules])\n")
     src = str(Path(sio.__file__).resolve().parents[1])
@@ -549,12 +599,19 @@ def write_taxonomy(data_dir):
     (data_dir / "probs.tsv").write_text("".join(f"{n}\t{p}\n" for n, p in probs.items()))
 
 
+def write_leaky_split(data_dir) -> str:
+    """``split.json`` with one few-shot instance also a test instance, as
+    ``leaky.json``; returns that instance."""
+    doc = json.loads((data_dir / "split.json").read_text())
+    inst, cat = next(iter(doc["fewshot_instances"].items()))
+    doc["test_instances"][inst] = cat
+    (data_dir / "leaky.json").write_text(json.dumps(doc))
+    return inst
+
+
 class TestInputValidation:
     def test_fewshot_instance_in_test_pool_exits_3(self, synth_dir, capsys):
-        doc = json.loads((synth_dir / "split.json").read_text())
-        inst, cat = next(iter(doc["fewshot_instances"].items()))
-        doc["test_instances"][inst] = cat
-        (synth_dir / "leaky.json").write_text(json.dumps(doc))
+        inst = write_leaky_split(synth_dir)
         code, err = run(capsys, "pipeline", "--config", data_config(synth_dir, "leaky.json"))
         assert code == 3
         payload = last_error(err)
@@ -564,10 +621,8 @@ class TestInputValidation:
     def test_eval_of_leaky_split_exits_3(self, synth_dir, tmp_path, capsys):
         # a few-shot instance that is also a test instance would be scored
         # against the label it was given
-        doc = json.loads((synth_dir / "split.json").read_text())
-        inst, cat = next(iter(doc["fewshot_instances"].items()))
-        doc["test_instances"][inst] = cat
-        (synth_dir / "leaky.json").write_text(json.dumps(doc))
+        inst = write_leaky_split(synth_dir)
+        doc = json.loads((synth_dir / "leaky.json").read_text())
         instances = tuple(doc["test_instances"])
         categories = tuple(sorted(doc["novel_categories"]))
         scores = tmp_path / "scores.tsv"
@@ -585,6 +640,18 @@ class TestInputValidation:
         payload = json.loads(lines[0])
         assert payload["stage"] == "eval"
         assert inst in payload["error"]
+
+    def test_pst_of_leaky_split_exits_3(self, synth_dir, capsys):
+        inst = write_leaky_split(synth_dir)
+        write_pst_inputs(synth_dir)
+        argv = ["pst", "--zeroshot", synth_dir / "pst_zeroshot.tsv",
+                "--vectors", synth_dir / "pst_vectors.tsv", "--k", "4",
+                "--out", synth_dir / "pst.tsv", "--split"]
+        assert run(capsys, *argv, synth_dir / "split.json") == (0, "")
+        code, err = run(capsys, *argv, synth_dir / "leaky.json")
+        payload = one_json_error(code, err)
+        assert (code, payload["stage"]) == (3, "pst")
+        assert f"instance both few-shot and test: {inst}" in payload["error"]
 
     @staticmethod
     def _split_with_list(d):
@@ -747,6 +814,19 @@ def write_category_scores(data_dir):
                                          len(split["novel_categories"])))))
 
 
+def write_pst_inputs(data_dir):
+    """Random zero-shot scores and graph coordinates of every instance, as
+    ``pst_zeroshot.tsv`` and ``pst_vectors.tsv``."""
+    split = json.loads((data_dir / "split.json").read_text())
+    instances = tuple(sio.read_labels(data_dir / "labels.tsv"))
+    rng = np.random.default_rng(0)
+    sio.write_category_scores(data_dir / "pst_zeroshot.tsv", CategoryScoreMatrix(
+        instances, tuple(sorted(split["novel_categories"])),
+        rng.random((len(instances), len(split["novel_categories"])))))
+    sio.write_attribute_scores(data_dir / "pst_vectors.tsv", AttributeScoreMatrix(
+        instances, ("a0", "a1", "a2"), rng.random((len(instances), 3))))
+
+
 # Mutations that always leave a broken file; the others may leave a valid one.
 BREAKING = ("cells", "nan", "inf", "-inf", "duplicate_row", "bom")
 MUTATIONS = (*BREAKING, "truncate", "flip", "crlf")
@@ -779,7 +859,8 @@ def test_mutated_matrix_files_keep_the_exit_contract(synth_dir, capsys, places):
                 one_json_error(code, err)
 
 
-# The mutations every reader gets; the TSV readers must reject the first two.
+# The mutations every reader gets; the TSV readers must reject the first two,
+# and every reader a byte-order mark.
 READER_MUTATIONS = ("cells", "duplicate_row", "truncate", "flip", "bom", "crlf")
 
 
@@ -793,6 +874,7 @@ def test_mutated_input_files_keep_the_exit_contract(synth_dir, capsys, places):
     if not (d / "model.json").exists():
         write_taxonomy(d)
         write_category_scores(d)
+        write_pst_inputs(d)
         (d / "lin_terms.json").write_text(json.dumps({"categories": ["k00", "k01"],
                                                       "attributes": ["k02", "g1"]}))
         assert main(["train", "--features", str(d / "features.tsv"), "--assoc",
@@ -800,24 +882,27 @@ def test_mutated_input_files_keep_the_exit_contract(synth_dir, capsys, places):
                      "--out", str(d / "model.json")]) == 0
     evaluate = ["eval", "--scores", d / "scores.tsv", "--out", d / "r.json"]
     lin = ["mine", "--terms", d / "lin_terms.json", "--measure", "lin", "--out", d / "lin.tsv"]
-    cases = {
-        "labels.tsv": [*evaluate, "--split", d / "split.json", "--truth"],
-        "split.json": [*evaluate, "--truth", d / "labels.tsv", "--split"],
-        "edges.tsv": [*lin, "--taxonomy-probs", d / "probs.tsv", "--taxonomy-edges"],
-        "probs.tsv": [*lin, "--taxonomy-edges", d / "edges.tsv", "--taxonomy-probs"],
-        "corpus.jsonl": ["mine", "--terms", d / "terms.json", "--measure", "dice_snippet",
-                         "--window", "5", "--out", d / "rel.tsv", "--corpus"],
-        "model.json": ["zeroshot", "--features", d / "features.tsv", "--assoc",
-                       d / "associations.tsv", "--split", d / "split.json",
-                       "--out", d / "zs.tsv", "--model"],
-    }
-    for name, argv in cases.items():
+    cases = [
+        ("labels.tsv", [*evaluate, "--split", d / "split.json", "--truth"]),
+        ("split.json", [*evaluate, "--truth", d / "labels.tsv", "--split"]),
+        ("split.json", ["pst", "--zeroshot", d / "pst_zeroshot.tsv", "--vectors",
+                        d / "pst_vectors.tsv", "--k", "4", "--out", d / "pst.tsv", "--split"]),
+        ("edges.tsv", [*lin, "--taxonomy-probs", d / "probs.tsv", "--taxonomy-edges"]),
+        ("probs.tsv", [*lin, "--taxonomy-edges", d / "edges.tsv", "--taxonomy-probs"]),
+        ("corpus.jsonl", ["mine", "--terms", d / "terms.json", "--measure", "dice_snippet",
+                          "--window", "5", "--out", d / "rel.tsv", "--corpus"]),
+        ("model.json", ["zeroshot", "--features", d / "features.tsv", "--assoc",
+                        d / "associations.tsv", "--split", d / "split.json",
+                        "--out", d / "zs.tsv", "--model"]),
+    ]
+    for name, argv in cases:
         data = (d / name).read_bytes()
         bad = d / f"bad_{name}"
         for mutation, (pick, byte) in places.items():
             bad.write_bytes(_mutate(data, mutation, pick, byte))
             code, err = run(capsys, *argv, bad)
-            breaking = name.endswith(".tsv") and mutation in READER_MUTATIONS[:2]
+            breaking = mutation == "bom" or (name.endswith(".tsv")
+                                             and mutation in READER_MUTATIONS[:2])
             assert code in ((2, 3) if breaking else (0, 2, 3)), (name, mutation, err)
             if code:
                 one_json_error(code, err)

@@ -161,6 +161,24 @@ def test_invalid_utf8_is_parse_error(tmp_path, reader, name):
         reader(path)
 
 
+@pytest.mark.parametrize("reader, name, text", [
+    (sio.read_matrix_tsv, "m.tsv", "\ta\nr\t0.5\n"),
+    (sio.read_labels, "labels.tsv", "i0\tc0\n"),
+    (lambda path: sio.read_taxonomy(path, path.with_name("probs.tsv")), "edges.tsv", "c\troot\n"),
+    (sio.read_corpus_jsonl, "corpus.jsonl", '{"id": "d", "text": "t"}\n'),
+    (sio.read_json, "doc.json", '{"a": 1}\n'),
+], ids=["matrix", "labels", "taxonomy", "jsonl", "json"])
+def test_byte_order_mark_is_parse_error(tmp_path, reader, name, text):
+    # kept, the mark would become part of the first identifier
+    (tmp_path / "probs.tsv").write_text("root\t1\nc\t0.5\n")
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    reader(path)
+    path.write_text(text, encoding="utf-8-sig")
+    with pytest.raises(ParseError, match=f"{name}: starts with a UTF-8 byte-order mark"):
+        reader(path)
+
+
 class TestLabels:
     def test_round_trip(self, tmp_path):
         labels = {"i0": "cat", "i1": "dog"}
