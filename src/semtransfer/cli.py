@@ -29,6 +29,7 @@ from .core import (
     ParseError,
     RelatednessMatrix,
     ValidationError,
+    positions,
     validate_split,
 )
 from .metrics import PROTOCOLS, evaluate_zero_shot
@@ -202,6 +203,9 @@ def _pst(zeroshot, vectors, split, config):
             if inst in split.fewshot_instances or inst in split.test_instances]
     if not rows:
         raise ValidationError("no few-shot or test instances to propagate over")
+    # name the input that lacks a row
+    positions(zeroshot.instances, split.fewshot_instances, "zero-shot scores")
+    positions(vectors.instances, rows, "attribute scores")
     return pst(zeroshot.take(rows), vectors, split.fewshot_instances, config)
 
 

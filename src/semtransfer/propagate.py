@@ -22,9 +22,12 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 KERNELS = ("gaussian", "cosine")
-# Keys per row block of the kNN build: two float32 blocks of this many
-# (~16 MB each) for the Gaussian filter, two float64 ones for cosine.
+# Keys per row block of the kNN build: one float32 block of this many
+# (~16 MB) for the Gaussian filter, one float64 block (~32 MB) for cosine.
 _BLOCK_VALUES = 1 << 22
+# Keys per row chunk of a block that is partitioned and masked at a time
+# (~2 MB of float64).
+_CHUNK_VALUES = 1 << 18
 # Distances per row block of the median heuristic (~256 KB of float64).
 _CACHE_VALUES = 1 << 15
 
@@ -147,24 +150,26 @@ def build_knn_graph(vectors, k: int, kernel: str = "gaussian",
 
     Neighbors are ranked by similarity descending, then by index ascending,
     so ties go to the lower index. Rows are processed in blocks of about
-    ``_BLOCK_VALUES / n`` rows, so memory is O(block * n + n * k) rather
-    than O(n^2). Gaussian weights of selected neighbors are floored at the
-    smallest normal float, so an outlier far from everything keeps its k
-    edges instead of underflowing to an isolated node; a cosine similarity
-    of 0 is genuine isolation and still raises.
+    ``_BLOCK_VALUES / n`` rows, and each block's keys are partitioned and
+    masked in chunks of about ``_CHUNK_VALUES / n`` rows, so memory is one
+    block of keys plus O(chunk * n + n * k) rather than O(n^2). Gaussian
+    weights of selected neighbors are floored at the smallest normal float,
+    so an outlier far from everything keeps its k edges instead of
+    underflowing to an isolated node; a cosine similarity of 0 is genuine
+    isolation and still raises.
 
     A row block gets one key per column that rises with distance: the
     negated cosine, or approximate squared distances from one float32
     matrix product on the column-centered vectors. Columns within the row's
     k-th key plus twice a slack (0 for cosine, a rounding bound for
     Gaussian) are candidates. The Gaussian filter falls back to float64
-    keys, half the block's rows at a time in the same memory, where float32
-    would overflow or underflow, or where a block keeps more than 4k
-    candidates per row. Candidates are ranked by similarity; Gaussian ones
-    get exact float64 squared distances, bit for bit SciPy's ``cdist``, and
-    an ``exp``. A Gaussian row whose k-th similarity is below the smallest
-    normal float, where an excluded column could still tie with it, is
-    ranked again over every other column.
+    keys, half the block's rows at a time in the same key buffer, where
+    float32 would overflow or underflow, or as soon as a block's chunks keep
+    more than 4k candidates per row. Candidates are ranked by similarity;
+    Gaussian ones get exact float64 squared distances, bit for bit SciPy's
+    ``cdist``, and an ``exp``. A Gaussian row whose k-th similarity is below
+    the smallest normal float, where an excluded column could still tie
+    with it, is ranked again over every other column.
     """
     if isinstance(vectors, AttributeScoreMatrix):
         vectors = vectors.values
@@ -243,49 +248,69 @@ def build_knn_graph(vectors, k: int, kernel: str = "gaussian",
     # float32 key blocks have `block` rows; float64 ones of the Gaussian
     # filter have `half` rows, so that both fit the same buffer
     half = block if kernel == "cosine" else max(1, block // 2)
+    chunk = min(block, max(1, _CHUNK_VALUES // n))
     # Reused by every block; fresh buffers per block made peak RSS swing by ~30 MB.
-    buf = np.empty(max(2 * half, block) * n)
-    keep_buf = np.empty((block, n), dtype=bool)
+    # Only the key block is full height; a chunk of its rows at a time is
+    # copied for the partition and masked.
+    key_buf = np.empty(max(half * n, -(-block * n // 2)))
+    part_buf = np.empty(chunk * n)
+    keep_buf = np.empty((chunk, n), dtype=bool)
     cols = np.empty((n, k), dtype=np.intp)
     vals = np.empty((n, k))
     counts = {"candidates": 0, "fallback_blocks": 0, "weak_rows": 0}
 
-    def select(lo, key, rows, keep):
-        # the k most similar candidates (rows[i], c), where keep[i, c], of a
-        # block of keys ``key`` starting at row lo
-        i, c = np.divmod(np.flatnonzero(keep), n)
+    def select(lo, key, rows, flat):
+        # the k most similar candidates (rows[i], c), where flat = i * n + c
+        # in ascending order, of a block of keys ``key`` starting at row lo
+        i, c = np.divmod(flat, n)
         sim = (-key[rows[i], c] if kernel == "cosine"
                else np.exp(_sqdist(XT[:, lo + rows[i]], XT[:, c]) / scale))
         cols[lo + rows], vals[lo + rows] = _top_k(i, c, sim, rows.size, k)
+
+    def candidates(lo, key, f32):
+        # flat indices into ``key``, the keys of the rows from lo, of the
+        # columns that the filter keeps; None once float32 keys keep over 4k
+        # candidates per row
+        rows = key.shape[0]
+        margin = 2.0 * (slack32 if f32 else slack)[lo:lo + rows]
+        found, kept = [], 0
+        for a in range(0, rows, chunk):
+            b = min(a + chunk, rows)
+            part = part_buf.view(key.dtype)[:(b - a) * n].reshape(b - a, n)
+            np.copyto(part, key[a:b])
+            part.partition(k - 1, axis=1)
+            bound = part[:, k - 1] + margin[a:b]
+            if f32:
+                bound = np.nextafter(np.minimum(bound, np.finfo(np.float32).max).astype(np.float32),
+                                     np.float32(np.inf))
+            keep = np.less_equal(key[a:b], bound[:, None], out=keep_buf[:b - a])
+            found.append(np.flatnonzero(keep) + a * n)
+            kept += found[-1].size
+            if f32 and kept > 4 * k * rows:
+                return None
+        return np.concatenate(found)
 
     def rank(lo, hi, f32):
         # filters and ranks rows lo..hi; False if float32 keys kept over 4k
         # candidates per row, leaving the rows unranked
         rows = hi - lo
-        key, part = buf.view(np.float32 if f32 else float)[:2 * rows * n].reshape(2, rows, n)
+        key = key_buf.view(np.float32 if f32 else float)[:rows * n].reshape(rows, n)
         local = np.arange(rows)
         L, R = rounded if f32 else exact
         np.matmul(L[lo:hi], R, out=key)
         if kernel == "cosine":
             np.negative(np.clip(key, 0.0, None, out=key), out=key)
         key[local, lo + local] = np.inf
-        np.copyto(part, key)
-        part.partition(k - 1, axis=1)
-        bound = part[:, k - 1] + 2.0 * (slack32 if f32 else slack)[lo:hi]
-        if f32:
-            bound = np.nextafter(np.minimum(bound, np.finfo(np.float32).max).astype(np.float32),
-                                 np.float32(np.inf))
-        keep = np.less_equal(key, bound[:, None], out=keep_buf[:rows])
-        kept = np.count_nonzero(keep)
-        if f32 and kept > 4 * k * rows:
+        flat = candidates(lo, key, f32)
+        if flat is None:
             return False
-        counts["candidates"] += kept
-        select(lo, key, local, keep)
+        counts["candidates"] += flat.size
+        select(lo, key, local, flat)
         if kernel == "gaussian" and (weak := np.flatnonzero(vals[lo:hi, k - 1] < tiny)).size:
             # exp underflowed at the k-th neighbor, so columns outside the
             # filter may tie with it: every other column is a candidate
             counts["weak_rows"] += weak.size
-            select(lo, key, weak, key[weak] < np.inf)
+            select(lo, key, weak, np.flatnonzero(key[weak] < np.inf))
         return True
 
     for lo in range(0, n, block):

@@ -653,6 +653,25 @@ class TestInputValidation:
         assert (code, payload["stage"]) == (3, "pst")
         assert f"instance both few-shot and test: {inst}" in payload["error"]
 
+    @pytest.mark.parametrize("name, kind, label", [
+        ("pst_zeroshot.tsv", CategoryScoreMatrix, "zero-shot scores"),
+        ("pst_vectors.tsv", AttributeScoreMatrix, "attribute scores"),
+    ])
+    def test_pst_names_the_input_that_lacks_a_fewshot_row(self, synth_dir, capsys,
+                                                          name, kind, label):
+        write_pst_inputs(synth_dir)
+        fewshot = next(iter(json.loads((synth_dir / "split.json").read_text())
+                            ["fewshot_instances"]))
+        scores = sio.read_matrix(synth_dir / name, kind)
+        sio.write_matrix(synth_dir / name,
+                         scores.take([i for i in scores.instances if i != fewshot]))
+        code, err = run(capsys, "pst", "--zeroshot", synth_dir / "pst_zeroshot.tsv",
+                        "--vectors", synth_dir / "pst_vectors.tsv", "--k", "4",
+                        "--split", synth_dir / "split.json", "--out", synth_dir / "pst.tsv")
+        payload = one_json_error(code, err)
+        assert (code, payload["stage"]) == (3, "pst")
+        assert payload["error"] == f"not in {label}: {fewshot!r}"
+
     @staticmethod
     def _split_with_list(d):
         doc = json.loads((d / "split.json").read_text())

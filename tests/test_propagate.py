@@ -98,7 +98,8 @@ def _gaussian_oracle_inputs():
         "far_grid": (far_grid, (6, 7)),
         "far_outlier": (outlier, (1, 5, 15)),
         "copies": (copies, (1, 15)),
-        # 3000 rows make blocks of 1398, 1398 and a ragged 204
+        # 3000 rows make key blocks of 1398, 1398 and a ragged 204 rows,
+        # filtered in chunks of 87
         "three_blocks": (rng.normal(size=(3000, 3)), (15,)),
     }
     # the same blocks with an outlier in the second and one in the ragged
@@ -111,6 +112,16 @@ def _gaussian_oracle_inputs():
 
 
 GAUSSIAN_INPUTS = _gaussian_oracle_inputs()
+
+
+def traced_build(X, k, kernel):
+    """The graph and the peak of memory traced while building it."""
+    tracemalloc.start()
+    try:
+        graph = build_knn_graph(X, k=k, kernel=kernel)
+        return graph, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def assert_graphs_equal(graph, W, S):
@@ -335,18 +346,21 @@ class TestKnnGraph:
 
     @pytest.mark.parametrize("name, k", [("three_blocks", 15), ("far_rows_in_later_blocks", 4)])
     def test_float32_filter_and_its_fallback_share_the_block_memory(self, name, k):
-        # two float32 key blocks, or two float64 ones of half the rows, take
-        # 8 bytes per block value, and the keep mask 1; two float64 blocks
-        # of full height would take 16
+        # one float32 key block, or one float64 block of half the rows, takes
+        # 4 bytes per block value; the partition copy and the keep mask cover
+        # a row chunk, and the rest grows with n k. A full-height partition
+        # copy would add 4 more
         X = GAUSSIAN_INPUTS[name][0]
-        tracemalloc.start()
-        try:
-            graph = build_knn_graph(X, k=k)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        graph, peak = traced_build(X, k, "gaussian")
         assert graph.fallback_blocks == (0 if name == "three_blocks" else 3)
-        assert peak < 12 * _BLOCK_VALUES
+        assert peak < 7 * _BLOCK_VALUES
+
+    def test_cosine_block_memory_is_one_float64_key_block(self):
+        # cosine keys stay float64 at full block height, 8 bytes per block
+        # value; as for Gaussian, only a row chunk is copied and masked
+        X = GAUSSIAN_INPUTS["three_blocks"][0]
+        _, peak = traced_build(X, 15, "cosine")
+        assert peak < 11 * _BLOCK_VALUES
 
     def test_median_heuristic_matches_pdist(self):
         # strided to at most 1000 rows; duplicate rows give zero distances
