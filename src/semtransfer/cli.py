@@ -73,7 +73,9 @@ def _load_terms(path) -> tuple[list[str], list[str]]:
     for key in ("categories", "attributes"):
         if key not in doc or not isinstance(doc[key], list):
             raise ParseError(f"{path}: terms file needs a {key!r} list")
-    return [str(t) for t in doc["categories"]], [str(t) for t in doc["attributes"]]
+        if bad := [t for t in doc[key] if not isinstance(t, str)]:
+            raise ParseError(f"{path}: {key} terms must be strings, got {json.dumps(bad[0])}")
+    return doc["categories"], doc["attributes"]
 
 
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str, "None": type(None),

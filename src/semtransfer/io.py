@@ -89,12 +89,17 @@ def write_matrix_tsv(path, row_ids: Sequence[str], col_ids: Sequence[str],
 
 
 def read_matrix_tsv(path):
-    """Read a matrix TSV, returning (row_ids, col_ids, values, tags)."""
+    """Read a matrix TSV, returning (row_ids, col_ids, values, tags).
+
+    One ``np.loadtxt`` call parses every cell, so a cell must be an ASCII
+    decimal number (``float()`` would also read ``1_0`` and non-ASCII
+    digits). Only if that call fails are the cells checked one by one, to
+    name the first bad one.
+    """
     text = _read_text(path)
     tags: dict[str, str] = {}
     header = None
-    row_ids: list[str] = []
-    rows: list[list[float]] = []
+    rows: list[tuple[int, str]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -103,24 +108,35 @@ def read_matrix_tsv(path):
             if "=" in body:
                 key, _, val = body.partition("=")
                 tags[key.strip()] = val.strip()
-            continue
-        cells = line.split("\t")
-        if header is None:
+        elif header is None:
+            cells = line.split("\t")
             if cells[0] != "":
                 raise ParseError(f"{path}:{lineno}: first header cell must be empty")
             header = cells[1:]
-            continue
-        if len(cells) != len(header) + 1:
-            raise ParseError(f"{path}:{lineno}: expected {len(header) + 1} cells, got {len(cells)}")
-        row_ids.append(cells[0])
-        try:
-            rows.append([float(c) for c in cells[1:]])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        elif (n_cells := line.count("\t") + 1) != len(header) + 1:
+            raise ParseError(f"{path}:{lineno}: expected {len(header) + 1} cells, got {n_cells}")
+        else:
+            rows.append((lineno, line))
     if header is None:
         raise ParseError(f"{path}: missing header row")
-    values = np.array(rows, dtype=float).reshape(len(row_ids), len(header))
-    return row_ids, header, values, tags
+    values = np.empty((0, len(header)))
+    try:
+        if rows:
+            values = np.loadtxt([line for _, line in rows], delimiter="\t", comments=None,
+                                usecols=range(1, len(header) + 1), ndmin=2)
+    except ValueError as exc:
+        bad = next(((lineno, cell) for lineno, line in rows
+                    for cell in line.split("\t")[1:] if not _is_number(cell)), None)
+        raise ParseError(f"{path}:{bad[0]}: not a number: {bad[1]!r}" if bad
+                         else f"{path}: {exc}") from None
+    return [line.partition("\t")[0] for _, line in rows], header, values, tags
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        return cell != "" and np.loadtxt([cell], delimiter="\t", comments=None).size == 1
+    except ValueError:
+        return False
 
 
 def write_matrix(path, m: LabelledMatrix) -> None:

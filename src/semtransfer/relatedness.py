@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import math
 import string
+from array import array
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -76,12 +76,29 @@ class CorpusIndex:
         return tuple(map(tuple, np.split(vocab[self.tokens], self.doc_ptr[1:-1])))
 
 
+class _WordTokens(dict):
+    """Word -> token id, filled in on a word's first lookup: the word is
+    lowercased and stripped once, and a new token takes the next id in
+    ``postings``, so ids follow first appearance. An all-punctuation word
+    maps to -1."""
+
+    def __init__(self):
+        super().__init__()
+        self.postings: dict[str, int] = {}
+
+    def __missing__(self, word: str) -> int:
+        token = word.lower().strip(_STRIP)
+        self[word] = tid = self.postings.setdefault(token, len(self.postings)) if token else -1
+        return tid
+
+
 def build_corpus_index(documents: Sequence[tuple[str, str]]) -> CorpusIndex:
     """Index (doc_id, text) pairs for the co-occurrence measures.
 
     Tokens are those of :func:`tokenize`, which lowercases before splitting;
     lowercasing never makes or removes whitespace, so each distinct word is
-    lowercased and stripped once instead.
+    lowercased and stripped once instead. Only one document's words are held
+    at a time, so the index costs 8 bytes per token plus the vocabulary.
     """
     if not documents:
         raise ValidationError("empty corpus")
@@ -91,18 +108,19 @@ def build_corpus_index(documents: Sequence[tuple[str, str]]) -> CorpusIndex:
         if doc_id in doc_ids:
             raise ValidationError(f"duplicate document id: {doc_id!r}")
         doc_ids[doc_id] = None
-    split = [text.split() for _, text in documents]
-    words = list(chain.from_iterable(split))
-    # distinct words in first-appearance order, so token ids are too; an
-    # all-punctuation word maps to -1 and is dropped
-    postings: dict[str, int] = {}
-    word_token = {w: postings.setdefault(t, len(postings)) if (t := w.lower().strip(_STRIP))
-                  else -1 for w in dict.fromkeys(words)}
-    token_of_word = np.fromiter(map(word_token.__getitem__, words), np.int64, len(words))
+    # a known word's lookup stays in C; an all-punctuation word's -1 is dropped
+    word_token = _WordTokens()
+    ids = array("q")
+    n_words = []
+    for _, text in documents:
+        words = text.split()
+        ids.extend(map(word_token.__getitem__, words))
+        n_words.append(len(words))
+    token_of_word = np.frombuffer(ids, dtype=np.int64)
     keep = token_of_word >= 0
-    doc_of_token = np.repeat(np.arange(len(doc_ids)), list(map(len, split)))[keep]
+    doc_of_token = np.repeat(np.arange(len(doc_ids)), n_words)[keep]
     doc_ptr = np.searchsorted(doc_of_token, np.arange(len(doc_ids) + 1))
-    return CorpusIndex(tuple(doc_ids), token_of_word[keep], doc_ptr, postings)
+    return CorpusIndex(tuple(doc_ids), token_of_word[keep], doc_ptr, word_token.postings)
 
 
 def _ranges(start: np.ndarray, n: np.ndarray) -> np.ndarray:

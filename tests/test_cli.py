@@ -243,6 +243,23 @@ class TestErrorContract:
         assert len(err.strip().splitlines()) == 1
         assert "probs.tsv:5: duplicate node 'y'" in last_error(err)["error"]
 
+    @pytest.mark.parametrize("key", ["categories", "attributes"])
+    @pytest.mark.parametrize("term", [None, 1, ["bear"]])
+    def test_non_string_term_exits_2(self, tmp_path, capsys, key, term):
+        # stringified, a null term would be mined as the word "None"
+        sio.write_corpus_jsonl(tmp_path / "corpus.jsonl", [("d0", "None bear"), ("d1", "None")])
+        terms = {"categories": ["bear"], "attributes": ["none"]}
+        terms[key] = [*terms[key], term]
+        (tmp_path / "terms.json").write_text(json.dumps(terms))
+        code, err = run(capsys, "mine", "--corpus", tmp_path / "corpus.jsonl",
+                        "--terms", tmp_path / "terms.json", "--measure", "dice_hit",
+                        "--out", tmp_path / "rel.tsv")
+        lines = err.strip().splitlines()
+        assert (code, len(lines)) == (2, 1), err
+        assert json.loads(lines[0])["error"] == (
+            f"{tmp_path / 'terms.json'}: {key} terms must be strings, got {json.dumps(term)}")
+        assert not (tmp_path / "rel.tsv").exists()
+
     def test_lin_touches_no_corpus(self, tmp_path, capsys):
         # lin reads only the taxonomy: a corpus it could not index, or none, changes nothing
         sio.write_corpus_jsonl(tmp_path / "corpus.jsonl", [("d", "x y"), ("d", "y z")])
@@ -796,6 +813,21 @@ class TestInputFiles:
         code, err = run(capsys, *argv, "--out", tmp_path / "out.tsv")
         assert code == 2
         assert "UTF-8" in one_json_error(code, err)["error"]
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661", "\uff11", "0x1", "", " "])
+    def test_matrix_cell_that_is_not_an_ascii_number_exits_2(self, synth_dir, tmp_path,
+                                                            capsys, cell):
+        # float() reads "1_0" and non-ASCII digits; the matrix reader does not
+        rel = mined_relatedness(synth_dir, tmp_path / "rel.tsv")
+        lines = rel.read_text().splitlines()
+        cells = lines[-2].split("\t")
+        cells[2] = cell
+        lines[-2] = "\t".join(cells)
+        rel.write_text("\n".join(lines) + "\n")
+        code, err = run(capsys, "assoc", "--relatedness", rel, "--policy",
+                        "per_attribute_mean", "--out", tmp_path / "assoc.tsv")
+        assert one_json_error(2, err)["error"] == f"{rel}:{len(lines) - 1}: not a number: {cell!r}"
+        assert not (tmp_path / "assoc.tsv").exists()
 
 
 def _mutate(data: bytes, mutation: str, pick: int, byte: int) -> bytes:

@@ -77,6 +77,31 @@ class TestMatrixTsv:
         with pytest.raises(ParseError):
             sio.read_matrix_tsv(path)
 
+    @pytest.mark.parametrize("rows, where", [
+        ("p\t1\t2\nq\t3\nr\t4\t5\n", "4: expected 3 cells, got 2"),
+        ("p\t1\nq\t3\n", "3: expected 3 cells, got 2"),
+        ("p\t1\t2\t3\nq\t3\t4\t5\n", "3: expected 3 cells, got 4"),
+        ("p\t1\t2\nq\n", "4: expected 3 cells, got 1"),
+        ("p\t1\t2\n\nq\t1\t\n", "5: not a number: ''"),
+        ("p\t1\t2\nq\tx\t\n", "4: not a number: 'x'"),
+    ])
+    def test_first_bad_line_is_named(self, tmp_path, rows, where):
+        path = tmp_path / "bad.tsv"
+        path.write_text("# type=features\n\ta\tb\n" + rows)
+        with pytest.raises(ParseError, match=f"^{path}:{where}$"):
+            sio.read_matrix_tsv(path)
+
+    def test_cells_read_as_float_reads_them(self, tmp_path):
+        rng = np.random.default_rng(3)
+        big = rng.normal(size=40) * 10.0 ** rng.integers(-300, 300, 40)
+        cells = ["-0", "nan", "-inf", "Infinity", " 2.5", "7 ", "1e-320", "+.5", "5.",
+                 *map(repr, big.tolist())]
+        path = tmp_path / "m.tsv"
+        path.write_text("\ta\n" + "".join(f"r{i}\t{c}\n" for i, c in enumerate(cells)))
+        _, _, values, _ = sio.read_matrix_tsv(path)
+        want = np.array([[float(c)] for c in cells])
+        assert np.array_equal(values.view(np.int64), want.view(np.int64))
+
     def test_non_numeric_cell_is_parse_error(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("\ta\nr\tfoo\n")

@@ -1,6 +1,9 @@
 import gc
 import math
+import string
+import tracemalloc
 import weakref
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -56,6 +59,23 @@ def brute_dice_windows(docs, a, b, window):
             nab += ha and hb
     denom = na + nb
     return 0.0 if denom == 0 else 2.0 * nab / denom
+
+
+def whole_corpus_index(docs):
+    """Oracle: the whole-corpus formulation of the index, which splits every
+    document first and so holds every word of the corpus at once. Returns
+    (tokens, doc_ptr, postings)."""
+    split = [text.split() for _, text in docs]
+    words = list(chain.from_iterable(split))
+    postings: dict[str, int] = {}
+    word_token = {w: postings.setdefault(t, len(postings))
+                  if (t := w.lower().strip(string.punctuation)) else -1
+                  for w in dict.fromkeys(words)}
+    token_of_word = np.fromiter(map(word_token.__getitem__, words), np.int64, len(words))
+    keep = token_of_word >= 0
+    doc_of_token = np.repeat(np.arange(len(docs)), list(map(len, split)))[keep]
+    doc_ptr = np.searchsorted(doc_of_token, np.arange(len(docs) + 1))
+    return token_of_word[keep], doc_ptr, postings
 
 
 def sparse_measure(docs, rows, cols, measure, window=None):
@@ -173,6 +193,55 @@ class TestCorpusIndex:
         assert (len(idx.postings), idx.n_docs) == (0, 2)
         assert idx.tokens.size == 0 and idx.doc_ptr.tolist() == [0, 0, 0]
         assert dice_snippet(idx, "a", "b", window=2) == 0.0
+
+    # case and punctuation variants, punctuation-only words, Unicode whitespace
+    WORDS = ["bear", "Bear,", "BEAR", "(bear)", "otter", "Otter.", "ice", "'ice'", "sea-otter",
+             "\u0130ce", "...", "--", "!", "fur", "FUR!", "claw"]
+    SPACES = [" ", "  ", "\t", "\n", "\u00a0", "\u2003", "\x1c", "\u2028", "\u0085"]
+
+    def _random_corpus(self, seed):
+        rng = np.random.default_rng(seed)
+        docs = []
+        for d in range(int(rng.integers(1, 40))):
+            n = int(rng.integers(0, 30)) if rng.random() > 0.2 else 0
+            words = rng.choice(self.WORDS, size=n)
+            gaps = rng.choice(self.SPACES, size=n + 1)
+            docs.append((f"d{d}", "".join(chain.from_iterable(zip(gaps, words))) + gaps[-1]))
+        # "bear" first appears through a variant, in a later document
+        return [("first", "otter otter ..."), ("variant", "-- Bear, ice"), *docs,
+                ("plain", "bear bear Bear"), ("blank", "\u3000\u2029")]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_whole_corpus_oracle(self, seed):
+        docs = self._random_corpus(seed)
+        idx = build_corpus_index(docs)
+        tokens, doc_ptr, postings = whole_corpus_index(docs)
+        assert idx.tokens.dtype == tokens.dtype == np.int64
+        assert idx.doc_ptr.dtype == doc_ptr.dtype == np.int64
+        np.testing.assert_array_equal(idx.tokens, tokens)
+        np.testing.assert_array_equal(idx.doc_ptr, doc_ptr)
+        assert list(idx.postings.items()) == list(postings.items())
+        assert list(idx.postings)[:3] == ["otter", "bear", "ice"]
+
+    def test_peak_memory_per_word(self):
+        # the index holds one document's words at a time, not every word of
+        # the corpus as a str object (about 98 traced bytes per word)
+        rng = np.random.default_rng(0)
+        vocab = np.array([f"w{i}" for i in range(2000)] + self.WORDS)
+        p = 1.0 / np.arange(1, len(vocab) + 1)
+        docs = [(f"d{d}", " ".join(rng.choice(vocab, size=60, p=p / p.sum())))
+                for d in range(2000)]
+        n_words = sum(len(text.split()) for _, text in docs)
+        assert n_words >= 100_000
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            idx = build_corpus_index(docs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert idx.n_docs == len(docs)
+        assert (peak - base) / n_words <= 40
 
 
 class TestDiceHitcount:
