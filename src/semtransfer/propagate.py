@@ -61,7 +61,15 @@ class PropagationConfig:
 
 @dataclass(frozen=True, eq=False)
 class SimilarityGraph:
-    """Symmetric weights W and the normalized operator S = D^-1/2 W D^-1/2.
+    """Symmetric weights W and the normalized operator S = D^-1/2 W D^-1/2,
+    stored as CSR arrays: row i's edges go to ``indices[indptr[i]:indptr[i + 1]]``,
+    in ascending order, with weights ``weights`` (W) and ``norm`` (S).
+
+    The degrees are ``np.add.reduceat`` over each row's weights, and
+    ``norm`` is ``(d_i * w_ij) * d_j`` with ``d = 1 / sqrt(degree)``, which is
+    the arithmetic of SciPy's ``W.sum(axis=1)`` and ``D @ W @ D``, so ``W``
+    and ``S``, the ``scipy.sparse`` views built on each read, are bit for
+    bit theirs.
 
     ``build_knn_graph`` also records the Gaussian ``sigma`` (None for
     cosine) and its filter's counts: the candidates it ranked over all rows,
@@ -71,33 +79,53 @@ class SimilarityGraph:
     """
 
     n: int
-    W: sp.csr_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: np.ndarray
     sigma: float | None = None
     candidates: int = 0
     fallback_blocks: int = 0
     weak_rows: int = 0
-    S: sp.csr_matrix = field(init=False)
+    norm: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        import scipy.sparse as sp
-
-        if self.W.shape != (self.n, self.n):
-            raise ValidationError("graph weights must be n x n")
-        deg = np.asarray(self.W.sum(axis=1)).ravel()
+        indptr, indices, weights = (np.asarray(a) for a in (self.indptr, self.indices, self.weights))
+        if (indptr.shape != (self.n + 1,) or indptr[0] != 0 or np.any(np.diff(indptr) < 0)
+                or not indptr[-1] == indices.size == weights.size
+                or np.any((indices < 0) | (indices >= self.n))):
+            raise ValidationError("graph arrays must be an n x n CSR matrix")
+        # SciPy's row sums: reduceat over the rows that have an edge
+        deg = np.zeros(self.n)
+        rows = np.flatnonzero(np.diff(indptr))
+        deg[rows] = np.add.reduceat(weights, indptr[rows])
         if (isolated := np.flatnonzero(deg <= 0)).size:
             raise ValidationError(f"isolated graph nodes: {isolated.tolist()}")
-        D = sp.diags(1.0 / np.sqrt(deg))
-        freeze(self, S=(D @ self.W @ D).tocsr())
+        d = 1.0 / np.sqrt(deg)
+        freeze(self, indptr=indptr, indices=indices, weights=weights,
+               norm=d.repeat(np.diff(indptr)) * weights * d[indices])
+
+    def _csr(self, data) -> sp.csr_matrix:
+        import scipy.sparse as sp
+
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+
+    @property
+    def W(self) -> sp.csr_matrix:
+        return self._csr(self.weights)
+
+    @property
+    def S(self) -> sp.csr_matrix:
+        return self._csr(self.norm)
 
 
-def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between ``a`` and ``b``, whose first axis
-    is the dimension and whose other axes broadcast.
+def _sqdist(a, b, shape) -> np.ndarray:
+    """Squared Euclidean distances of ``shape`` between points given one
+    dimension at a time: ``a`` and ``b`` yield each dimension's coordinates,
+    which broadcast to ``shape``.
 
     Sums ``(a_t - b_t)^2`` over the dimensions t in order, as SciPy's
     ``cdist`` and ``pdist`` do, so the result matches theirs bit for bit.
     """
-    shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
     out = np.zeros(shape)
     diff = np.empty(shape)
     for a_t, b_t in zip(a, b):
@@ -120,7 +148,7 @@ def _median_heuristic(vectors: np.ndarray) -> float:
     parts = []
     for lo in range(0, m, step):
         hi = min(lo + step, m)
-        d2 = _sqdist(VT[:, lo:hi, None], VT[:, None, lo:])
+        d2 = _sqdist(VT[:, lo:hi, None], VT[:, None, lo:], (hi - lo, m - lo))
         parts.append(d2[np.triu_indices(hi - lo, 1, m - lo)])  # pairs i < j
     d = np.sqrt(np.concatenate(parts))
     d = d[d > 0]
@@ -185,7 +213,6 @@ def build_knn_graph(vectors, k: int, kernel: str = "gaussian",
         raise ValidationError(f"k must be >= 1, got {k}")
     if kernel not in KERNELS:
         raise ValidationError(f"unknown kernel: {kernel!r}")
-    import scipy.sparse as sp  # here, so that importing the CLI does not load it
 
     k = min(k, n - 1)
     tiny = np.finfo(float).tiny
@@ -263,8 +290,11 @@ def build_knn_graph(vectors, k: int, kernel: str = "gaussian",
         # the k most similar candidates (rows[i], c), where flat = i * n + c
         # in ascending order, of a block of keys ``key`` starting at row lo
         i, c = np.divmod(flat, n)
-        sim = (-key[rows[i], c] if kernel == "cosine"
-               else np.exp(_sqdist(XT[:, lo + rows[i]], XT[:, c]) / scale))
+        if kernel == "cosine":
+            sim = -key[rows[i], c]
+        else:  # gathered a dimension at a time, not 2d values per candidate
+            r = lo + rows[i]
+            sim = np.exp(_sqdist((x[r] for x in XT), (x[c] for x in XT), i.shape) / scale)
         cols[lo + rows], vals[lo + rows] = _top_k(i, c, sim, rows.size, k)
 
     def candidates(lo, key, f32):
@@ -321,13 +351,23 @@ def build_knn_graph(vectors, k: int, kernel: str = "gaussian",
         for sub in range(lo, hi, half):
             rank(sub, min(sub + half, hi), False)
 
+    del key_buf, part_buf, keep_buf  # so that assembling W adds nothing to the peak
     if kernel == "gaussian":
         np.maximum(vals, tiny, out=vals)
-    rows = np.repeat(np.arange(n), k)
-    W = sp.csr_matrix((vals.ravel(), (rows, cols.ravel())), shape=(n, n))
-    W = W.maximum(W.T)
-    W.eliminate_zeros()
-    return SimilarityGraph(n=n, W=W, sigma=sigma, **counts)
+    # W = max(K, K^T): both directions of every selected edge, sorted by
+    # (row, column); an edge selected from both ends keeps the larger weight,
+    # and a cosine weight of 0 is no edge. The maximum is exact and
+    # commutative, so the order of an edge's two copies does not matter.
+    src = np.repeat(np.arange(n), k)
+    key = np.concatenate([src * n + cols.ravel(), cols.ravel() * n + src])
+    order = np.argsort(key)
+    key = key[order]
+    first = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+    weights = np.maximum.reduceat(np.concatenate([vals.ravel(), vals.ravel()])[order], first)
+    keep = weights > 0
+    edge = key[first][keep]
+    return SimilarityGraph(n, np.searchsorted(edge, np.arange(n + 1) * n), edge % n,
+                           weights[keep], sigma=sigma, **counts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,22 +433,46 @@ class PropagationResult:
 def propagate(graph: SimilarityGraph, seeds: SeedLabels,
               config: PropagationConfig = PropagationConfig()) -> PropagationResult:
     """Iterate F <- alpha S F + (1 - alpha) Y until the max-abs change
-    drops below tol, re-clamping pinned rows after every sweep."""
+    drops below tol, re-clamping pinned rows after every sweep.
+
+    S F is summed in layers. The rows are ordered by edge count, most first,
+    and layer s adds the s-th edge of every row that has more than s edges,
+    a prefix of that order, with one gather, one multiply and one add. So
+    each row sums 0 + s_0 F_0 + s_1 F_1 + ... over its ascending columns, as
+    SciPy's ``S @ F`` does, and every sweep is bit for bit SciPy's.
+    """
     if graph.n != len(seeds.instances):
         raise ValidationError(
             f"graph has {graph.n} nodes but seeds cover {len(seeds.instances)} instances")
-    Y = seeds.values
-    clamped = sorted(seeds.clamped)
+    count = np.diff(graph.indptr)
+    order = np.argsort(-count, kind="stable")
+    pos = np.empty(graph.n, dtype=np.intp)  # row i sits at pos[i] in that order
+    pos[order] = np.arange(graph.n)
+    Y = seeds.values[order]
+    clamped = pos[sorted(seeds.clamped)]
     alpha = config.alpha
+    base = (1.0 - alpha) * Y
     F = Y.copy()  # clamped rows of Y already hold their one-hot targets
+    SF, term = np.empty_like(F), np.empty_like(F)
+    first = graph.indptr[order]
+    layers = []
+    for s, m in enumerate(np.searchsorted(-count[order], -np.arange(count.max()))):
+        edges = first[:m] + s
+        layers.append((pos[graph.indices[edges]], graph.norm[edges, None], SF[:m], term[:m]))
     for iterations in range(1, config.max_iters + 1):
-        Fn = alpha * (graph.S @ F) + (1.0 - alpha) * Y
-        if clamped:
-            Fn[clamped] = Y[clamped]
+        SF.fill(0.0)
+        for cols, weights, acc, t in layers:
+            # cols are in range; mode "raise" would gather through a temporary
+            np.take(F, cols, axis=0, out=t, mode="clip")
+            np.multiply(t, weights, out=t)
+            acc += t
+        Fn = alpha * SF + base
+        Fn[clamped] = Y[clamped]
         delta = float(np.abs(Fn - F).max())
         F = Fn
         if delta < config.tol:
             break
+    F = F[pos]
     picks = np.argmax(F, axis=1)  # np.argmax takes the first maximum on ties
     return PropagationResult(
         scores=CategoryScoreMatrix(seeds.instances, seeds.categories, F),

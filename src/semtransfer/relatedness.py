@@ -118,8 +118,11 @@ def build_corpus_index(documents: Sequence[tuple[str, str]]) -> CorpusIndex:
         n_words.append(len(words))
     token_of_word = np.frombuffer(ids, dtype=np.int64)
     keep = token_of_word >= 0
-    doc_of_token = np.repeat(np.arange(len(doc_ids)), n_words)[keep]
-    doc_ptr = np.searchsorted(doc_of_token, np.arange(len(doc_ids) + 1))
+    # a document keeps its words less the dropped ones that fall in it
+    word_end = np.cumsum(n_words)
+    dropped = np.bincount(np.searchsorted(word_end, np.flatnonzero(~keep), side="right"),
+                          minlength=len(n_words))
+    doc_ptr = np.concatenate([[0], word_end - np.cumsum(dropped)])
     return CorpusIndex(tuple(doc_ids), token_of_word[keep], doc_ptr, word_token.postings)
 
 

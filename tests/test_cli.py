@@ -540,9 +540,10 @@ class TestPipeline:
 
 def test_cli_import_skips_unused_scipy_modules(tmp_path):
     # Mining is NumPy only, so neither importing the CLI nor ``mine`` with any
-    # measure loads SciPy. Only PST's kNN graph needs ``scipy.sparse``; its
-    # distances are computed without ``scipy.spatial``, the logistic function
-    # is NumPy's, and the sweeps need no sparse solver.
+    # measure loads SciPy. PST's kNN graph and its sweeps are NumPy CSR arrays,
+    # its distances are computed without ``scipy.spatial`` and the logistic
+    # function is NumPy's, so neither ``pst`` nor a synth pipeline with a
+    # ``pst`` section loads SciPy either.
     rng = np.random.default_rng(3)
     instances = tuple(f"i{k}" for k in range(12))
     sio.write_category_scores(tmp_path / "zs.tsv", CategoryScoreMatrix(
@@ -568,16 +569,19 @@ def test_cli_import_skips_unused_scipy_modules(tmp_path):
         "    print(m, code, loaded())\n"
         "code = cli.main(['pst', '--zeroshot', 'zs.tsv', '--vectors', 'vectors.tsv',"
         " '--split', 'split.json', '--k', '3', '--out', 'pst.tsv'])\n"
-        "print('pst', code, [m for m in ('scipy.sparse', 'scipy.sparse.linalg', 'scipy.spatial',"
-        " 'scipy.special') if m in sys.modules])\n")
+        "print('pst', code, loaded())\n"
+        "code = cli.main(['pipeline', '--config', 'config.json'])\n"
+        "print('pipeline', code, loaded())\n")
+    pipeline_config(tmp_path, output_dir=str(tmp_path / "run"))
     src = str(Path(sio.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
                          timeout=120)
     assert out.stdout.splitlines() == [
         "import []", *(f"{m} 0 []" for m in ("dice_hit", "dice_snippet", "esa", "lin", "tfidf")),
-        "pst 0 ['scipy.sparse']"]
+        "pst 0 []", "pipeline 0 []"]
     assert all((tmp_path / f"{m}.tsv").exists() for m in ("esa", "lin", "tfidf", "pst"))
+    assert (tmp_path / "run" / "pst_scores.tsv").exists()
 
 
 def test_train_flag_defaults_are_train_config_defaults():

@@ -17,7 +17,8 @@ from semtransfer import (
     pst,
     seed_from_zeroshot,
 )
-from semtransfer.propagate import _BLOCK_VALUES, SeedLabels, _median_heuristic
+from semtransfer.propagate import (_BLOCK_VALUES, SeedLabels, SimilarityGraph,
+                                   _median_heuristic)
 
 
 def dense_knn_oracle(X, ks, kernel):
@@ -207,6 +208,25 @@ class TestKnnGraph:
                 v = nxt / norm
             radius = float(v @ (S @ v))
             assert radius <= 1.0 + 1e-9
+
+    def test_graph_from_csr_arrays(self):
+        # one unit edge between two nodes: S is the 0/1 swap matrix
+        graph = SimilarityGraph(2, [0, 1, 2], [1, 0], [1.0, 1.0])
+        assert np.array_equal(graph.S.toarray(), [[0.0, 1.0], [1.0, 0.0]])
+        assert np.array_equal(graph.W.toarray(), graph.S.toarray())
+
+    @pytest.mark.parametrize("indptr, indices, weights, message", [
+        ([0, 2], [1, 0], [1.0, 1.0], "CSR"),  # indptr too short
+        ([1, 1, 2], [1, 0], [1.0, 1.0], "CSR"),  # indptr starts past 0
+        ([0, 2, 1], [1], [1.0], "CSR"),  # indptr decreases
+        ([0, 1, 2], [1], [1.0], "CSR"),  # fewer edges than indptr ends at
+        ([0, 1, 2], [1, 2], [1.0, 1.0], "CSR"),  # column out of range
+        ([0, 1, 1], [1], [1.0], r"isolated graph nodes: \[1\]"),  # no edge
+        ([0, 1, 2], [1, 0], [0.0, 0.0], r"isolated graph nodes: \[0, 1\]"),  # zero degree
+    ])
+    def test_malformed_csr_arrays_rejected(self, indptr, indices, weights, message):
+        with pytest.raises(ValidationError, match=message):
+            SimilarityGraph(2, indptr, indices, weights)
 
     def test_cosine_isolated_node_rejected(self):
         # the third vector is anti-parallel to everything else, so its
@@ -469,6 +489,52 @@ class TestClamping:
             SeedLabels(("i0", "i1", "i2"), ("c0", "c1"), values, clamped)
 
 
+def sweep_oracle(graph, seeds, config):
+    """Reference iteration: one ``scipy.sparse`` product ``S @ F`` per sweep,
+    re-clamping pinned rows. Returns the scores, sweeps and last change."""
+    Y = seeds.values
+    clamped = sorted(seeds.clamped)
+    F = Y.copy()
+    for iterations in range(1, config.max_iters + 1):
+        Fn = config.alpha * (graph.S @ F) + (1.0 - config.alpha) * Y
+        if clamped:
+            Fn[clamped] = Y[clamped]
+        delta = float(np.abs(Fn - F).max())
+        F = Fn
+        if delta < config.tol:
+            break
+    return F, iterations, delta
+
+
+def random_seeds(n, n_categories, rng, n_clamped=0):
+    """Random seed weights, with ``n_clamped`` rows pinned to one-hot targets."""
+    Y = rng.random((n, n_categories))
+    clamped = rng.choice(n, size=n_clamped, replace=False)
+    Y[clamped] = np.eye(n_categories)[rng.integers(n_categories, size=n_clamped)]
+    return SeedLabels(tuple(f"i{i}" for i in range(n)), tuple(f"c{j}" for j in range(n_categories)),
+                      Y, frozenset(clamped.tolist()))
+
+
+def _sweep_inputs():
+    """(X, k, kernel) of graphs for the sweep oracle."""
+    rng = np.random.default_rng(61)
+    inputs = {name: (X, ks[0], "gaussian") for name, (X, ks) in GAUSSIAN_INPUTS.items()}
+    # a hub: 40 points near the ends of orthogonal unit vectors all pick the
+    # origin, whose degree is then 40 with k=3
+    inputs["hub"] = (np.vstack([np.zeros(40), np.eye(40) + 0.01 * rng.random((40, 40))]), 3,
+                     "gaussian")
+    inputs["k1"] = (rng.normal(size=(50, 3)), 1, "gaussian")
+    inputs["two_nodes"] = (np.array([[0.0], [1.0]]), 1, "gaussian")
+    # clusters of 3 points in disjoint dimensions: with k=4 every row also
+    # selects two columns of cosine 0, which are no edges
+    inputs["cosine_zeros"] = (np.kron(np.eye(10), np.ones((3, 2))) + 0.1 * np.kron(
+        np.eye(10), rng.random((3, 2))), 4, "cosine")
+    return inputs
+
+
+SWEEP_INPUTS = _sweep_inputs()
+
+
 def two_node_graph():
     # unit weight edge; S is the 0/1 swap matrix after normalization
     return build_knn_graph(np.array([[0.0], [1.0]]), k=1, kernel="gaussian", sigma=1.0)
@@ -538,6 +604,23 @@ class TestPropagate:
         seeds = SeedLabels(("i0", "i1", "i2"), ("c0",), np.zeros((3, 1)))
         with pytest.raises(ValidationError):
             propagate(graph, seeds, PropagationConfig())
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_INPUTS))
+    def test_layered_sweeps_match_scipy_loop_bitwise(self, name):
+        X, k, kernel = SWEEP_INPUTS[name]
+        graph = build_knn_graph(X, k=k, kernel=kernel)
+        degree = np.diff(graph.W.indptr)
+        if name == "hub":
+            assert degree.max() >= 10 * k
+        if name == "cosine_zeros":
+            assert degree.max() < k  # the selected zero cosines left no edge
+        rng = np.random.default_rng(67)
+        seeds = random_seeds(graph.n, 3, rng, n_clamped=min(5, graph.n // 2))
+        for config in (PropagationConfig(), PropagationConfig(alpha=0.99, max_iters=40)):
+            F, iterations, delta = sweep_oracle(graph, seeds, config)
+            result = propagate(graph, seeds, config)
+            assert result.scores.values.tobytes() == F.tobytes()
+            assert (result.iterations, result.delta) == (iterations, delta)
 
     def test_non_convergence_reported_not_raised(self):
         graph = two_node_graph()

@@ -225,7 +225,9 @@ class TestCorpusIndex:
 
     def test_peak_memory_per_word(self):
         # the index holds one document's words at a time, not every word of
-        # the corpus as a str object (about 98 traced bytes per word)
+        # the corpus as a str object (about 98 traced bytes per word), and
+        # derives its document offsets from per-document counts, not from a
+        # document number per word (about 29 bytes per word)
         rng = np.random.default_rng(0)
         vocab = np.array([f"w{i}" for i in range(2000)] + self.WORDS)
         p = 1.0 / np.arange(1, len(vocab) + 1)
@@ -241,7 +243,7 @@ class TestCorpusIndex:
         finally:
             tracemalloc.stop()
         assert idx.n_docs == len(docs)
-        assert (peak - base) / n_words <= 40
+        assert (peak - base) / n_words <= 25
 
 
 class TestDiceHitcount:
