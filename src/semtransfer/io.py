@@ -18,6 +18,7 @@ significant digits.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 from typing import Mapping, Sequence, TypeVar
@@ -40,16 +41,26 @@ M = TypeVar("M", bound=LabelledMatrix)
 _CONSTANT_TAGS = {"category_scores": {"normalized": "false"}}
 
 
-def _read_text(path) -> str:
+@contextmanager
+def _decoding(path):
+    # a file that cannot be read, or is not UTF-8, is a ParseError
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        yield
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8: {exc}") from exc
+
+
+def _no_mark(path, text: str) -> str:
     if text.startswith("\ufeff"):
         raise ParseError(f"{path}: starts with a UTF-8 byte-order mark")
     return text
+
+
+def _read_text(path) -> str:
+    with _decoding(path):
+        return _no_mark(path, Path(path).read_text(encoding="utf-8"))
 
 
 def read_json(path) -> dict:
@@ -208,18 +219,26 @@ def write_corpus_jsonl(path, documents: Sequence[tuple[str, str]]) -> None:
 
 
 def read_corpus_jsonl(path) -> list[tuple[str, str]]:
-    text = _read_text(path)
+    """(id, text) of each document of a JSONL corpus, read a line at a time.
+
+    A line ends at "\n" only, so a JSON string may hold a raw U+2028 or U+0085.
+    """
     docs: list[tuple[str, str]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        if not (isinstance(obj, dict) and all(isinstance(obj.get(k), str) for k in ("id", "text"))):
-            raise ParseError(f"{path}:{lineno}: corpus lines need string 'id' and 'text' fields")
-        docs.append((obj["id"], obj["text"]))
+    with _decoding(path), open(path, encoding="utf-8", newline="\n") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if lineno == 1:
+                _no_mark(path, line)
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            if not (isinstance(obj, dict)
+                    and all(isinstance(obj.get(k), str) for k in ("id", "text"))):
+                raise ParseError(
+                    f"{path}:{lineno}: corpus lines need string 'id' and 'text' fields")
+            docs.append((obj["id"], obj["text"]))
     return docs
 
 

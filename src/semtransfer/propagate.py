@@ -22,10 +22,16 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 KERNELS = ("gaussian", "cosine")
-# Keys per row block of the kNN build: one float32 block of this many
-# (~16 MB) for the Gaussian filter, one float64 block (~32 MB) for cosine.
+# Keys per row block of the kNN build, whose rows are filtered and ranked
+# together. Cosine keys are one product per block, in one float64 buffer of
+# this many (~32 MB): they are the weights, and a product's rounding changes
+# with its height.
 _BLOCK_VALUES = 1 << 22
-# Keys per row chunk of a block that is partitioned and masked at a time
+# Rows per product of Gaussian keys, float32 (half as many float64 rows in
+# the fallback), in one buffer: ~2.7 MB at n = 5232. Every product packs its
+# whole (d + 1) x n right operand again, so fewer rows slow a large build.
+_PRODUCT_ROWS = 128
+# Keys per row chunk of a product that is partitioned and masked at a time
 # (~2 MB of float64).
 _CHUNK_VALUES = 1 << 18
 # Distances per row block of the median heuristic (~256 KB of float64).
@@ -137,7 +143,9 @@ def _sqdist(a, b, shape) -> np.ndarray:
 
 def _median_heuristic(vectors: np.ndarray) -> float:
     # Median positive pairwise distance; strided subsample keeps this cheap
-    # and deterministic for big inputs.
+    # and deterministic for big inputs. sqrt is monotone, so the square roots
+    # of the middle one or two positive squared distances, averaged, are
+    # np.median of the distances bit for bit.
     n = vectors.shape[0]
     if n > 1000:
         stride = int(np.ceil(n / 1000))
@@ -145,16 +153,20 @@ def _median_heuristic(vectors: np.ndarray) -> float:
     m = vectors.shape[0]
     VT = np.ascontiguousarray(vectors.T)
     step = max(1, _CACHE_VALUES // m)
-    parts = []
+    d2 = np.empty(m * (m - 1) // 2)
+    size = 0
     for lo in range(0, m, step):
         hi = min(lo + step, m)
-        d2 = _sqdist(VT[:, lo:hi, None], VT[:, None, lo:], (hi - lo, m - lo))
-        parts.append(d2[np.triu_indices(hi - lo, 1, m - lo)])  # pairs i < j
-    d = np.sqrt(np.concatenate(parts))
-    d = d[d > 0]
-    if d.size == 0:
+        part = _sqdist(VT[:, lo:hi, None], VT[:, None, lo:], (hi - lo, m - lo))
+        part = part[np.triu_indices(hi - lo, 1, m - lo)]  # pairs i < j
+        part = part[part > 0]
+        d2[size:size + part.size] = part
+        size += part.size
+    if size == 0:
         return 1.0
-    return float(np.median(d))
+    mid = d2[:size]
+    mid.partition([(size - 1) // 2, size // 2])
+    return float(np.mean(np.sqrt(mid[(size - 1) // 2:size // 2 + 1])))
 
 
 def _top_k(r: np.ndarray, c: np.ndarray, v: np.ndarray, rows: int, k: int):
@@ -177,27 +189,29 @@ def build_knn_graph(vectors, k: int, kernel: str = "gaussian",
     and an edge survives if either endpoint selected it.
 
     Neighbors are ranked by similarity descending, then by index ascending,
-    so ties go to the lower index. Rows are processed in blocks of about
-    ``_BLOCK_VALUES / n`` rows, and each block's keys are partitioned and
-    masked in chunks of about ``_CHUNK_VALUES / n`` rows, so memory is one
-    block of keys plus O(chunk * n + n * k) rather than O(n^2). Gaussian
-    weights of selected neighbors are floored at the smallest normal float,
-    so an outlier far from everything keeps its k edges instead of
-    underflowing to an isolated node; a cosine similarity of 0 is genuine
-    isolation and still raises.
+    so ties go to the lower index. Rows are ranked in blocks of about
+    ``_BLOCK_VALUES / n`` rows. Their keys come from products of
+    ``_PRODUCT_ROWS`` rows (Gaussian) or of the whole block (cosine) and are
+    partitioned and masked in chunks of about ``_CHUNK_VALUES / n`` rows, so
+    memory is one product's keys plus O(chunk * n + n * k) rather than
+    O(n^2). Gaussian weights of selected neighbors are floored at the
+    smallest normal float, so an outlier far from everything keeps its k
+    edges instead of underflowing to an isolated node; a cosine similarity
+    of 0 is genuine isolation and still raises.
 
-    A row block gets one key per column that rises with distance: the
-    negated cosine, or approximate squared distances from one float32
-    matrix product on the column-centered vectors. Columns within the row's
-    k-th key plus twice a slack (0 for cosine, a rounding bound for
-    Gaussian) are candidates. The Gaussian filter falls back to float64
-    keys, half the block's rows at a time in the same key buffer, where
-    float32 would overflow or underflow, or as soon as a block's chunks keep
-    more than 4k candidates per row. Candidates are ranked by similarity;
-    Gaussian ones get exact float64 squared distances, bit for bit SciPy's
-    ``cdist``, and an ``exp``. A Gaussian row whose k-th similarity is below
-    the smallest normal float, where an excluded column could still tie
-    with it, is ranked again over every other column.
+    A row gets one key per column that rises with distance: the negated
+    cosine, whose bits are the weights and change with the product's
+    height, or approximate squared distances from float32 matrix products on
+    the column-centered vectors. Columns within the row's k-th key plus
+    twice a slack (0 for cosine, a rounding bound for Gaussian) are
+    candidates. The Gaussian filter falls back to float64 keys, from
+    products of half as many rows in the same buffer, where float32 would
+    overflow or underflow, or as soon as a block's chunks keep more than 4k
+    candidates per row. Candidates are ranked by similarity; Gaussian ones
+    get exact float64 squared distances, bit for bit SciPy's ``cdist``, and
+    an ``exp``. A Gaussian row whose k-th similarity is below the smallest
+    normal float, where an excluded column could still tie with it, is
+    ranked again over every other column.
     """
     if isinstance(vectors, AttributeScoreMatrix):
         vectors = vectors.values
@@ -206,7 +220,7 @@ def build_knn_graph(vectors, k: int, kernel: str = "gaussian",
         raise ValidationError(f"vectors must be 2-d, got shape {X.shape}")
     if not np.isfinite(X).all():
         raise ValidationError("vectors must be finite")
-    n, d = X.shape
+    n = X.shape[0]
     if n < 2:
         raise ValidationError(f"graph needs at least 2 nodes, got {n}")
     if k < 1:
@@ -214,7 +228,16 @@ def build_knn_graph(vectors, k: int, kernel: str = "gaussian",
     if kernel not in KERNELS:
         raise ValidationError(f"unknown kernel: {kernel!r}")
 
-    k = min(k, n - 1)
+    # the selection's buffers and inputs are gone once it returns, and the
+    # assembly's sort temporaries once it does, before the graph is built
+    cols, vals, sigma, counts = _nearest(X, min(k, n - 1), kernel, sigma)
+    return SimilarityGraph(n, *_symmetric_max(cols, vals), sigma=sigma, **counts)
+
+
+def _nearest(X: np.ndarray, k: int, kernel: str, sigma: float | None):
+    """The columns and similarities of each row's k nearest other rows, the
+    Gaussian sigma and the filter's counts, as ``build_knn_graph`` ranks them."""
+    n, d = X.shape
     tiny = np.finfo(float).tiny
     rounded = None  # the float32 inputs of the Gaussian filter, if float32 is safe
 
@@ -272,14 +295,14 @@ def build_knn_graph(vectors, k: int, kernel: str = "gaussian",
         exact = unit, unit.T
 
     block = min(n, max(1, _BLOCK_VALUES // n))
-    # float32 key blocks have `block` rows; float64 ones of the Gaussian
-    # filter have `half` rows, so that both fit the same buffer
-    half = block if kernel == "cosine" else max(1, block // 2)
+    # a Gaussian product has `rows32` float32 rows, or `rows64` float64 ones
+    # in the same buffer; a cosine product covers its block
+    rows32 = min(block, _PRODUCT_ROWS)
+    rows64 = max(1, rows32 // 2)
     chunk = min(block, max(1, _CHUNK_VALUES // n))
     # Reused by every block; fresh buffers per block made peak RSS swing by ~30 MB.
-    # Only the key block is full height; a chunk of its rows at a time is
-    # copied for the partition and masked.
-    key_buf = np.empty(max(half * n, -(-block * n // 2)))
+    # A chunk of a product's rows at a time is copied for the partition and masked.
+    key_buf = np.empty(block * n if kernel == "cosine" else max(rows64 * n, -(-rows32 * n // 2)))
     part_buf = np.empty(chunk * n)
     keep_buf = np.empty((chunk, n), dtype=bool)
     cols = np.empty((n, k), dtype=np.intp)
@@ -288,7 +311,8 @@ def build_knn_graph(vectors, k: int, kernel: str = "gaussian",
 
     def select(lo, key, rows, flat):
         # the k most similar candidates (rows[i], c), where flat = i * n + c
-        # in ascending order, of a block of keys ``key`` starting at row lo
+        # in ascending order, of the rows from lo; cosine reads the
+        # similarities from its block of keys ``key``
         i, c = np.divmod(flat, n)
         if kernel == "cosine":
             sim = -key[rows[i], c]
@@ -297,50 +321,43 @@ def build_knn_graph(vectors, k: int, kernel: str = "gaussian",
             sim = np.exp(_sqdist((x[r] for x in XT), (x[c] for x in XT), i.shape) / scale)
         cols[lo + rows], vals[lo + rows] = _top_k(i, c, sim, rows.size, k)
 
-    def candidates(lo, key, f32):
-        # flat indices into ``key``, the keys of the rows from lo, of the
-        # columns that the filter keeps; None once float32 keys keep over 4k
-        # candidates per row
-        rows = key.shape[0]
-        margin = 2.0 * (slack32 if f32 else slack)[lo:lo + rows]
-        found, kept = [], 0
-        for a in range(0, rows, chunk):
-            b = min(a + chunk, rows)
-            part = part_buf.view(key.dtype)[:(b - a) * n].reshape(b - a, n)
-            np.copyto(part, key[a:b])
-            part.partition(k - 1, axis=1)
-            bound = part[:, k - 1] + margin[a:b]
-            if f32:
-                bound = np.nextafter(np.minimum(bound, np.finfo(np.float32).max).astype(np.float32),
-                                     np.float32(np.inf))
-            keep = np.less_equal(key[a:b], bound[:, None], out=keep_buf[:b - a])
-            found.append(np.flatnonzero(keep) + a * n)
-            kept += found[-1].size
-            if f32 and kept > 4 * k * rows:
-                return None
-        return np.concatenate(found)
-
     def rank(lo, hi, f32):
         # filters and ranks rows lo..hi; False if float32 keys kept over 4k
         # candidates per row, leaving the rows unranked
-        rows = hi - lo
-        key = key_buf.view(np.float32 if f32 else float)[:rows * n].reshape(rows, n)
-        local = np.arange(rows)
+        dtype = np.float32 if f32 else float
+        step = hi - lo if kernel == "cosine" else rows32 if f32 else rows64
         L, R = rounded if f32 else exact
-        np.matmul(L[lo:hi], R, out=key)
-        if kernel == "cosine":
-            np.negative(np.clip(key, 0.0, None, out=key), out=key)
-        key[local, lo + local] = np.inf
-        flat = candidates(lo, key, f32)
-        if flat is None:
-            return False
+        margin = 2.0 * (slack32 if f32 else slack)
+        found, kept = [], 0
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
+            key = key_buf.view(dtype)[:(b - a) * n].reshape(b - a, n)
+            np.matmul(L[a:b], R, out=key)
+            if kernel == "cosine":
+                np.negative(np.clip(key, 0.0, None, out=key), out=key)
+            key[np.arange(b - a), np.arange(a, b)] = np.inf
+            for c in range(a, b, chunk):
+                e = min(c + chunk, b)
+                part = part_buf.view(dtype)[:(e - c) * n].reshape(e - c, n)
+                np.copyto(part, key[c - a:e - a])
+                part.partition(k - 1, axis=1)
+                bound = part[:, k - 1] + margin[c:e]
+                if f32:
+                    bound = np.nextafter(np.minimum(bound, np.finfo(np.float32).max)
+                                         .astype(np.float32), np.float32(np.inf))
+                keep = np.less_equal(key[c - a:e - a], bound[:, None], out=keep_buf[:e - c])
+                found.append(np.flatnonzero(keep) + (c - lo) * n)
+                kept += found[-1].size
+                if f32 and kept > 4 * k * (hi - lo):
+                    return False
+        flat = np.concatenate(found)
         counts["candidates"] += flat.size
-        select(lo, key, local, flat)
+        select(lo, key, np.arange(hi - lo), flat)  # a cosine product is the block's keys
         if kernel == "gaussian" and (weak := np.flatnonzero(vals[lo:hi, k - 1] < tiny)).size:
             # exp underflowed at the k-th neighbor, so columns outside the
             # filter may tie with it: every other column is a candidate
             counts["weak_rows"] += weak.size
-            select(lo, key, weak, np.flatnonzero(key[weak] < np.inf))
+            select(lo, None, weak, np.flatnonzero(np.arange(n) != (lo + weak)[:, None]))
         return True
 
     for lo in range(0, n, block):
@@ -348,26 +365,34 @@ def build_knn_graph(vectors, k: int, kernel: str = "gaussian",
         if rounded is not None and rank(lo, hi, True):
             continue
         counts["fallback_blocks"] += kernel == "gaussian"
-        for sub in range(lo, hi, half):
-            rank(sub, min(sub + half, hi), False)
-
-    del key_buf, part_buf, keep_buf  # so that assembling W adds nothing to the peak
+        rank(lo, hi, False)
     if kernel == "gaussian":
         np.maximum(vals, tiny, out=vals)
-    # W = max(K, K^T): both directions of every selected edge, sorted by
-    # (row, column); an edge selected from both ends keeps the larger weight,
-    # and a cosine weight of 0 is no edge. The maximum is exact and
-    # commutative, so the order of an edge's two copies does not matter.
+    return cols, vals, sigma, counts
+
+
+def _symmetric_max(cols: np.ndarray, vals: np.ndarray):
+    """CSR arrays (indptr, indices, weights) of W = max(K, K^T), where row i
+    of K holds ``vals[i]`` at the columns ``cols[i]``.
+
+    Both directions of every selected edge are sorted by (row, column); an
+    edge selected from both ends keeps the larger weight, and a cosine
+    weight of 0 is no edge. The maximum is exact and commutative, so the
+    order of an edge's two copies does not matter.
+    """
+    n, k = cols.shape
     src = np.repeat(np.arange(n), k)
     key = np.concatenate([src * n + cols.ravel(), cols.ravel() * n + src])
+    del src
     order = np.argsort(key)
     key = key[order]
     first = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
-    weights = np.maximum.reduceat(np.concatenate([vals.ravel(), vals.ravel()])[order], first)
+    # position p >= n k of the doubled edge list is edge p - n k again
+    weights = np.maximum.reduceat(np.take(vals.ravel(), order, mode="wrap"), first)
+    del order
     keep = weights > 0
     edge = key[first][keep]
-    return SimilarityGraph(n, np.searchsorted(edge, np.arange(n + 1) * n), edge % n,
-                           weights[keep], sigma=sigma, **counts)
+    return np.searchsorted(edge, np.arange(n + 1) * n), edge % n, weights[keep]
 
 
 @dataclass(frozen=True, eq=False)

@@ -543,7 +543,9 @@ def test_cli_import_skips_unused_scipy_modules(tmp_path):
     # measure loads SciPy. PST's kNN graph and its sweeps are NumPy CSR arrays,
     # its distances are computed without ``scipy.spatial`` and the logistic
     # function is NumPy's, so neither ``pst`` nor a synth pipeline with a
-    # ``pst`` section loads SciPy either.
+    # ``pst`` section loads SciPy either. The Gaussian kernel's median
+    # heuristic partitions its distances itself, so nothing loads ``numpy.ma``,
+    # which ``np.median`` imports.
     rng = np.random.default_rng(3)
     instances = tuple(f"i{k}" for k in range(12))
     sio.write_category_scores(tmp_path / "zs.tsv", CategoryScoreMatrix(
@@ -560,7 +562,9 @@ def test_cli_import_skips_unused_scipy_modules(tmp_path):
         frozenset({"k0"}), frozenset({"c0", "c1"}), {}, dict.fromkeys(instances, "c0")))
     probe = (
         "import sys, semtransfer.cli as cli\n"
-        "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "def loaded(): return sorted(m for m in sys.modules\n"
+        "                            if m.split('.')[0] == 'scipy'\n"
+        "                            or m.split('.')[:2] == ['numpy', 'ma'])\n"
         "print('import', loaded())\n"
         "for m in ('dice_hit', 'dice_snippet', 'esa', 'lin', 'tfidf'):\n"
         "    code = cli.main(['mine', '--corpus', 'corpus.jsonl', '--terms', 'terms.json',"

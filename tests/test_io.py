@@ -245,6 +245,20 @@ class TestCorpusJsonl:
         with pytest.raises(ParseError):
             sio.read_corpus_jsonl(path)
 
+    @pytest.mark.parametrize("sep", ["\u2028", "\u0085", "\u2029"])
+    def test_lines_end_at_newline_only(self, tmp_path, sep):
+        # str.splitlines() would also end a line at these, inside a JSON string
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes((f'{{"id": "d0", "text": "bear{sep}fur"}}\r\n'
+                          f'\n{{"id": "d1", "text": "{sep}"}}\n').encode("utf-8"))
+        assert sio.read_corpus_jsonl(path) == [("d0", f"bear{sep}fur"), ("d1", sep)]
+
+    def test_error_names_the_newline_counted_line(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": "d0", "text": "a\u2028b"}\n{broken\n', encoding="utf-8")
+        with pytest.raises(ParseError, match=r"corpus.jsonl:2: invalid JSON"):
+            sio.read_corpus_jsonl(path)
+
 
 class TestTaxonomyFiles:
     def test_round_trip(self, tmp_path):

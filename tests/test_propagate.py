@@ -366,14 +366,24 @@ class TestKnnGraph:
 
     @pytest.mark.parametrize("name, k", [("three_blocks", 15), ("far_rows_in_later_blocks", 4)])
     def test_float32_filter_and_its_fallback_share_the_block_memory(self, name, k):
-        # one float32 key block, or one float64 block of half the rows, takes
-        # 4 bytes per block value; the partition copy and the keep mask cover
-        # a row chunk, and the rest grows with n k. A full-height partition
-        # copy would add 4 more
+        # one product's keys, float32 or float64, and a chunk of its rows
+        # partitioned and masked; the rest grows with n k. A full block of
+        # float32 keys would add 4 bytes per block value
         X = GAUSSIAN_INPUTS[name][0]
         graph, peak = traced_build(X, k, "gaussian")
         assert graph.fallback_blocks == (0 if name == "three_blocks" else 3)
-        assert peak < 7 * _BLOCK_VALUES
+        assert peak < 3 * _BLOCK_VALUES
+
+    def test_fewshot_shaped_build_memory(self):
+        # at the fewshot-graph benchmark's PST shape the peak is one product
+        # of float32 keys and the partition buffer (2.7 and 2.1 MB), the
+        # filter's float64 and float32 inputs and the exact distances'
+        # coordinates (4.2 MB) and the neighbors (1.3 MB); a full block of
+        # keys would add 14 MB
+        X = np.random.default_rng(43).random((5232, 24))
+        graph, peak = traced_build(X, 15, "gaussian")
+        assert graph.fallback_blocks == 0
+        assert peak < 12 * 2 ** 20
 
     def test_cosine_block_memory_is_one_float64_key_block(self):
         # cosine keys stay float64 at full block height, 8 bytes per block
@@ -390,9 +400,13 @@ class TestKnnGraph:
         d = pdist(X[::2])
         assert (d == 0).any()
         assert _median_heuristic(X) == float(np.median(d[d > 0]))
-        small = X[:300]
-        d = pdist(small)
-        assert _median_heuristic(small) == float(np.median(d[d > 0]))
+        for small, odd in (X[:300], 0), (X[:302], 1):  # even and odd counts of positive distances
+            d = pdist(small)
+            assert (d > 0).sum() % 2 == odd
+            assert _median_heuristic(small) == float(np.median(d[d > 0]))
+        # all rows equal: no positive distance
+        assert _median_heuristic(np.ones((5, 3))) == 1.0
+        assert _median_heuristic(np.zeros((1200, 2))) == 1.0
 
     def test_gaussian_far_outlier_keeps_its_edges(self):
         # exp(-d^2 / 2 sigma^2) underflows to 0 for every neighbor of the
