@@ -26,10 +26,14 @@ def clean_identifier(identifier: str) -> str:
 
 
 def clean_ids(ids: Iterable[str], what: str) -> tuple[str, ...]:
-    """Cleaned identifiers, rejected if two of them are equal."""
+    """Cleaned identifiers, rejected if two of them are equal or if one holds
+    a tab or a newline, which no TSV reader could split back."""
     out = tuple(clean_identifier(i) for i in ids)
     if len(set(out)) != len(out):
         raise ValidationError(f"duplicate identifiers in {what}")
+    bad = next((i for i in out if "\t" in i or "\n" in i), None)
+    if bad is not None:
+        raise ValidationError(f"{what}: identifier holds a tab or a newline: {bad!r}")
     return out
 
 

@@ -18,7 +18,6 @@ significant digits.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 from typing import Mapping, Sequence, TypeVar
@@ -41,32 +40,28 @@ M = TypeVar("M", bound=LabelledMatrix)
 _CONSTANT_TAGS = {"category_scores": {"normalized": "false"}}
 
 
-@contextmanager
-def _decoding(path):
-    # a file that cannot be read, or is not UTF-8, is a ParseError
+def _lines(path):
+    r"""(line number, line) of each line of a UTF-8 file, read a line at a time.
+
+    A line ends at "\n" only, and a "\r" before it is dropped, so a line may
+    hold a raw U+2028, U+0085 or lone "\r".
+    """
     try:
-        yield
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if lineno == 1 and line.startswith("\ufeff"):
+                    raise ParseError(f"{path}: starts with a UTF-8 byte-order mark")
+                yield lineno, line.removesuffix("\n").removesuffix("\r")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8: {exc}") from exc
 
 
-def _no_mark(path, text: str) -> str:
-    if text.startswith("\ufeff"):
-        raise ParseError(f"{path}: starts with a UTF-8 byte-order mark")
-    return text
-
-
-def _read_text(path) -> str:
-    with _decoding(path):
-        return _no_mark(path, Path(path).read_text(encoding="utf-8"))
-
-
 def read_json(path) -> dict:
     """Read a file holding one JSON object."""
     try:
-        doc = json.loads(_read_text(path))
+        doc = json.loads("\n".join(line for _, line in _lines(path)))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -100,18 +95,12 @@ def write_matrix_tsv(path, row_ids: Sequence[str], col_ids: Sequence[str],
 
 
 def read_matrix_tsv(path):
-    """Read a matrix TSV, returning (row_ids, col_ids, values, tags).
-
-    One ``np.loadtxt`` call parses every cell, so a cell must be an ASCII
-    decimal number (``float()`` would also read ``1_0`` and non-ASCII
-    digits). Only if that call fails are the cells checked one by one, to
-    name the first bad one.
-    """
-    text = _read_text(path)
+    """Read a matrix TSV, returning (row_ids, col_ids, values, tags)."""
     tags: dict[str, str] = {}
     header = None
+    row_ids: list[str] = []
     rows: list[tuple[int, str]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in _lines(path):
         if not line.strip():
             continue
         if line.startswith("#"):
@@ -127,20 +116,34 @@ def read_matrix_tsv(path):
         elif (n_cells := line.count("\t") + 1) != len(header) + 1:
             raise ParseError(f"{path}:{lineno}: expected {len(header) + 1} cells, got {n_cells}")
         else:
-            rows.append((lineno, line))
+            row_id, _, numbers = line.partition("\t")
+            row_ids.append(row_id)
+            rows.append((lineno, numbers))
     if header is None:
         raise ParseError(f"{path}: missing header row")
-    values = np.empty((0, len(header)))
+    return row_ids, header, _numbers(path, rows, len(header)), tags
+
+
+def _numbers(path, rows: list[tuple[int, str]], width: int) -> np.ndarray:
+    """The ``width`` tab-separated numbers of each (line number, text) row.
+
+    One ``np.loadtxt`` call parses every cell, so a cell must be an ASCII
+    decimal number (``float()`` would also read ``1_0`` and non-ASCII
+    digits). Only if that call fails are the cells checked one by one, to
+    name the first bad one.
+    """
+    texts = [text for _, text in rows]
+    if not texts:
+        return np.empty((0, width))
     try:
-        if rows:
-            values = np.loadtxt([line for _, line in rows], delimiter="\t", comments=None,
-                                usecols=range(1, len(header) + 1), ndmin=2)
+        if "" in texts:  # a lone empty cell, which loadtxt would skip as a blank line
+            raise ValueError("empty cell")
+        return np.loadtxt(texts, delimiter="\t", comments=None, ndmin=2)
     except ValueError as exc:
-        bad = next(((lineno, cell) for lineno, line in rows
-                    for cell in line.split("\t")[1:] if not _is_number(cell)), None)
+        bad = next(((lineno, cell) for lineno, text in rows
+                    for cell in text.split("\t") if not _is_number(cell)), None)
         raise ParseError(f"{path}:{bad[0]}: not a number: {bad[1]!r}" if bad
                          else f"{path}: {exc}") from None
-    return [line.partition("\t")[0] for _, line in rows], header, values, tags
 
 
 def _is_number(cell: str) -> bool:
@@ -188,7 +191,7 @@ read_category_scores = partial(read_matrix, kind=CategoryScoreMatrix)
 def _tsv_rows(path, width: int, what: str):
     """(line number, cells) of each data line of a ``width``-column TSV, skipping
     blank lines, '#' comments and headers (lines whose first cell is empty)."""
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, line in _lines(path):
         if not line.strip() or line.startswith(("#", "\t")):
             continue
         cells = line.split("\t")
@@ -219,26 +222,19 @@ def write_corpus_jsonl(path, documents: Sequence[tuple[str, str]]) -> None:
 
 
 def read_corpus_jsonl(path) -> list[tuple[str, str]]:
-    """(id, text) of each document of a JSONL corpus, read a line at a time.
-
-    A line ends at "\n" only, so a JSON string may hold a raw U+2028 or U+0085.
-    """
+    """(id, text) of each document of a JSONL corpus, read a line at a time."""
     docs: list[tuple[str, str]] = []
-    with _decoding(path), open(path, encoding="utf-8", newline="\n") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if lineno == 1:
-                _no_mark(path, line)
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not (isinstance(obj, dict)
-                    and all(isinstance(obj.get(k), str) for k in ("id", "text"))):
-                raise ParseError(
-                    f"{path}:{lineno}: corpus lines need string 'id' and 'text' fields")
-            docs.append((obj["id"], obj["text"]))
+    for lineno, line in _lines(path):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        if not (isinstance(obj, dict)
+                and all(isinstance(obj.get(k), str) for k in ("id", "text"))):
+            raise ParseError(f"{path}:{lineno}: corpus lines need string 'id' and 'text' fields")
+        docs.append((obj["id"], obj["text"]))
     return docs
 
 
@@ -255,15 +251,13 @@ def read_taxonomy(edges_path, probs_path):
         parent[child] = par
         parent.setdefault(par, None)
 
-    prob: dict[str, float] = {}
+    rows: dict[str, tuple[int, str]] = {}  # node -> (line number, probability cell)
     for lineno, (node, value) in _tsv_rows(probs_path, 2, "node<TAB>probability"):
-        if node in prob:
+        if node in rows:
             raise ParseError(f"{probs_path}:{lineno}: duplicate node {node!r}")
-        try:
-            prob[node] = float(value)
-        except ValueError as exc:
-            raise ParseError(f"{probs_path}:{lineno}: {exc}") from exc
-    return Taxonomy(parent=parent, prob=prob)
+        rows[node] = lineno, value
+    probs = _numbers(probs_path, list(rows.values()), 1)[:, 0].tolist()
+    return Taxonomy(parent=parent, prob=dict(zip(rows, probs)))
 
 
 def write_split(path, split: DatasetSplit) -> None:

@@ -39,17 +39,17 @@ MEASURES = tuple(m for m in VALID_MEASURES if m != "signature")  # the minable o
 POLICIES = ("per_attribute_topk", "global_threshold", "per_attribute_mean")
 
 
+def _token(word: str) -> str:
+    """A word lowercased and stripped of surrounding punctuation; '' if nothing is left."""
+    return word.lower().strip(_STRIP)
+
+
 def tokenize(text: str) -> list[str]:
-    """Lowercase, split on whitespace, strip surrounding punctuation.
+    """Split on whitespace, lowercase, strip surrounding punctuation.
 
     No stemming; empty fragments (pure punctuation) are dropped.
     """
-    out = []
-    for raw in text.lower().split():
-        tok = raw.strip(_STRIP)
-        if tok:
-            out.append(tok)
-    return out
+    return [tok for tok in map(_token, text.split()) if tok]
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,8 +77,8 @@ class CorpusIndex:
 
 
 class _WordTokens(dict):
-    """Word -> token id, filled in on a word's first lookup: the word is
-    lowercased and stripped once, and a new token takes the next id in
+    """Word -> token id, filled in on a word's first lookup: the word's
+    :func:`_token` is taken once, and a new token takes the next id in
     ``postings``, so ids follow first appearance. An all-punctuation word
     maps to -1."""
 
@@ -87,7 +87,7 @@ class _WordTokens(dict):
         self.postings: dict[str, int] = {}
 
     def __missing__(self, word: str) -> int:
-        token = word.lower().strip(_STRIP)
+        token = _token(word)
         self[word] = tid = self.postings.setdefault(token, len(self.postings)) if token else -1
         return tid
 
@@ -95,10 +95,9 @@ class _WordTokens(dict):
 def build_corpus_index(documents: Sequence[tuple[str, str]]) -> CorpusIndex:
     """Index (doc_id, text) pairs for the co-occurrence measures.
 
-    Tokens are those of :func:`tokenize`, which lowercases before splitting;
-    lowercasing never makes or removes whitespace, so each distinct word is
-    lowercased and stripped once instead. Only one document's words are held
-    at a time, so the index costs 8 bytes per token plus the vocabulary.
+    Tokens are those of :func:`tokenize`, but each distinct word's token is
+    taken once. Only one document's words are held at a time, so the index
+    costs 8 bytes per token plus the vocabulary.
     """
     if not documents:
         raise ValidationError("empty corpus")

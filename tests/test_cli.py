@@ -260,6 +260,36 @@ class TestErrorContract:
             f"{tmp_path / 'terms.json'}: {key} terms must be strings, got {json.dumps(term)}")
         assert not (tmp_path / "rel.tsv").exists()
 
+    @pytest.mark.parametrize("key", ["categories", "attributes"])
+    @pytest.mark.parametrize("term", ["bear\tcub", "bear\ncub"])
+    def test_term_that_no_tsv_reader_could_split_exits_3(self, tmp_path, capsys, key, term):
+        # written raw, the term would leave a relatedness TSV that assoc cannot read
+        sio.write_corpus_jsonl(tmp_path / "corpus.jsonl", [("d0", "bear cub fur"), ("d1", "fur")])
+        terms = {"categories": ["bear"], "attributes": ["fur"]}
+        terms[key] = [*terms[key], term]
+        (tmp_path / "terms.json").write_text(json.dumps(terms))
+        code, err = run(capsys, "mine", "--corpus", tmp_path / "corpus.jsonl",
+                        "--terms", tmp_path / "terms.json", "--measure", "dice_hit",
+                        "--out", tmp_path / "rel.tsv")
+        assert one_json_error(3, err) == {
+            "code": 3, "stage": "mine",
+            "error": f"{key}: identifier holds a tab or a newline: {term!r}"}
+        assert not (tmp_path / "rel.tsv").exists()
+
+    @pytest.mark.parametrize("cell", ["0_25", "\u0660.\u0662\u0665"])
+    def test_lin_probability_that_is_not_an_ascii_number_exits_2(self, tmp_path, capsys, cell):
+        # float() reads both, "0_25" as 25; probabilities follow the matrix-cell grammar
+        (tmp_path / "terms.json").write_text(json.dumps({"categories": ["x"],
+                                                         "attributes": ["y"]}))
+        (tmp_path / "edges.tsv").write_text("x\troot\ny\tx\n")
+        (tmp_path / "probs.tsv").write_text(f"root\t1\nx\t0.5\ny\t{cell}\n", encoding="utf-8")
+        code, err = run(capsys, "mine", "--terms", tmp_path / "terms.json", "--measure", "lin",
+                        "--taxonomy-edges", tmp_path / "edges.tsv",
+                        "--taxonomy-probs", tmp_path / "probs.tsv", "--out", tmp_path / "lin.tsv")
+        assert one_json_error(2, err)["error"] == (
+            f"{tmp_path / 'probs.tsv'}:3: not a number: {cell!r}")
+        assert not (tmp_path / "lin.tsv").exists()
+
     def test_lin_touches_no_corpus(self, tmp_path, capsys):
         # lin reads only the taxonomy: a corpus it could not index, or none, changes nothing
         sio.write_corpus_jsonl(tmp_path / "corpus.jsonl", [("d", "x y"), ("d", "y z")])

@@ -31,6 +31,19 @@ class TestIdentifiers:
         with pytest.raises(ValidationError):
             clean_identifier("   ")
 
+    @pytest.mark.parametrize("ident", ["bear\tcub", "bear\ncub", "bear\r\ncub"])
+    def test_tab_or_newline_rejected_on_either_axis(self, ident):
+        # no TSV reader could split such an identifier back out of its line
+        with pytest.raises(ValidationError, match="categories: identifier holds a tab"):
+            AssociationMatrix((ident, "c"), ("a",), np.zeros((2, 1)))
+        with pytest.raises(ValidationError, match="attributes: identifier holds a tab"):
+            AssociationMatrix(("c",), ("a", ident), np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("ident", ["bear\rcub", "bear\u2028cub", "bear\x85cub", "\tbear\n"])
+    def test_other_line_breaks_and_surrounding_whitespace_allowed(self, ident):
+        m = AssociationMatrix((ident,), ("a",), np.zeros((1, 1)))
+        assert m.categories == (ident.strip(),)
+
 
 class TestAssociationMatrix:
     def test_range_check(self):

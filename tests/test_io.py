@@ -84,10 +84,15 @@ class TestMatrixTsv:
         ("p\t1\t2\nq\n", "4: expected 3 cells, got 1"),
         ("p\t1\t2\n\nq\t1\t\n", "5: not a number: ''"),
         ("p\t1\t2\nq\tx\t\n", "4: not a number: 'x'"),
+        # lines end at "\n" only, so they are counted by "\n"
+        ("p\u2028q\t1\t2\nr\t3\n", "4: expected 3 cells, got 2"),
+        ("p\x85\t1\t2\r\nq\rr\t3\r\n", "4: expected 3 cells, got 2"),
+        ("p\v\t1\t2\nq\f\t1\t0_25\n", "4: not a number: '0_25'"),
+        ("p\u2029\t1\t\u0660.\u0662\u0665\n", "3: not a number: '\u0660.\u0662\u0665'"),
     ])
     def test_first_bad_line_is_named(self, tmp_path, rows, where):
         path = tmp_path / "bad.tsv"
-        path.write_text("# type=features\n\ta\tb\n" + rows)
+        path.write_text("# type=features\n\ta\tb\n" + rows, encoding="utf-8")
         with pytest.raises(ParseError, match=f"^{path}:{where}$"):
             sio.read_matrix_tsv(path)
 
@@ -192,9 +197,12 @@ def test_invalid_utf8_is_parse_error(tmp_path, reader, name):
     (lambda path: sio.read_taxonomy(path, path.with_name("probs.tsv")), "edges.tsv", "c\troot\n"),
     (sio.read_corpus_jsonl, "corpus.jsonl", '{"id": "d", "text": "t"}\n'),
     (sio.read_json, "doc.json", '{"a": 1}\n'),
-], ids=["matrix", "labels", "taxonomy", "jsonl", "json"])
+    (lambda path: sio.read_taxonomy(path.with_name("edges.tsv"), path), "probs.tsv",
+     "root\t1\nc\t0.5\n"),
+], ids=["matrix", "labels", "taxonomy", "jsonl", "json", "probabilities"])
 def test_byte_order_mark_is_parse_error(tmp_path, reader, name, text):
     # kept, the mark would become part of the first identifier
+    (tmp_path / "edges.tsv").write_text("c\troot\n")
     (tmp_path / "probs.tsv").write_text("root\t1\nc\t0.5\n")
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -202,6 +210,42 @@ def test_byte_order_mark_is_parse_error(tmp_path, reader, name, text):
     path.write_text(text, encoding="utf-8-sig")
     with pytest.raises(ParseError, match=f"{name}: starts with a UTF-8 byte-order mark"):
         reader(path)
+
+
+@pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+                                 "\r"])
+@pytest.mark.parametrize("kind", ["matrix", "labels", "edges", "probabilities"])
+def test_tsv_lines_end_at_newline_only(tmp_path, kind, sep):
+    # str.splitlines() would also end a line at each of these, inside an identifier
+    a, b = f"i{sep}0", f"c{sep}0"
+    sio.write_attribute_scores(tmp_path / "m.tsv",
+                               AttributeScoreMatrix((a, "j"), ("x", b), [[0.25, 0.5], [1, 0]]))
+    sio.write_labels(tmp_path / "labels.tsv", {a: b, "j": "c"})
+    (tmp_path / "edges.tsv").write_text(f"{a}\troot\n{b}\t{a}\n", encoding="utf-8")
+    (tmp_path / "probs.tsv").write_text(f"root\t1\n{a}\t0.5\n{b}\t0.25\n", encoding="utf-8")
+
+    def read():
+        if kind == "matrix":
+            m = sio.read_attribute_scores(tmp_path / "m.tsv")
+            return m.instances, m.attributes, m.values.tolist()
+        if kind == "labels":
+            return sio.read_labels(tmp_path / "labels.tsv")
+        tax = sio.read_taxonomy(tmp_path / "edges.tsv", tmp_path / "probs.tsv")
+        return tax.parent, tax.prob
+
+    want = {"matrix": ((a, "j"), ("x", b), [[0.25, 0.5], [1, 0]]), "labels": {a: b, "j": "c"}}
+    want = want.get(kind, ({a: "root", b: a, "root": None}, {"root": 1, a: 0.5, b: 0.25}))
+    assert read() == want
+    path = tmp_path / {"matrix": "m.tsv", "labels": "labels.tsv", "edges": "edges.tsv",
+                       "probabilities": "probs.tsv"}[kind]
+    data = path.read_bytes().replace(b"\n", b"\r\n")
+    path.write_bytes(data)
+    assert read() == want
+    # a malformed line after them is named by its "\n"-counted number
+    path.write_bytes(data + b"k\r\n")
+    lineno = data.count(b"\n") + 1
+    with pytest.raises(ParseError, match=f"{path.name}:{lineno}: expected "):
+        read()
 
 
 class TestLabels:
@@ -289,6 +333,15 @@ class TestTaxonomyFiles:
         edges.write_text("leaf\n")
         probs.write_text("leaf\t0.5\n")
         with pytest.raises(ParseError):
+            sio.read_taxonomy(edges, probs)
+
+    @pytest.mark.parametrize("cell", ["0_25", "\u0660.\u0662\u0665", "", "x"])
+    def test_probability_cell_follows_the_matrix_cell_grammar(self, tmp_path, cell):
+        # float() reads "0_25" as 25 and the Arabic-Indic digits as 0.25
+        edges, probs = tmp_path / "edges.tsv", tmp_path / "probs.tsv"
+        edges.write_text("x\troot\n")
+        probs.write_text(f"root\t1\nx\t{cell}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"probs.tsv:2: not a number: {cell!r}$"):
             sio.read_taxonomy(edges, probs)
 
     def test_duplicate_probability_node_rejected(self, tmp_path):
