@@ -33,6 +33,8 @@ from .core import (
     LabelledMatrix,
     ParseError,
     RelatednessMatrix,
+    ValidationError,
+    clean_identifier,
 )
 
 M = TypeVar("M", bound=LabelledMatrix)
@@ -86,12 +88,13 @@ def _parse_bool(path, text: str) -> bool:
 
 def write_matrix_tsv(path, row_ids: Sequence[str], col_ids: Sequence[str],
                      values: np.ndarray, tags: Mapping[str, str] | None = None) -> None:
+    """Write a matrix TSV a row at a time, holding no copy of its whole text."""
     values = np.asarray(values, dtype=float)
-    lines = [f"# {key}={val}" for key, val in (tags or {}).items()]
-    lines.append("\t" + "\t".join(col_ids))
-    row_format = "%s" + "\t%.9g" * values.shape[1]  # the same digits as format_number
-    lines.extend(row_format % (rid, *row) for rid, row in zip(row_ids, values.tolist()))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    row_format = "%s" + "\t%.9g" * values.shape[1] + "\n"  # the same digits as format_number
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"# {key}={val}\n" for key, val in (tags or {}).items())
+        fh.write("\t" + "\t".join(col_ids) + "\n")
+        fh.writelines(row_format % (rid, *row.tolist()) for rid, row in zip(row_ids, values))
 
 
 def read_matrix_tsv(path):
@@ -129,15 +132,17 @@ def _numbers(path, rows: list[tuple[int, str]], width: int) -> np.ndarray:
 
     One ``np.loadtxt`` call parses every cell, so a cell must be an ASCII
     decimal number (``float()`` would also read ``1_0`` and non-ASCII
-    digits). Only if that call fails are the cells checked one by one, to
-    name the first bad one.
+    digits). Only if that call fails, or a row is empty or not ASCII, are
+    the cells checked one by one, to name the first bad one: loadtxt would
+    skip an empty row as a blank line and strip non-ASCII whitespace such
+    as U+2028 around a cell.
     """
     texts = [text for _, text in rows]
     if not texts:
         return np.empty((0, width))
     try:
-        if "" in texts:  # a lone empty cell, which loadtxt would skip as a blank line
-            raise ValueError("empty cell")
+        if "" in texts or not all(map(str.isascii, texts)):
+            raise ValueError("empty or non-ASCII cell")
         return np.loadtxt(texts, delimiter="\t", comments=None, ndmin=2)
     except ValueError as exc:
         bad = next(((lineno, cell) for lineno, text in rows
@@ -148,7 +153,8 @@ def _numbers(path, rows: list[tuple[int, str]], width: int) -> np.ndarray:
 
 def _is_number(cell: str) -> bool:
     try:
-        return cell != "" and np.loadtxt([cell], delimiter="\t", comments=None).size == 1
+        return (cell.isascii() and cell != ""
+                and np.loadtxt([cell], delimiter="\t", comments=None).size == 1)
     except ValueError:
         return False
 
@@ -201,14 +207,20 @@ def _tsv_rows(path, width: int, what: str):
 
 
 def write_labels(path, labels: Mapping[str, str]) -> None:
-    """Instance -> category map as a two-column TSV."""
-    lines = ["\tcategory", *(f"{inst}\t{cat}" for inst, cat in labels.items())]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Instance -> category map as a two-column TSV, written a row at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\tcategory\n")
+        fh.writelines(f"{inst}\t{cat}\n" for inst, cat in labels.items())
 
 
 def read_labels(path) -> dict[str, str]:
+    """Instance -> category map; both cells are trimmed, like every matrix axis."""
     labels: dict[str, str] = {}
-    for lineno, (inst, cat) in _tsv_rows(path, 2, "instance<TAB>category"):
+    for lineno, cells in _tsv_rows(path, 2, "instance<TAB>category"):
+        try:
+            inst, cat = map(clean_identifier, cells)
+        except ValidationError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
         if inst in labels:
             raise ParseError(f"{path}:{lineno}: duplicate instance {inst!r}")
         labels[inst] = cat

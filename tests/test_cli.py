@@ -852,10 +852,12 @@ class TestInputFiles:
         assert code == 2
         assert "UTF-8" in one_json_error(code, err)["error"]
 
-    @pytest.mark.parametrize("cell", ["1_0", "\u0661", "\uff11", "0x1", "", " "])
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661", "\uff11", "0x1", "", " ", "0.5\u2028",
+                                      "\x85 1", "\xa00.5"])
     def test_matrix_cell_that_is_not_an_ascii_number_exits_2(self, synth_dir, tmp_path,
                                                             capsys, cell):
-        # float() reads "1_0" and non-ASCII digits; the matrix reader does not
+        # float() reads "1_0", non-ASCII digits and a number next to non-ASCII
+        # whitespace; the matrix reader does not
         rel = mined_relatedness(synth_dir, tmp_path / "rel.tsv")
         lines = rel.read_text().splitlines()
         cells = lines[-2].split("\t")
@@ -866,6 +868,27 @@ class TestInputFiles:
                         "per_attribute_mean", "--out", tmp_path / "assoc.tsv")
         assert one_json_error(2, err)["error"] == f"{rel}:{len(lines) - 1}: not a number: {cell!r}"
         assert not (tmp_path / "assoc.tsv").exists()
+
+    @pytest.mark.parametrize("labels, code, error", [
+        ("i0 \tn0\ni1\t n1\u2028\n", 0, None),
+        ("i0\tn0\n \tn1\n", 2, "2: empty identifier"),
+        ("i0\tn0\ni1\tn1\ni0 \tn1\n", 2, "3: duplicate instance 'i0'"),
+    ], ids=["trimmed", "empty", "duplicate"])
+    def test_label_ids_are_trimmed_like_matrix_ids(self, tmp_path, capsys, labels, code, error):
+        (tmp_path / "scores.tsv").write_text(
+            "# type=category_scores\n\tn0\tn1\ni0\t0.75\t0.25\ni1\t0.25\t0.75\n")
+        (tmp_path / "split.json").write_text(json.dumps({
+            "known_categories": ["k0"], "novel_categories": ["n0", "n1"],
+            "train_instances": {}, "test_instances": {"i0": "n0", "i1": "n1"}}))
+        (tmp_path / "labels.tsv").write_text(labels, encoding="utf-8")
+        got, err = run(capsys, "eval", "--scores", tmp_path / "scores.tsv", "--truth",
+                       tmp_path / "labels.tsv", "--split", tmp_path / "split.json",
+                       "--out", tmp_path / "report.json")
+        if error is None:
+            assert (got, err) == (code, "")
+            assert json.loads((tmp_path / "report.json").read_text())["accuracy"] == 1.0
+        else:
+            assert one_json_error(code, err)["error"] == f"{tmp_path / 'labels.tsv'}:{error}"
 
 
 def _mutate(data: bytes, mutation: str, pick: int, byte: int) -> bytes:

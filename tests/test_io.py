@@ -1,4 +1,6 @@
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +91,10 @@ class TestMatrixTsv:
         ("p\x85\t1\t2\r\nq\rr\t3\r\n", "4: expected 3 cells, got 2"),
         ("p\v\t1\t2\nq\f\t1\t0_25\n", "4: not a number: '0_25'"),
         ("p\u2029\t1\t\u0660.\u0662\u0665\n", "3: not a number: '\u0660.\u0662\u0665'"),
+        # loadtxt would strip the non-ASCII whitespace around a number
+        ("p\t1\t2\nq\t0.5\u2028\t1\n", "4: not a number: '0.5\\\\u2028'"),
+        ("p\t\x85 1\t2\nq\tx\t1\n", "3: not a number: '\\\\x85 1'"),
+        ("p\t1\t\xa00.5\n", "3: not a number: '\\\\xa00.5'"),
     ])
     def test_first_bad_line_is_named(self, tmp_path, rows, where):
         path = tmp_path / "bad.tsv"
@@ -261,6 +267,76 @@ class TestLabels:
         with pytest.raises(ParseError):
             sio.read_labels(path)
 
+    def test_cells_are_trimmed_like_matrix_ids(self, tmp_path):
+        path = tmp_path / "labels.tsv"
+        path.write_text("i0 \tcat\n\vi1\t dog\u2028\n", encoding="utf-8")
+        assert sio.read_labels(path) == {"i0": "cat", "i1": "dog"}
+
+    @pytest.mark.parametrize("text, where", [
+        ("i0\tcat\n \tdog\n", "2: empty identifier"),
+        ("i0\t \n", "1: empty identifier"),
+        ("i0\tcat\n i0\u2028\tdog\n", "2: duplicate instance 'i0'"),
+    ])
+    def test_cell_empty_or_repeated_after_trimming_names_its_line(self, tmp_path, text, where):
+        path = tmp_path / "labels.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^{path}:{where}$"):
+            sio.read_labels(path)
+
+
+def _joined_matrix_text(row_ids, col_ids, values, tags=None):
+    # the whole file as one joined string, as the writer once built it: the oracle
+    values = np.asarray(values, dtype=float)
+    lines = [f"# {key}={val}" for key, val in (tags or {}).items()]
+    lines.append("\t" + "\t".join(col_ids))
+    row_format = "%s" + "\t%.9g" * values.shape[1]
+    lines.extend(row_format % (rid, *row) for rid, row in zip(row_ids, values.tolist()))
+    return "\n".join(lines) + "\n"
+
+
+class TestStreamingWriters:
+    NINE_DIGITS = [0.123456789, 1 / 3, -2 / 3, 123456789.0, -9.87654321e-300, 1.00000001]
+
+    @pytest.mark.parametrize("row_ids, col_ids, values, tags", [
+        (["r0", "r1", "r2"], ["a", "b"], [[0.5, -1.0], [2.5e-7, 1e300], [0.0, 7.0]],
+         {"type": "relatedness", "measure": "esa"}),
+        ([], ["a", "b", "c"], np.empty((0, 3)), {"type": "category_scores"}),
+        (["r"], ["a", "b", "c", "d", "e", "f"], [NINE_DIGITS], None),
+        (["r0", "r1"], ["a"], [[NINE_DIGITS[0]], [NINE_DIGITS[4]]], {}),
+        (["i\u20280", "j\r1"], ["c\u20280", "d\r1"], [[0.25, 0.5], [1.0, 0.0]],
+         {"type": "attribute_scores"}),
+    ], ids=["tags", "no_rows", "one_row", "one_column", "line_separators"])
+    def test_matrix_bytes_match_the_joined_text(self, tmp_path, row_ids, col_ids, values, tags):
+        want = tmp_path / "joined.tsv"
+        want.write_text(_joined_matrix_text(row_ids, col_ids, values, tags), encoding="utf-8")
+        got = tmp_path / "m.tsv"
+        sio.write_matrix_tsv(got, row_ids, col_ids, values, tags)
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("labels", [{}, {"i0": "c0"}, {"i\u20280": "c\r0", "j\r1": "d"}])
+    def test_label_bytes_match_the_joined_text(self, tmp_path, labels):
+        want = tmp_path / "joined.tsv"
+        want.write_text("\n".join(["\tcategory", *(f"{i}\t{c}" for i, c in labels.items())])
+                        + "\n", encoding="utf-8")
+        got = tmp_path / "labels.tsv"
+        sio.write_labels(got, labels)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_write_matrix_holds_no_copy_of_the_text(self, tmp_path):
+        # 5,532 x 24 is the size of fewshot-graph's score matrices, whose text is
+        # about 1.6 MiB; joined in memory first, the write peaks at about 6 MiB
+        rng = np.random.default_rng(0)
+        m = CategoryScoreMatrix(tuple(f"i{k}" for k in range(5532)),
+                                tuple(f"c{k}" for k in range(24)), rng.random((5532, 24)))
+        tracemalloc.start()
+        try:
+            sio.write_matrix(tmp_path / "scores.tsv", m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "scores.tsv").stat().st_size > 2**20
+        assert peak < 0.25 * 2**20
+
 
 class TestCorpusJsonl:
     def test_round_trip(self, tmp_path):
@@ -335,13 +411,16 @@ class TestTaxonomyFiles:
         with pytest.raises(ParseError):
             sio.read_taxonomy(edges, probs)
 
-    @pytest.mark.parametrize("cell", ["0_25", "\u0660.\u0662\u0665", "", "x"])
+    @pytest.mark.parametrize("cell", ["0_25", "\u0660.\u0662\u0665", "", "x", "0.5\u2028",
+                                      "\x85 1", "\xa00.5"])
     def test_probability_cell_follows_the_matrix_cell_grammar(self, tmp_path, cell):
-        # float() reads "0_25" as 25 and the Arabic-Indic digits as 0.25
+        # float() reads "0_25" as 25 and the Arabic-Indic digits as 0.25, and it
+        # strips the non-ASCII whitespace of the last three
         edges, probs = tmp_path / "edges.tsv", tmp_path / "probs.tsv"
         edges.write_text("x\troot\n")
         probs.write_text(f"root\t1\nx\t{cell}\n", encoding="utf-8")
-        with pytest.raises(ParseError, match=f"probs.tsv:2: not a number: {cell!r}$"):
+        want = re.escape(f"probs.tsv:2: not a number: {cell!r}") + "$"
+        with pytest.raises(ParseError, match=want):
             sio.read_taxonomy(edges, probs)
 
     def test_duplicate_probability_node_rejected(self, tmp_path):
