@@ -129,12 +129,12 @@ def _write_dataset(out: Path, ds) -> None:
 
 
 def _write_corpus(out: Path, assoc: AssociationMatrix, docs_per_pair: int,
-                  filler_docs: int, seed: int) -> list[tuple[str, str]]:
-    """A corpus whose mined Dice scores recover ``assoc``, written to ``corpus.jsonl``."""
-    corpus = gen_corpus(corpus_plan_from_associations(
-        assoc, docs_per_pair=docs_per_pair, filler_docs=filler_docs, seed=seed))
-    io.write_corpus_jsonl(out / "corpus.jsonl", corpus)
-    return corpus
+                  filler_docs: int, seed: int) -> Path:
+    """``corpus.jsonl``, written with a corpus whose mined Dice scores recover ``assoc``."""
+    path = out / "corpus.jsonl"
+    io.write_corpus_jsonl(path, gen_corpus(corpus_plan_from_associations(
+        assoc, docs_per_pair=docs_per_pair, filler_docs=filler_docs, seed=seed)))
+    return path
 
 
 _TAXONOMY = dict.fromkeys(("taxonomy_edges", "taxonomy_probs"), ("path", None))
@@ -148,20 +148,20 @@ def _taxonomy(who: str, taxonomy_edges, taxonomy_probs):
     return io.read_taxonomy(*paths)
 
 
-def _mine(read_corpus, categories, attributes, measure: str, window: int | None,
+def _mine(corpus, categories, attributes, measure: str, window: int | None,
           taxonomy_edges=None, taxonomy_probs=None):
     """Relatedness of every category-attribute pair under ``measure``.
 
     ``lin`` needs both taxonomy files and no corpus; the other measures index
-    the documents ``read_corpus()`` returns. Window 0 means whole documents.
+    the JSONL file ``corpus`` as it is read. Window 0 means whole documents.
     """
     index = taxonomy = None
     if measure == "lin":
         taxonomy = _taxonomy("lin measure", taxonomy_edges, taxonomy_probs)
     elif measure in MEASURES:
-        if read_corpus is None:
+        if not corpus:
             raise ValidationError(f"{measure} needs a corpus")
-        index = build_corpus_index(read_corpus())
+        index = build_corpus_index(io.read_corpus_jsonl(corpus))
     return mine_relatedness(index, categories, attributes, measure,
                             window=window or None, taxonomy=taxonomy)
 
@@ -250,8 +250,7 @@ def _report_caps(lines: list[str], strict: bool) -> int:
 
 def cmd_mine(args) -> int:
     categories, attributes = _load_terms(args.terms)
-    read_corpus = (lambda: io.read_corpus_jsonl(args.corpus)) if args.corpus else None
-    rel = _mine(read_corpus, categories, attributes, args.measure,
+    rel = _mine(args.corpus, categories, attributes, args.measure,
                 args.window, args.taxonomy_edges, args.taxonomy_probs)
     io.write_matrix(args.out, rel)
     return EXIT_OK
@@ -362,19 +361,15 @@ def cmd_pipeline(args) -> int:
         if "corpus" in cfg:
             sec = _section(cfg, "corpus", {"path": ("path", None), "docs_per_pair": ("int", 3),
                                            "filler_docs": ("int", 0)}, base)
-            if sec["path"] is not None:
-                corpus = io.read_corpus_jsonl(sec["path"])
-            else:
-                corpus = _write_corpus(out, base_assoc, sec["docs_per_pair"],
-                                       sec["filler_docs"], seed)
+            corpus = sec["path"] or _write_corpus(out, base_assoc, sec["docs_per_pair"],
+                                                  sec["filler_docs"], seed)
 
     rel = None
     with _stage("mine"):
         if "mine" in cfg:
             sec = _section(cfg, "mine", {"measure": ("str", "dice_hit"),
                                          "window": ("int | None", 20), **_TAXONOMY}, base)
-            rel = _mine(None if corpus is None else lambda: corpus,
-                        base_assoc.categories, base_assoc.attributes, **sec)
+            rel = _mine(corpus, base_assoc.categories, base_assoc.attributes, **sec)
             io.write_matrix(out / "relatedness.tsv", rel)
 
     with _stage("assoc"):

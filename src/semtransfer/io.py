@@ -18,9 +18,10 @@ significant digits.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from functools import partial
 from pathlib import Path
-from typing import Mapping, Sequence, TypeVar
+from typing import Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -40,6 +41,8 @@ from .core import (
 M = TypeVar("M", bound=LabelledMatrix)
 # tags a kind writes that hold no field
 _CONSTANT_TAGS = {"category_scores": {"normalized": "false"}}
+# every ASCII control character but the tab that separates cells
+_CONTROL = bytes([*range(9), *range(10, 32), 127])
 
 
 def _lines(path):
@@ -128,21 +131,24 @@ def read_matrix_tsv(path):
 
 
 def _numbers(path, rows: list[tuple[int, str]], width: int) -> np.ndarray:
-    """The ``width`` tab-separated numbers of each (line number, text) row.
+    r"""The ``width`` tab-separated numbers of each (line number, text) row.
 
-    One ``np.loadtxt`` call parses every cell, so a cell must be an ASCII
-    decimal number (``float()`` would also read ``1_0`` and non-ASCII
-    digits). Only if that call fails, or a row is empty or not ASCII, are
-    the cells checked one by one, to name the first bad one: loadtxt would
-    skip an empty row as a blank line and strip non-ASCII whitespace such
-    as U+2028 around a cell.
+    A cell is an ASCII decimal number, ``inf`` or ``nan``, with optional
+    spaces around it. One ``np.loadtxt`` call parses every cell (``float()``
+    would also read ``1_0`` and non-ASCII digits). Only if that call fails,
+    or a row is empty or holds a character other than printable ASCII and
+    its tabs, are the cells checked one by one, to name the first bad one:
+    loadtxt would skip an empty row as a blank line and strip whitespace
+    such as ``\v``, ``\x1c`` or U+2028 around a cell.
     """
     texts = [text for _, text in rows]
     if not texts:
         return np.empty((0, width))
     try:
-        if "" in texts or not all(map(str.isascii, texts)):
-            raise ValueError("empty or non-ASCII cell")
+        # encoding a non-ASCII row raises a ValueError; translate drops control characters
+        if "" in texts or any(len(text.encode("ascii").translate(None, _CONTROL)) != len(text)
+                              for text in texts):
+            raise ValueError("empty cell or control character")
         return np.loadtxt(texts, delimiter="\t", comments=None, ndmin=2)
     except ValueError as exc:
         bad = next(((lineno, cell) for lineno, text in rows
@@ -153,7 +159,7 @@ def _numbers(path, rows: list[tuple[int, str]], width: int) -> np.ndarray:
 
 def _is_number(cell: str) -> bool:
     try:
-        return (cell.isascii() and cell != ""
+        return (cell.isascii() and cell.isprintable() and cell != ""
                 and np.loadtxt([cell], delimiter="\t", comments=None).size == 1)
     except ValueError:
         return False
@@ -233,9 +239,8 @@ def write_corpus_jsonl(path, documents: Sequence[tuple[str, str]]) -> None:
             fh.write(json.dumps({"id": doc_id, "text": text}, sort_keys=True) + "\n")
 
 
-def read_corpus_jsonl(path) -> list[tuple[str, str]]:
-    """(id, text) of each document of a JSONL corpus, read a line at a time."""
-    docs: list[tuple[str, str]] = []
+def read_corpus_jsonl(path) -> Iterator[tuple[str, str]]:
+    """(id, text) of each document of a JSONL corpus, yielded a line at a time."""
     for lineno, line in _lines(path):
         if not line.strip():
             continue
@@ -246,8 +251,7 @@ def read_corpus_jsonl(path) -> list[tuple[str, str]]:
         if not (isinstance(obj, dict)
                 and all(isinstance(obj.get(k), str) for k in ("id", "text"))):
             raise ParseError(f"{path}:{lineno}: corpus lines need string 'id' and 'text' fields")
-        docs.append((obj["id"], obj["text"]))
-    return docs
+        yield obj["id"], obj["text"]
 
 
 def read_taxonomy(edges_path, probs_path):
@@ -284,25 +288,30 @@ def write_split(path, split: DatasetSplit) -> None:
 
 
 def read_split(path) -> DatasetSplit:
+    """Read a split JSON; every category name, instance id and label is trimmed,
+    like every TSV id."""
     doc = read_json(path)
     required = {"known_categories", "novel_categories", "train_instances", "test_instances"}
     missing = required - set(doc)
     if missing:
         raise ParseError(f"{path}: missing split fields: {sorted(missing)}")
-    for key in ("known_categories", "novel_categories"):
-        if not isinstance(doc[key], list) or not all(isinstance(c, str) for c in doc[key]):
-            raise ParseError(f"{path}: {key} must be a list of category names")
-    for key in ("train_instances", "test_instances", "fewshot_instances"):
-        labels = doc.get(key, {})
-        if not isinstance(labels, dict) or not all(isinstance(c, str) for c in labels.values()):
-            raise ParseError(f"{path}: {key} must map instance names to category names")
-    return DatasetSplit(
-        known_categories=frozenset(doc["known_categories"]),
-        novel_categories=frozenset(doc["novel_categories"]),
-        train_instances=doc["train_instances"],
-        test_instances=doc["test_instances"],
-        fewshot_instances=doc.get("fewshot_instances", {}),
-    )
+    fields = {}
+    try:
+        for key in ("known_categories", "novel_categories"):
+            if not isinstance(doc[key], list) or not all(isinstance(c, str) for c in doc[key]):
+                raise ParseError(f"{path}: {key} must be a list of category names")
+            fields[key] = [clean_identifier(c) for c in doc[key]]
+        for key in ("train_instances", "test_instances", "fewshot_instances"):
+            labels = doc.get(key, {})
+            if not isinstance(labels, dict) or not all(isinstance(c, str) for c in labels.values()):
+                raise ParseError(f"{path}: {key} must map instance names to category names")
+            fields[key] = {clean_identifier(i): clean_identifier(c) for i, c in labels.items()}
+            if len(fields[key]) != len(labels):
+                dup = next(i for i, n in Counter(map(clean_identifier, labels)).items() if n > 1)
+                raise ParseError(f"{path}: {key}: duplicate instance {dup!r} after trimming")
+    except ValidationError as exc:
+        raise ParseError(f"{path}: {key}: {exc}") from None
+    return DatasetSplit(**fields)
 
 
 def save_model(path, model) -> None:

@@ -26,7 +26,7 @@ import math
 import string
 from array import array
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -92,29 +92,28 @@ class _WordTokens(dict):
         return tid
 
 
-def build_corpus_index(documents: Sequence[tuple[str, str]]) -> CorpusIndex:
-    """Index (doc_id, text) pairs for the co-occurrence measures.
+def build_corpus_index(documents: Iterable[tuple[str, str]]) -> CorpusIndex:
+    """Index (doc_id, text) pairs for the co-occurrence measures, in one pass.
 
     Tokens are those of :func:`tokenize`, but each distinct word's token is
     taken once. Only one document's words are held at a time, so the index
     costs 8 bytes per token plus the vocabulary.
     """
-    if not documents:
-        raise ValidationError("empty corpus")
     doc_ids: dict[str, None] = {}
-    for doc_id, _ in documents:
-        doc_id = clean_identifier(doc_id)
-        if doc_id in doc_ids:
-            raise ValidationError(f"duplicate document id: {doc_id!r}")
-        doc_ids[doc_id] = None
     # a known word's lookup stays in C; an all-punctuation word's -1 is dropped
     word_token = _WordTokens()
     ids = array("q")
     n_words = []
-    for _, text in documents:
+    for doc_id, text in documents:
+        doc_id = clean_identifier(doc_id)
+        if doc_id in doc_ids:
+            raise ValidationError(f"duplicate document id: {doc_id!r}")
+        doc_ids[doc_id] = None
         words = text.split()
         ids.extend(map(word_token.__getitem__, words))
         n_words.append(len(words))
+    if not doc_ids:
+        raise ValidationError("empty corpus")
     token_of_word = np.frombuffer(ids, dtype=np.int64)
     keep = token_of_word >= 0
     # a document keeps its words less the dropped ones that fall in it
@@ -292,15 +291,17 @@ class Taxonomy:
             if par is not None and par not in parent:
                 raise ValidationError(f"parent of {node!r} is unknown node {par!r}")
         root = roots[0]
-        # Walking to the root must terminate for every node.
+        # Walking to the root must terminate for every node. A walk stops at a
+        # node an earlier walk reached the root from, so each node is walked once.
+        rooted = {root}
         for node in parent:
-            seen = set()
-            cur: str | None = node
-            while cur is not None:
-                if cur in seen:
+            cur, walk = node, set()
+            while cur not in rooted:
+                if cur in walk:
                     raise ValidationError(f"cycle in taxonomy at {cur!r}")
-                seen.add(cur)
+                walk.add(cur)
                 cur = parent[cur]
+            rooted |= walk
         prob = dict(self.prob)
         if missing := set(parent) - set(prob):
             raise ValidationError(f"missing probabilities for nodes: {sorted(missing)}")

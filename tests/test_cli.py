@@ -305,6 +305,40 @@ class TestErrorContract:
         assert with_corpus == without == (0, "")
         assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
 
+    @pytest.mark.parametrize("lines, code, error", [
+        (['{"id": "d0", "text": "bear fur"}', '{"id": "d0 ", "text": "bear"}', "{broken"],
+         3, "duplicate document id: 'd0'"),
+        (['{"id": "d0", "text": "bear fur"}', "{broken", '{"id": "d0", "text": "bear"}'],
+         2, "corpus.jsonl:2: invalid JSON"),
+    ], ids=["duplicate_first", "broken_first"])
+    def test_first_bad_corpus_line_in_file_order_wins(self, tmp_path, capsys, lines, code,
+                                                      error):
+        (tmp_path / "corpus.jsonl").write_text("\n".join(lines) + "\n")
+        (tmp_path / "terms.json").write_text(json.dumps({"categories": ["bear"],
+                                                         "attributes": ["fur"]}))
+        _, err = run(capsys, "mine", "--corpus", tmp_path / "corpus.jsonl",
+                     "--terms", tmp_path / "terms.json", "--measure", "dice_hit",
+                     "--out", tmp_path / "rel.tsv")
+        doc = one_json_error(code, err)
+        assert doc["stage"] == "mine" and error in doc["error"]
+        assert not (tmp_path / "rel.tsv").exists()
+
+    def test_pipeline_never_opens_a_corpus_no_stage_uses(self, synth_dir, capsys):
+        (synth_dir / "broken.jsonl").write_text("{broken\n")
+        config = data_config(synth_dir, corpus={"path": "broken.jsonl"})
+        assert run(capsys, "pipeline", "--config", config) == (0, "")
+        assert not (synth_dir / "run" / "relatedness.tsv").exists()
+
+    def test_pipeline_reads_its_corpus_in_the_mine_stage(self, synth_dir, capsys):
+        (synth_dir / "broken.jsonl").write_text('{"id": "d0", "text": "x"}\n{broken\n')
+        config = data_config(synth_dir, corpus={"path": "broken.jsonl"},
+                             mine={"measure": "dice_hit"},
+                             assoc={"policy": "per_attribute_topk", "k": 2})
+        _, err = run(capsys, "pipeline", "--config", config)
+        doc = one_json_error(2, err)
+        assert doc["stage"] == "mine"
+        assert doc["error"].startswith(f"mine: {synth_dir / 'broken.jsonl'}:2: invalid JSON")
+
     @pytest.mark.parametrize("measure", ["dice_hit", "dice_snippet", "esa", "tfidf"])
     def test_corpus_measure_without_corpus_exits_3(self, synth_dir, tmp_path, capsys, measure):
         code, err = run(capsys, "mine", "--terms", synth_dir / "terms.json",
@@ -853,11 +887,11 @@ class TestInputFiles:
         assert "UTF-8" in one_json_error(code, err)["error"]
 
     @pytest.mark.parametrize("cell", ["1_0", "\u0661", "\uff11", "0x1", "", " ", "0.5\u2028",
-                                      "\x85 1", "\xa00.5"])
+                                      "\x85 1", "\xa00.5", "0.5\x1c"])
     def test_matrix_cell_that_is_not_an_ascii_number_exits_2(self, synth_dir, tmp_path,
                                                             capsys, cell):
         # float() reads "1_0", non-ASCII digits and a number next to non-ASCII
-        # whitespace; the matrix reader does not
+        # whitespace or an ASCII separator; the matrix reader does not
         rel = mined_relatedness(synth_dir, tmp_path / "rel.tsv")
         lines = rel.read_text().splitlines()
         cells = lines[-2].split("\t")
@@ -889,6 +923,30 @@ class TestInputFiles:
             assert json.loads((tmp_path / "report.json").read_text())["accuracy"] == 1.0
         else:
             assert one_json_error(code, err)["error"] == f"{tmp_path / 'labels.tsv'}:{error}"
+
+    @pytest.mark.parametrize("ids, code, error", [
+        ({"test_instances": {"i0 ": "n0", " i1": "n1 "}, "novel_categories": ["n0", "n1 "]},
+         0, None),
+        ({"test_instances": {"i0": "n0", "i1": " "}}, 2, "test_instances: empty identifier"),
+        ({"test_instances": {"i0": "n0", "i0 ": "n1"}}, 2,
+         "test_instances: duplicate instance 'i0' after trimming"),
+    ], ids=["trimmed", "empty", "duplicate"])
+    def test_split_ids_are_trimmed_like_tsv_ids(self, tmp_path, capsys, ids, code, error):
+        # untrimmed, "i0 " would be a test instance without a truth label
+        (tmp_path / "scores.tsv").write_text(
+            "# type=category_scores\n\tn0\tn1\ni0\t0.75\t0.25\ni1\t0.25\t0.75\n")
+        (tmp_path / "labels.tsv").write_text("i0\tn0\ni1\tn1\n")
+        (tmp_path / "split.json").write_text(json.dumps({
+            "known_categories": ["k0"], "novel_categories": ["n0", "n1"],
+            "train_instances": {}, **ids}))
+        got, err = run(capsys, "eval", "--scores", tmp_path / "scores.tsv", "--truth",
+                       tmp_path / "labels.tsv", "--split", tmp_path / "split.json",
+                       "--out", tmp_path / "report.json")
+        if error is None:
+            assert (got, err) == (code, "")
+            assert json.loads((tmp_path / "report.json").read_text())["accuracy"] == 1.0
+        else:
+            assert one_json_error(code, err)["error"] == f"{tmp_path / 'split.json'}: {error}"
 
 
 def _mutate(data: bytes, mutation: str, pick: int, byte: int) -> bytes:

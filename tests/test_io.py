@@ -95,6 +95,11 @@ class TestMatrixTsv:
         ("p\t1\t2\nq\t0.5\u2028\t1\n", "4: not a number: '0.5\\\\u2028'"),
         ("p\t\x85 1\t2\nq\tx\t1\n", "3: not a number: '\\\\x85 1'"),
         ("p\t1\t\xa00.5\n", "3: not a number: '\\\\xa00.5'"),
+        # and the ASCII control characters that str.isspace() counts
+        ("p\t1\t2\nq\t0.5\x1c\t1\n", "4: not a number: '0.5\\\\x1c'"),
+        ("p\t\x1f1\t2\n", "3: not a number: '\\\\x1f1'"),
+        ("p\t1\t0.5\v\n", "3: not a number: '0.5\\\\x0b'"),
+        ("p\t0.5\f\t1\n", "3: not a number: '0.5\\\\x0c'"),
     ])
     def test_first_bad_line_is_named(self, tmp_path, rows, where):
         path = tmp_path / "bad.tsv"
@@ -186,9 +191,14 @@ class TestMatrixKinds:
             sio.read_matrix(path, AssociationMatrix)
 
 
+def read_corpus_jsonl(path):
+    """Every document of the corpus reader, which yields them lazily."""
+    return list(sio.read_corpus_jsonl(path))
+
+
 @pytest.mark.parametrize("reader, name", [
     (sio.read_matrix_tsv, "m.tsv"), (sio.read_labels, "labels.tsv"),
-    (sio.read_corpus_jsonl, "corpus.jsonl"), (sio.read_json, "doc.json"),
+    (read_corpus_jsonl, "corpus.jsonl"), (sio.read_json, "doc.json"),
 ])
 def test_invalid_utf8_is_parse_error(tmp_path, reader, name):
     path = tmp_path / name
@@ -201,7 +211,7 @@ def test_invalid_utf8_is_parse_error(tmp_path, reader, name):
     (sio.read_matrix_tsv, "m.tsv", "\ta\nr\t0.5\n"),
     (sio.read_labels, "labels.tsv", "i0\tc0\n"),
     (lambda path: sio.read_taxonomy(path, path.with_name("probs.tsv")), "edges.tsv", "c\troot\n"),
-    (sio.read_corpus_jsonl, "corpus.jsonl", '{"id": "d", "text": "t"}\n'),
+    (read_corpus_jsonl, "corpus.jsonl", '{"id": "d", "text": "t"}\n'),
     (sio.read_json, "doc.json", '{"a": 1}\n'),
     (lambda path: sio.read_taxonomy(path.with_name("edges.tsv"), path), "probs.tsv",
      "root\t1\nc\t0.5\n"),
@@ -343,13 +353,13 @@ class TestCorpusJsonl:
         docs = [("d0", "a brown bear"), ("d1", "sea otter")]
         path = tmp_path / "corpus.jsonl"
         sio.write_corpus_jsonl(path, docs)
-        assert sio.read_corpus_jsonl(path) == docs
+        assert list(sio.read_corpus_jsonl(path)) == docs
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"id": "d0"}\n')
         with pytest.raises(ParseError):
-            sio.read_corpus_jsonl(path)
+            list(sio.read_corpus_jsonl(path))
 
     @pytest.mark.parametrize("line", ['{"id": "bear/0", "text": null}', '{"id": 5, "text": "x"}',
                                       '{"id": "d1", "text": ["sea", "otter"]}'])
@@ -357,13 +367,13 @@ class TestCorpusJsonl:
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"id": "d0", "text": "a brown bear"}\n' + line + "\n")
         with pytest.raises(ParseError, match=r"corpus.jsonl:2: corpus lines need string"):
-            sio.read_corpus_jsonl(path)
+            list(sio.read_corpus_jsonl(path))
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text("{broken\n")
         with pytest.raises(ParseError):
-            sio.read_corpus_jsonl(path)
+            list(sio.read_corpus_jsonl(path))
 
     @pytest.mark.parametrize("sep", ["\u2028", "\u0085", "\u2029"])
     def test_lines_end_at_newline_only(self, tmp_path, sep):
@@ -371,13 +381,13 @@ class TestCorpusJsonl:
         path = tmp_path / "corpus.jsonl"
         path.write_bytes((f'{{"id": "d0", "text": "bear{sep}fur"}}\r\n'
                           f'\n{{"id": "d1", "text": "{sep}"}}\n').encode("utf-8"))
-        assert sio.read_corpus_jsonl(path) == [("d0", f"bear{sep}fur"), ("d1", sep)]
+        assert list(sio.read_corpus_jsonl(path)) == [("d0", f"bear{sep}fur"), ("d1", sep)]
 
     def test_error_names_the_newline_counted_line(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"id": "d0", "text": "a\u2028b"}\n{broken\n', encoding="utf-8")
         with pytest.raises(ParseError, match=r"corpus.jsonl:2: invalid JSON"):
-            sio.read_corpus_jsonl(path)
+            list(sio.read_corpus_jsonl(path))
 
 
 class TestTaxonomyFiles:
@@ -412,10 +422,11 @@ class TestTaxonomyFiles:
             sio.read_taxonomy(edges, probs)
 
     @pytest.mark.parametrize("cell", ["0_25", "\u0660.\u0662\u0665", "", "x", "0.5\u2028",
-                                      "\x85 1", "\xa00.5"])
+                                      "\x85 1", "\xa00.5", "0.5\x1c", "\x1f1", "0.5\v",
+                                      "0.5\f"])
     def test_probability_cell_follows_the_matrix_cell_grammar(self, tmp_path, cell):
         # float() reads "0_25" as 25 and the Arabic-Indic digits as 0.25, and it
-        # strips the non-ASCII whitespace of the last three
+        # strips the whitespace of the last seven
         edges, probs = tmp_path / "edges.tsv", tmp_path / "probs.tsv"
         edges.write_text("x\troot\n")
         probs.write_text(f"root\t1\nx\t{cell}\n", encoding="utf-8")
@@ -484,6 +495,35 @@ class TestSplitJson:
         path = tmp_path / "split.json"
         path.write_text(json.dumps({"known_categories": []}))
         with pytest.raises(ParseError):
+            sio.read_split(path)
+
+
+    def test_ids_are_trimmed_like_tsv_ids(self, tmp_path):
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps({
+            "known_categories": [" k0", "k0"], "novel_categories": ["n0\u2028"],
+            "train_instances": {"i0 ": " k0"}, "test_instances": {"\ti1": "n0 "},
+            "fewshot_instances": {"i2\u3000": "n0"}}))
+        split = sio.read_split(path)
+        assert (split.known_categories, split.novel_categories) == ({"k0"}, {"n0"})
+        assert split.train_instances == {"i0": "k0"}
+        assert split.test_instances == {"i1": "n0"}
+        assert split.fewshot_instances == {"i2": "n0"}
+
+    @pytest.mark.parametrize("key, value, error", [
+        ("novel_categories", ["n0", " "], "novel_categories: empty identifier"),
+        ("test_instances", {"i1": "n0", "": "n0"}, "test_instances: empty identifier"),
+        ("test_instances", {"i1": "\t"}, "test_instances: empty identifier"),
+        ("fewshot_instances", {"i2": "n0", "i2 ": "n0"},
+         "fewshot_instances: duplicate instance 'i2' after trimming"),
+    ])
+    def test_id_empty_or_repeated_after_trimming_names_its_key(self, tmp_path, key, value,
+                                                                error):
+        doc = {"known_categories": ["k0"], "novel_categories": ["n0"],
+               "train_instances": {"i0": "k0"}, "test_instances": {"i1": "n0"}, key: value}
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=re.escape(f"{path}: {error}") + "$"):
             sio.read_split(path)
 
 
