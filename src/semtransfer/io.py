@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence, TypeVar
 
@@ -101,68 +102,68 @@ def write_matrix_tsv(path, row_ids: Sequence[str], col_ids: Sequence[str],
 
 
 def read_matrix_tsv(path):
-    """Read a matrix TSV, returning (row_ids, col_ids, values, tags)."""
+    r"""Read a matrix TSV, returning (row_ids, col_ids, values, tags).
+
+    One ``np.loadtxt`` call parses the rows as they are read, so the first
+    bad line in file order is named. The row it fails on (it reads no
+    further), and a row that is empty or holds a character other than
+    printable ASCII and its tabs, have their cells checked by :func:`_number`:
+    loadtxt would skip an empty row and strip ``\v``, ``\x1c`` or U+2028.
+    """
     tags: dict[str, str] = {}
     header = None
     row_ids: list[str] = []
-    rows: list[tuple[int, str]] = []
-    for lineno, line in _lines(path):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if "=" in body:
-                key, _, val = body.partition("=")
-                tags[key.strip()] = val.strip()
-        elif header is None:
-            cells = line.split("\t")
-            if cells[0] != "":
-                raise ParseError(f"{path}:{lineno}: first header cell must be empty")
-            header = cells[1:]
-        elif (n_cells := line.count("\t") + 1) != len(header) + 1:
-            raise ParseError(f"{path}:{lineno}: expected {len(header) + 1} cells, got {n_cells}")
-        else:
-            row_id, _, numbers = line.partition("\t")
-            row_ids.append(row_id)
-            rows.append((lineno, numbers))
+    row = (0, "")  # (line number, cells) of the last row read
+
+    def rows() -> Iterator[str]:
+        nonlocal header, row
+        for lineno, line in _lines(path):
+            if not line.strip():
+                continue
+            if line.startswith("#"):
+                key, eq, val = line.lstrip("#").partition("=")
+                if eq:
+                    tags[key.strip()] = val.strip()
+            elif header is None:
+                cells = line.split("\t")
+                if cells[0] != "":
+                    raise ParseError(f"{path}:{lineno}: first header cell must be empty")
+                header = cells[1:]
+            elif (n_cells := line.count("\t") + 1) != len(header) + 1:
+                raise ParseError(f"{path}:{lineno}: expected {len(header) + 1} cells, got {n_cells}")
+            else:
+                row_id, _, text = line.partition("\t")
+                row_ids.append(row_id)
+                row = lineno, text
+                if not (text and text.isascii()  # translate drops control characters
+                        and len(text.encode().translate(None, _CONTROL)) == len(text)):
+                    raise ValueError("empty cell or control character")
+                yield text
+
+    texts = rows()
+    try:
+        first = next(texts, None)  # loadtxt warns about input without rows
+        values = np.empty(0) if first is None else np.loadtxt(
+            chain([first], texts), delimiter="\t", comments=None)
+    except ValueError as exc:
+        for cell in row[1].split("\t"):
+            _number(path, row[0], cell)
+        raise ParseError(f"{path}:{row[0]}: {exc}") from None
     if header is None:
         raise ParseError(f"{path}: missing header row")
-    return row_ids, header, _numbers(path, rows, len(header)), tags
+    return row_ids, header, values.reshape(len(row_ids), len(header)), tags
 
 
-def _numbers(path, rows: list[tuple[int, str]], width: int) -> np.ndarray:
-    r"""The ``width`` tab-separated numbers of each (line number, text) row.
-
-    A cell is an ASCII decimal number, ``inf`` or ``nan``, with optional
-    spaces around it. One ``np.loadtxt`` call parses every cell (``float()``
-    would also read ``1_0`` and non-ASCII digits). Only if that call fails,
-    or a row is empty or holds a character other than printable ASCII and
-    its tabs, are the cells checked one by one, to name the first bad one:
-    loadtxt would skip an empty row as a blank line and strip whitespace
-    such as ``\v``, ``\x1c`` or U+2028 around a cell.
-    """
-    texts = [text for _, text in rows]
-    if not texts:
-        return np.empty((0, width))
-    try:
-        # encoding a non-ASCII row raises a ValueError; translate drops control characters
-        if "" in texts or any(len(text.encode("ascii").translate(None, _CONTROL)) != len(text)
-                              for text in texts):
-            raise ValueError("empty cell or control character")
-        return np.loadtxt(texts, delimiter="\t", comments=None, ndmin=2)
-    except ValueError as exc:
-        bad = next(((lineno, cell) for lineno, text in rows
-                    for cell in text.split("\t") if not _is_number(cell)), None)
-        raise ParseError(f"{path}:{bad[0]}: not a number: {bad[1]!r}" if bad
-                         else f"{path}: {exc}") from None
-
-
-def _is_number(cell: str) -> bool:
-    try:
-        return (cell.isascii() and cell.isprintable() and cell != ""
-                and np.loadtxt([cell], delimiter="\t", comments=None).size == 1)
-    except ValueError:
-        return False
+def _number(path, lineno: int, cell: str) -> float:
+    """The value of a number cell: an ASCII decimal number, ``inf`` or ``nan``,
+    with optional spaces around it, as ``np.loadtxt`` reads it (``float()``
+    alone would also read ``1_0``, non-ASCII digits and other whitespace)."""
+    if cell.isascii() and cell.isprintable() and "_" not in cell:
+        try:
+            return float(cell)
+        except ValueError:
+            pass
+    raise ParseError(f"{path}:{lineno}: not a number: {cell!r}")
 
 
 def write_matrix(path, m: LabelledMatrix) -> None:
@@ -267,13 +268,12 @@ def read_taxonomy(edges_path, probs_path):
         parent[child] = par
         parent.setdefault(par, None)
 
-    rows: dict[str, tuple[int, str]] = {}  # node -> (line number, probability cell)
+    prob: dict[str, float] = {}
     for lineno, (node, value) in _tsv_rows(probs_path, 2, "node<TAB>probability"):
-        if node in rows:
+        if node in prob:
             raise ParseError(f"{probs_path}:{lineno}: duplicate node {node!r}")
-        rows[node] = lineno, value
-    probs = _numbers(probs_path, list(rows.values()), 1)[:, 0].tolist()
-    return Taxonomy(parent=parent, prob=dict(zip(rows, probs)))
+        prob[node] = _number(probs_path, lineno, value)
+    return Taxonomy(parent=parent, prob=prob)
 
 
 def write_split(path, split: DatasetSplit) -> None:

@@ -422,8 +422,6 @@ def _tfidf(index: CorpusIndex, categories: Sequence[str], attributes: Sequence[s
     it; other documents are ignored. A phrase occurs where its tokens follow
     each other within one document, overlapping occurrences included.
     """
-    if not (categories and attributes):
-        raise ValidationError("tfidf needs categories and attributes")
     phrases = [_term_tokens(a) for a in attributes]
     row = {c: i for i, c in enumerate(categories)}
     cat = np.array([row.get(d.split("/", 1)[0], -1) for d in index.doc_ids], dtype=np.int64)
@@ -466,8 +464,12 @@ def mine_relatedness(index: CorpusIndex | None, categories: Sequence[str],
                      window: int | None = 20,
                      taxonomy: Taxonomy | None = None) -> RelatednessMatrix:
     """Fill a categories x attributes matrix with one measure; only ``lin`` needs no index."""
+    if measure not in MEASURES:
+        raise ValidationError(f"unknown relatedness measure: {measure!r}")
     categories = clean_ids(categories, "categories")
     attributes = clean_ids(attributes, "attributes")
+    if not (categories and attributes):
+        raise ValidationError(f"{measure} needs categories and attributes")
     if measure in ("dice_hit", "dice_snippet"):
         if measure == "dice_hit":
             window = None
@@ -484,13 +486,11 @@ def mine_relatedness(index: CorpusIndex | None, categories: Sequence[str],
         values = _esa(index, categories, attributes)
     elif measure == "tfidf":
         values = _tfidf(index, categories, attributes)
-    elif measure == "lin":
+    else:  # lin
         if taxonomy is None:
             raise ValidationError("lin measure needs a taxonomy")
         values = np.array([[lin_relatedness(taxonomy, c, a) for a in attributes]
-                           for c in categories]).reshape(len(categories), len(attributes))
-    else:
-        raise ValidationError(f"unknown relatedness measure: {measure!r}")
+                           for c in categories])
     return RelatednessMatrix(categories, attributes, values, measure=measure)
 
 
@@ -503,6 +503,8 @@ def binarize(rel: RelatednessMatrix, policy: str, *, k: int | None = None,
     entries >= threshold, ``per_attribute_mean`` marks entries at or above
     their column mean.
     """
+    if not rel.categories:
+        raise ValidationError("binarize needs a relatedness matrix with categories")
     values = rel.values
     if policy == "per_attribute_topk":
         if k is None or k < 1:

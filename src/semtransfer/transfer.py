@@ -141,13 +141,11 @@ def hierarchy_transfer(tax: Taxonomy, known_scores: CategoryScoreMatrix,
         return known_scores.values[:, known_idx[best]]
 
     def inner_column(attach: str) -> np.ndarray:
-        node: str | None = attach
-        while node is not None:
+        for node in tax.ancestors(attach):
             inside = [c for c in tax.leaf_descendants(node) if c in known_idx]
             if inside:
                 cols = [known_scores.values[:, known_idx[c]] for c in inside]
                 return np.mean(cols, axis=0)
-            node = tax.parent[node]
         raise ValidationError(f"no known leaves reachable from {attach!r}")
 
     out = np.zeros((len(known_scores.instances), len(novel)))

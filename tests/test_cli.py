@@ -347,6 +347,32 @@ class TestErrorContract:
         assert (code, len(lines)) == (3, 1), err
         assert json.loads(lines[0])["error"] == f"{measure} needs a corpus"
 
+    @pytest.mark.parametrize("empty", ["categories", "attributes"])
+    @pytest.mark.parametrize("measure", ["dice_hit", "dice_snippet", "esa", "tfidf", "lin"])
+    def test_empty_term_list_exits_3(self, tmp_path, capsys, measure, empty):
+        # with no attributes the relatedness TSV's header would be a lone tab, which
+        # reads as a blank line; with no categories it would hold no rows
+        sio.write_corpus_jsonl(tmp_path / "corpus.jsonl", [("d0", "bear fur")])
+        terms = {"categories": ["bear"], "attributes": ["fur"], empty: []}
+        (tmp_path / "terms.json").write_text(json.dumps(terms))
+        (tmp_path / "edges.tsv").write_text("bear\troot\nfur\troot\n")
+        (tmp_path / "probs.tsv").write_text("root\t1\nbear\t0.5\nfur\t0.5\n")
+        code, err = run(capsys, "mine", "--corpus", tmp_path / "corpus.jsonl",
+                        "--terms", tmp_path / "terms.json", "--measure", measure,
+                        "--taxonomy-edges", tmp_path / "edges.tsv",
+                        "--taxonomy-probs", tmp_path / "probs.tsv", "--out", tmp_path / "rel.tsv")
+        assert one_json_error(3, err) == {"code": 3, "stage": "mine",
+                                          "error": f"{measure} needs categories and attributes"}
+        assert not (tmp_path / "rel.tsv").exists()
+
+    def test_assoc_on_relatedness_without_categories_exits_3(self, tmp_path, capsys):
+        # a column mean over no categories would warn and mark nothing
+        (tmp_path / "rel.tsv").write_text("# type=relatedness\n\tfur\tstripes\n")
+        code, err = run(capsys, "assoc", "--relatedness", tmp_path / "rel.tsv",
+                        "--policy", "per_attribute_mean", "--out", tmp_path / "assoc.tsv")
+        assert one_json_error(3, err)["stage"] == "assoc"
+        assert not (tmp_path / "assoc.tsv").exists()
+
     def test_pipeline_corpus_measure_without_corpus_exits_3(self, synth_dir, capsys):
         config = data_config(synth_dir, mine={"measure": "esa"},
                              assoc={"policy": "per_attribute_topk", "k": 2})

@@ -1,9 +1,12 @@
 import json
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import semtransfer.io as sio
 from semtransfer import (
@@ -86,6 +89,8 @@ class TestMatrixTsv:
         ("p\t1\t2\nq\n", "4: expected 3 cells, got 1"),
         ("p\t1\t2\n\nq\t1\t\n", "5: not a number: ''"),
         ("p\t1\t2\nq\tx\t\n", "4: not a number: 'x'"),
+        # the first bad line in file order wins, a bad number over a later ragged row
+        ("p\t1\tx\nq\t1\n", "3: not a number: 'x'"),
         # lines end at "\n" only, so they are counted by "\n"
         ("p\u2028q\t1\t2\nr\t3\n", "4: expected 3 cells, got 2"),
         ("p\x85\t1\t2\r\nq\rr\t3\r\n", "4: expected 3 cells, got 2"),
@@ -106,6 +111,76 @@ class TestMatrixTsv:
         path.write_text("# type=features\n\ta\tb\n" + rows, encoding="utf-8")
         with pytest.raises(ParseError, match=f"^{path}:{where}$"):
             sio.read_matrix_tsv(path)
+
+    @pytest.mark.parametrize("bad", [0, 2500, 4999])
+    def test_bad_cell_is_named_with_its_own_line(self, tmp_path, bad):
+        # np.loadtxt reads no row past the one it fails on, so that row is checked
+        rows = [f"r{i}\t{i}\t0.5\n" for i in range(5000)]
+        rows[bad] = f"r{bad}\t{bad}\tx\n"
+        path = tmp_path / "bad.tsv"
+        path.write_text("\ta\tb\n" + "".join(rows))
+        with pytest.raises(ParseError, match=f"^{path}:{bad + 2}: not a number: 'x'$"):
+            sio.read_matrix_tsv(path)
+
+    def test_bad_last_cell_checks_one_row(self, tmp_path, monkeypatch):
+        # 5,532 x 24 is the size of fewshot-graph's score matrices
+        path = tmp_path / "bad.tsv"
+        sio.write_matrix_tsv(path, [f"i{k}" for k in range(5532)], [f"c{k}" for k in range(24)],
+                             np.random.default_rng(0).random((5532, 24)))
+        path.write_text(path.read_text()[:-2] + "x\n")
+        checked = []
+        number = sio._number
+        monkeypatch.setattr(sio, "_number", lambda *a: checked.append(a[2]) or number(*a))
+        with pytest.raises(ParseError, match=r":5533: not a number: '[0-9.]*x'$"):
+            sio.read_matrix_tsv(path)
+        assert len(checked) == 24
+
+    def test_peak_memory_stays_near_the_values(self, tmp_path):
+        # holding every row's text before parsing peaked at about 3.6 times the values
+        rng = np.random.default_rng(0)
+        values = rng.random((5532, 24))
+        path = tmp_path / "scores.tsv"
+        sio.write_matrix_tsv(path, [f"i{k}" for k in range(5532)],
+                             [f"c{k}" for k in range(24)], values)
+        tracemalloc.start()
+        try:
+            _, _, back, _ = sio.read_matrix_tsv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.abs(back - values).max() <= 1e-9
+        assert peak < 2 * values.nbytes
+
+    def test_header_only_matrix_reads_without_warnings(self, tmp_path):
+        path = tmp_path / "empty.tsv"
+        path.write_text("# type=relatedness\n\ta\tb\tc\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows, cols, values, _ = sio.read_matrix_tsv(path)
+        assert (rows, cols, values.shape) == ([], ["a", "b", "c"], (0, 3))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cell=st.one_of(
+        st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12),
+        st.builds("".join, st.lists(st.sampled_from(
+            [" ", "+", "-", "0", "1", "9", ".", "e", "E", "_", "inf", "Infinity", "nan",
+             "NaN", "x", "0x"]), max_size=8)),
+        st.floats().map(repr)))
+    def test_bulk_parse_and_cell_check_agree(self, tmp_path, cell):
+        # one np.loadtxt call reads the bulk of a file and _number names its bad
+        # cells, so the two must accept the same cells and read the same values
+        path = tmp_path / "one.tsv"
+        path.write_text(f"\ta\nr\t{cell}\n", encoding="utf-8")
+        try:
+            want = sio._number(path, 2, cell)
+        except ParseError as exc:
+            with pytest.raises(ParseError, match=re.escape(str(exc)) + "$"):
+                sio.read_matrix_tsv(path)
+            return
+        got = sio.read_matrix_tsv(path)[2]
+        assert got.shape == (1, 1)
+        assert got.view(np.int64)[0, 0] == np.array(want).view(np.int64)
 
     def test_cells_read_as_float_reads_them(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -432,6 +507,14 @@ class TestTaxonomyFiles:
         probs.write_text(f"root\t1\nx\t{cell}\n", encoding="utf-8")
         want = re.escape(f"probs.tsv:2: not a number: {cell!r}") + "$"
         with pytest.raises(ParseError, match=want):
+            sio.read_taxonomy(edges, probs)
+
+    def test_bad_probability_before_a_duplicate_node_is_named(self, tmp_path):
+        # each line is checked as it is read, so the first bad line in file order wins
+        edges, probs = tmp_path / "edges.tsv", tmp_path / "probs.tsv"
+        edges.write_text("x\troot\n")
+        probs.write_text("root\t1\nx\tbad\nx\t0.5\n")
+        with pytest.raises(ParseError, match=r"probs.tsv:2: not a number: 'bad'$"):
             sio.read_taxonomy(edges, probs)
 
     def test_duplicate_probability_node_rejected(self, tmp_path):
