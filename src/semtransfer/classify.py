@@ -41,8 +41,8 @@ class TrainConfig:
             raise ValidationError(f"l2 must be positive and finite, got {self.l2}")
         if self.max_iters < 0:
             raise ValidationError(f"max_iters must be >= 0, got {self.max_iters}")
-        if self.tol <= 0:
-            raise ValidationError(f"tol must be > 0, got {self.tol}")
+        if not 0 < self.tol < np.inf:
+            raise ValidationError(f"tol must be positive and finite, got {self.tol}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -40,6 +40,7 @@ from .relatedness import (
     binarize,
     build_corpus_index,
     mine_relatedness,
+    mine_terms,
     signature_relatedness,
 )
 from .synth import SynthConfig, corpus_plan_from_associations, gen_corpus, gen_dataset
@@ -152,15 +153,17 @@ def _mine(corpus, categories, attributes, measure: str, window: int | None,
           taxonomy_edges=None, taxonomy_probs=None):
     """Relatedness of every category-attribute pair under ``measure``.
 
-    ``lin`` needs both taxonomy files and no corpus; the other measures index
-    the JSONL file ``corpus`` as it is read. Window 0 means whole documents.
+    The measure and the term lists are checked first. ``lin`` needs both
+    taxonomy files and no corpus; the other measures index the JSONL file
+    ``corpus`` as it is read. Window 0 means whole documents.
     """
+    categories, attributes = mine_terms(categories, attributes, measure)
     index = taxonomy = None
     if measure == "lin":
         taxonomy = _taxonomy("lin measure", taxonomy_edges, taxonomy_probs)
-    elif measure in MEASURES:
-        if not corpus:
-            raise ValidationError(f"{measure} needs a corpus")
+    elif not corpus:
+        raise ValidationError(f"{measure} needs a corpus")
+    else:
         index = build_corpus_index(io.read_corpus_jsonl(corpus))
     return mine_relatedness(index, categories, attributes, measure,
                             window=window or None, taxonomy=taxonomy)

@@ -22,14 +22,11 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 KERNELS = ("gaussian", "cosine")
-# Keys per row block of the kNN build, whose rows are filtered and ranked
-# together. Cosine keys are one product per block, in one float64 buffer of
-# this many (~32 MB): they are the weights, and a product's rounding changes
-# with its height.
+# Keys per row block of the kNN build, whose rows are filtered and ranked together.
 _BLOCK_VALUES = 1 << 22
-# Rows per product of Gaussian keys, float32 (half as many float64 rows in
-# the fallback), in one buffer: ~2.7 MB at n = 5232. Every product packs its
-# whole (d + 1) x n right operand again, so fewer rows slow a large build.
+# Rows per product of keys, float32 (half as many float64 rows in the
+# fallback), in one buffer: ~2.7 MB at n = 5232. Every product packs its
+# whole right operand again, so fewer rows slow a large build.
 _PRODUCT_ROWS = 128
 # Keys per row chunk of a product that is partitioned and masked at a time
 # (~2 MB of float64).
@@ -53,12 +50,12 @@ class PropagationConfig:
             raise ValidationError(f"k must be >= 1, got {self.k}")
         if self.kernel not in KERNELS:
             raise ValidationError(f"unknown kernel: {self.kernel!r}")
-        if self.sigma is not None and not self.sigma > 0:
-            raise ValidationError(f"sigma must be positive, got {self.sigma}")
+        if self.sigma is not None and not 0 < self.sigma < np.inf:
+            raise ValidationError(f"sigma must be positive and finite, got {self.sigma}")
         if not (0.0 <= self.alpha < 1.0):
             raise ValidationError(f"alpha must lie in [0, 1), got {self.alpha}")
-        if not self.tol > 0:
-            raise ValidationError(f"tol must be > 0, got {self.tol}")
+        if not 0 < self.tol < np.inf:
+            raise ValidationError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iters < 1:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
         if not (0.0 < self.rho <= 1.0):
@@ -79,8 +76,8 @@ class SimilarityGraph:
 
     ``build_knn_graph`` also records the Gaussian ``sigma`` (None for
     cosine) and its filter's counts: the candidates it ranked over all rows,
-    the row blocks whose Gaussian filter fell back from float32 to float64,
-    and the rows ranked over every column because their k-th similarity
+    the row blocks whose filter fell back from float32 to float64, and the
+    Gaussian rows ranked over every column because their k-th similarity
     underflowed.
     """
 
@@ -124,21 +121,23 @@ class SimilarityGraph:
         return self._csr(self.norm)
 
 
-def _sqdist(a, b, shape) -> np.ndarray:
-    """Squared Euclidean distances of ``shape`` between points given one
-    dimension at a time: ``a`` and ``b`` yield each dimension's coordinates,
-    which broadcast to ``shape``.
-
-    Sums ``(a_t - b_t)^2`` over the dimensions t in order, as SciPy's
-    ``cdist`` and ``pdist`` do, so the result matches theirs bit for bit.
+def _dimension_sum(a, b, shape, term) -> np.ndarray:
+    """Sums ``term(a_t, b_t)`` over the dimensions t in order, from 0, for
+    points given one dimension at a time: ``a`` and ``b`` yield each
+    dimension's coordinates, which broadcast to ``shape``. With
+    ``_squared_difference`` the sums are squared Euclidean distances, bit for
+    bit SciPy's ``cdist`` and ``pdist``, which sum in the same order.
     """
     out = np.zeros(shape)
-    diff = np.empty(shape)
+    buf = np.empty(shape)
     for a_t, b_t in zip(a, b):
-        np.subtract(a_t, b_t, out=diff)
-        np.multiply(diff, diff, out=diff)
-        out += diff
+        out += term(a_t, b_t, out=buf)
     return out
+
+
+def _squared_difference(a, b, out) -> np.ndarray:
+    np.subtract(a, b, out=out)
+    return np.multiply(out, out, out=out)
 
 
 def _median_heuristic(vectors: np.ndarray) -> float:
@@ -157,7 +156,8 @@ def _median_heuristic(vectors: np.ndarray) -> float:
     size = 0
     for lo in range(0, m, step):
         hi = min(lo + step, m)
-        part = _sqdist(VT[:, lo:hi, None], VT[:, None, lo:], (hi - lo, m - lo))
+        part = _dimension_sum(VT[:, lo:hi, None], VT[:, None, lo:], (hi - lo, m - lo),
+                              _squared_difference)
         part = part[np.triu_indices(hi - lo, 1, m - lo)]  # pairs i < j
         part = part[part > 0]
         d2[size:size + part.size] = part
@@ -191,27 +191,26 @@ def build_knn_graph(vectors, k: int, kernel: str = "gaussian",
     Neighbors are ranked by similarity descending, then by index ascending,
     so ties go to the lower index. Rows are ranked in blocks of about
     ``_BLOCK_VALUES / n`` rows. Their keys come from products of
-    ``_PRODUCT_ROWS`` rows (Gaussian) or of the whole block (cosine) and are
-    partitioned and masked in chunks of about ``_CHUNK_VALUES / n`` rows, so
-    memory is one product's keys plus O(chunk * n + n * k) rather than
-    O(n^2). Gaussian weights of selected neighbors are floored at the
-    smallest normal float, so an outlier far from everything keeps its k
-    edges instead of underflowing to an isolated node; a cosine similarity
-    of 0 is genuine isolation and still raises.
+    ``_PRODUCT_ROWS`` rows and are partitioned and masked in chunks of about
+    ``_CHUNK_VALUES / n`` rows, so memory is one product's keys plus
+    O(chunk * n + n * k) rather than O(n^2). Gaussian weights of selected
+    neighbors are floored at the smallest normal float, so an outlier far
+    from everything keeps its k edges instead of underflowing to an isolated
+    node; a cosine similarity of 0 is genuine isolation and still raises.
 
-    A row gets one key per column that rises with distance: the negated
-    cosine, whose bits are the weights and change with the product's
-    height, or approximate squared distances from float32 matrix products on
-    the column-centered vectors. Columns within the row's k-th key plus
-    twice a slack (0 for cosine, a rounding bound for Gaussian) are
-    candidates. The Gaussian filter falls back to float64 keys, from
-    products of half as many rows in the same buffer, where float32 would
+    A row gets one key per column that rises with distance, from float32
+    matrix products: the negated dot product of the unit vectors (cosine),
+    or approximate squared distances on the column-centered vectors
+    (Gaussian). Columns within the row's k-th key plus twice a rounding
+    bound are candidates. The filter falls back to float64 keys, from
+    products of half as many rows in the same buffer, where float32 could
     overflow or underflow, or as soon as a block's chunks keep more than 4k
-    candidates per row. Candidates are ranked by similarity; Gaussian ones
-    get exact float64 squared distances, bit for bit SciPy's ``cdist``, and
-    an ``exp``. A Gaussian row whose k-th similarity is below the smallest
-    normal float, where an excluded column could still tie with it, is
-    ranked again over every other column.
+    candidates per row. Candidates are ranked by their exact similarity,
+    summed over the dimensions in order: max(0, u_i.u_j) for cosine, and
+    for Gaussian the ``exp`` of squared distances that are bit for bit
+    SciPy's ``cdist``. A Gaussian row whose k-th similarity is below the
+    smallest normal float, where an excluded column could still tie with
+    it, is ranked again over every other column.
     """
     if isinstance(vectors, AttributeScoreMatrix):
         vectors = vectors.values
@@ -239,7 +238,11 @@ def _nearest(X: np.ndarray, k: int, kernel: str, sigma: float | None):
     Gaussian sigma and the filter's counts, as ``build_knn_graph`` ranks them."""
     n, d = X.shape
     tiny = np.finfo(float).tiny
-    rounded = None  # the float32 inputs of the Gaussian filter, if float32 is safe
+    # Float32 keys multiply a kernel's operands rounded to float32, which puts at
+    # most two factors (1 + e), |e| <= v = 2^-24, on each term, and the GEMM at
+    # most d + 1 more in any summation order, so each term is off by at most g.
+    v = 2.0 ** -24
+    g = (d + 3) * v / (1 - (d + 3) * v)
 
     if kernel == "gaussian":
         left = np.ones((n, d + 1))  # [xc_i, 1]
@@ -251,8 +254,11 @@ def _nearest(X: np.ndarray, k: int, kernel: str, sigma: float | None):
         if sigma is None:
             sigma = _median_heuristic(X)
         scale = -2.0 * sigma * sigma
-        XT = np.ascontiguousarray(X.T)
+        coords, term = np.ascontiguousarray(X.T), _squared_difference
         right = np.vstack([-2.0 * Xc.T, sq])  # [-2 xc_j; s_j]
+
+        def similarity(sqdist):
+            return np.exp(sqdist / scale)
         # The filter value of (i, j) is the product A_ij = fl(s_j - 2 xc_i.xc_j),
         # where s_j = |xc_j|^2, so A_ij + s_i is the squared distance up to
         # rounding; the row constant s_i does not change a row's order. With
@@ -271,61 +277,66 @@ def _nearest(X: np.ndarray, k: int, kernel: str, sigma: float | None):
         # together under 1/80 of that gap, so its similarity is the smaller
         # as long as the k-th selected one is at least the smallest normal float.
         slack = (5 * d + 16) * 2.0 ** -53 * (sq + top) + 2.0 ** -37 * -scale
-        # The float32 product A32_ij, with v = 2^-24: rounding [xc_i, 1] and
-        # [-2 xc_j; s_j] to float32 puts at most two factors (1 + e), |e| <= v,
-        # on each of its d + 1 terms, and the GEMM at most d + 1 more in any
-        # summation order. So |A32_ij - (s_j - 2 xc_i.xc_j)| <= g (s_i + 2 s_j)
-        # with g = (d + 3)v / (1 - (d + 3)v), as 2|xc_i||xc_j| <= s_i + s_j.
-        # The float64 terms stay: B32_i = B_i + g (s_i + 2 max s) + v (s_i + max s).
+        # The float32 product A32_ij of [xc_i, 1] and [-2 xc_j; s_j]:
+        # |A32_ij - (s_j - 2 xc_i.xc_j)| <= g (s_i + 2 s_j), as
+        # 2|xc_i||xc_j| <= s_i + s_j. The float64 terms stay:
+        # B32_i = B_i + g (s_i + 2 max s) + v (s_i + max s).
         # The spare v covers underflow: while max s >= 2^-100 and d < 2^22,
         # inputs and products that go subnormal add at most
         # (2d + 2) 2^-150 (1 + 2 sqrt(max s)) < v max s / 2 to A32_ij. No sum
         # overflows while 4 max s is a finite float32. The threshold
         # A32_ik + 2(B32_i + m) is summed in float64 and rounded up to a float32.
-        v = 2.0 ** -24
-        g = (d + 3) * v / (1 - (d + 3) * v)
         slack32 = slack + g * (sq + 2.0 * top) + v * (sq + top)
-        exact = left, right
-        if 2.0 ** -100 <= top and 4.0 * top <= np.finfo(np.float32).max and d < 1 << 22:
-            rounded = left.astype(np.float32), right.astype(np.float32)
+        f32 = 2.0 ** -100 <= top and 4.0 * top <= np.finfo(np.float32).max
     else:
         norms = np.linalg.norm(X, axis=1, keepdims=True)
-        unit = X / np.where(norms < 1e-12, 1.0, norms)
-        slack = np.zeros(n)  # cosines are ranked exactly
-        exact = unit, unit.T
+        left = X / np.where(norms < 1e-12, 1.0, norms)  # u_i
+        coords, term = np.ascontiguousarray(left.T), np.multiply
+        right = -coords  # -u_j
+
+        def similarity(dot):
+            return np.maximum(dot, 0.0)
+        # K_ij = fl(-u_i.u_j) in any summation order and S_ij = fl(sum_t u_it u_jt)
+        # in order are each within (d + 1)u / (1 - (d + 1)u) |u_i||u_j| of their exact
+        # values, u = 2^-53, and |u_i| <= 1 + (d + 4)u / 2. So B = 2(d + 2)u bounds
+        # |K_ij + S_ij|, with a spare 2u for second-order terms and the threshold's
+        # rounding while d < 2^25: a column j with K_ij > K_ik + 2B has S_ij < S_il for
+        # the k columns l of smallest K, and ties with one only at similarity 0, no edge.
+        # Float32 adds g (spare v covers |u_i| > 1) and d 2^-147 for subnormal terms.
+        slack = np.full(n, 2 * (d + 2) * 2.0 ** -53)
+        slack32 = slack + g + d * 2.0 ** -147
+        f32 = True
+    exact = left, right
+    rounded = tuple(a.astype(np.float32) for a in exact) if f32 and d < 1 << 22 else None
 
     block = min(n, max(1, _BLOCK_VALUES // n))
-    # a Gaussian product has `rows32` float32 rows, or `rows64` float64 ones
-    # in the same buffer; a cosine product covers its block
+    # a product has `rows32` float32 rows, or `rows64` float64 ones in the same buffer
     rows32 = min(block, _PRODUCT_ROWS)
     rows64 = max(1, rows32 // 2)
     chunk = min(block, max(1, _CHUNK_VALUES // n))
     # Reused by every block; fresh buffers per block made peak RSS swing by ~30 MB.
     # A chunk of a product's rows at a time is copied for the partition and masked.
-    key_buf = np.empty(block * n if kernel == "cosine" else max(rows64 * n, -(-rows32 * n // 2)))
+    key_buf = np.empty(max(rows64 * n, -(-rows32 * n // 2)))
     part_buf = np.empty(chunk * n)
     keep_buf = np.empty((chunk, n), dtype=bool)
     cols = np.empty((n, k), dtype=np.intp)
     vals = np.empty((n, k))
     counts = {"candidates": 0, "fallback_blocks": 0, "weak_rows": 0}
 
-    def select(lo, key, rows, flat):
+    def select(lo, rows, flat):
         # the k most similar candidates (rows[i], c), where flat = i * n + c
-        # in ascending order, of the rows from lo; cosine reads the
-        # similarities from its block of keys ``key``
+        # in ascending order, of the rows from lo; gathered a dimension at a
+        # time, not 2d values per candidate
         i, c = np.divmod(flat, n)
-        if kernel == "cosine":
-            sim = -key[rows[i], c]
-        else:  # gathered a dimension at a time, not 2d values per candidate
-            r = lo + rows[i]
-            sim = np.exp(_sqdist((x[r] for x in XT), (x[c] for x in XT), i.shape) / scale)
+        r = lo + rows[i]
+        sim = similarity(_dimension_sum((x[r] for x in coords), (x[c] for x in coords),
+                                        i.shape, term))
         cols[lo + rows], vals[lo + rows] = _top_k(i, c, sim, rows.size, k)
 
     def rank(lo, hi, f32):
         # filters and ranks rows lo..hi; False if float32 keys kept over 4k
         # candidates per row, leaving the rows unranked
-        dtype = np.float32 if f32 else float
-        step = hi - lo if kernel == "cosine" else rows32 if f32 else rows64
+        dtype, step = (np.float32, rows32) if f32 else (float, rows64)
         L, R = rounded if f32 else exact
         margin = 2.0 * (slack32 if f32 else slack)
         found, kept = [], 0
@@ -333,8 +344,6 @@ def _nearest(X: np.ndarray, k: int, kernel: str, sigma: float | None):
             b = min(a + step, hi)
             key = key_buf.view(dtype)[:(b - a) * n].reshape(b - a, n)
             np.matmul(L[a:b], R, out=key)
-            if kernel == "cosine":
-                np.negative(np.clip(key, 0.0, None, out=key), out=key)
             key[np.arange(b - a), np.arange(a, b)] = np.inf
             for c in range(a, b, chunk):
                 e = min(c + chunk, b)
@@ -352,19 +361,19 @@ def _nearest(X: np.ndarray, k: int, kernel: str, sigma: float | None):
                     return False
         flat = np.concatenate(found)
         counts["candidates"] += flat.size
-        select(lo, key, np.arange(hi - lo), flat)  # a cosine product is the block's keys
+        select(lo, np.arange(hi - lo), flat)
         if kernel == "gaussian" and (weak := np.flatnonzero(vals[lo:hi, k - 1] < tiny)).size:
             # exp underflowed at the k-th neighbor, so columns outside the
             # filter may tie with it: every other column is a candidate
             counts["weak_rows"] += weak.size
-            select(lo, None, weak, np.flatnonzero(np.arange(n) != (lo + weak)[:, None]))
+            select(lo, weak, np.flatnonzero(np.arange(n) != (lo + weak)[:, None]))
         return True
 
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         if rounded is not None and rank(lo, hi, True):
             continue
-        counts["fallback_blocks"] += kernel == "gaussian"
+        counts["fallback_blocks"] += 1
         rank(lo, hi, False)
     if kernel == "gaussian":
         np.maximum(vals, tiny, out=vals)

@@ -459,17 +459,23 @@ def _tfidf(index: CorpusIndex, categories: Sequence[str], attributes: Sequence[s
 # Whole-matrix mining, binarization
 
 
-def mine_relatedness(index: CorpusIndex | None, categories: Sequence[str],
-                     attributes: Sequence[str], measure: str, *,
-                     window: int | None = 20,
-                     taxonomy: Taxonomy | None = None) -> RelatednessMatrix:
-    """Fill a categories x attributes matrix with one measure; only ``lin`` needs no index."""
+def mine_terms(categories: Sequence[str], attributes: Sequence[str], measure: str) -> tuple:
+    """The cleaned term lists of a ``measure`` run, checked before any corpus is read."""
     if measure not in MEASURES:
         raise ValidationError(f"unknown relatedness measure: {measure!r}")
     categories = clean_ids(categories, "categories")
     attributes = clean_ids(attributes, "attributes")
     if not (categories and attributes):
         raise ValidationError(f"{measure} needs categories and attributes")
+    return categories, attributes
+
+
+def mine_relatedness(index: CorpusIndex | None, categories: Sequence[str],
+                     attributes: Sequence[str], measure: str, *,
+                     window: int | None = 20,
+                     taxonomy: Taxonomy | None = None) -> RelatednessMatrix:
+    """Fill a categories x attributes matrix with one measure; only ``lin`` needs no index."""
+    categories, attributes = mine_terms(categories, attributes, measure)
     if measure in ("dice_hit", "dice_snippet"):
         if measure == "dice_hit":
             window = None
@@ -512,8 +518,8 @@ def binarize(rel: RelatednessMatrix, policy: str, *, k: int | None = None,
         out = np.zeros_like(values)
         np.put_along_axis(out, np.argsort(-values, axis=0, kind="stable")[:k], 1.0, axis=0)
     elif policy == "global_threshold":
-        if threshold is None:
-            raise ValidationError("global_threshold needs a threshold")
+        if threshold is None or not np.isfinite(threshold):
+            raise ValidationError(f"global_threshold needs a finite threshold, got {threshold}")
         out = (values >= threshold).astype(float)
     elif policy == "per_attribute_mean":
         out = (values >= values.mean(axis=0, keepdims=True)).astype(float)

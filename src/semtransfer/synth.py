@@ -61,8 +61,8 @@ class SynthConfig:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not (0.0 <= self.flip_noise < 1.0):
             raise ValidationError(f"flip_noise must lie in [0, 1), got {self.flip_noise}")
-        if self.cluster_noise < 0.0:
-            raise ValidationError(f"cluster_noise must be >= 0, got {self.cluster_noise}")
+        if not 0.0 <= self.cluster_noise < np.inf:
+            raise ValidationError(f"cluster_noise must be finite and >= 0, got {self.cluster_noise}")
         n_cats = self.n_known + self.n_novel
         if 2 ** self.n_attributes < n_cats + 1:
             raise ValidationError(

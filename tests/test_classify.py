@@ -320,5 +320,6 @@ class TestTrainConfig:
                 TrainConfig(l2=l2)
         with pytest.raises(ValidationError):
             TrainConfig(max_iters=-1)
-        with pytest.raises(ValidationError):
-            TrainConfig(tol=0.0)
+        for tol in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValidationError):
+                TrainConfig(tol=tol)

@@ -365,6 +365,39 @@ class TestErrorContract:
                                           "error": f"{measure} needs categories and attributes"}
         assert not (tmp_path / "rel.tsv").exists()
 
+    @pytest.mark.parametrize("terms, error", [
+        ({"categories": ["bear"], "attributes": []}, "dice_hit needs categories and attributes"),
+        ({"categories": ["bear\tcub"], "attributes": ["fur"]},
+         "categories: identifier holds a tab or a newline: 'bear\\tcub'"),
+    ], ids=["empty_list", "tab_term"])
+    def test_term_lists_are_checked_before_the_corpus_is_read(self, tmp_path, capsys,
+                                                              terms, error):
+        # the corpus's first line is broken, so reading it would exit 2 naming the corpus
+        (tmp_path / "corpus.jsonl").write_text("{broken\n")
+        (tmp_path / "terms.json").write_text(json.dumps(terms))
+        code, err = run(capsys, "mine", "--corpus", tmp_path / "corpus.jsonl",
+                        "--terms", tmp_path / "terms.json", "--measure", "dice_hit",
+                        "--out", tmp_path / "rel.tsv")
+        assert one_json_error(3, err) == {"code": 3, "stage": "mine", "error": error}
+        assert not (tmp_path / "rel.tsv").exists()
+
+    def test_nan_train_tolerance_exits_3(self, synth_dir, tmp_path, capsys):
+        # NaN passes a "tol <= 0" check, and training would stop at once with zero weights
+        code, err = run(capsys, "train", "--features", synth_dir / "features.tsv",
+                        "--assoc", synth_dir / "associations.tsv",
+                        "--split", synth_dir / "split.json", "--tol", "nan",
+                        "--out", tmp_path / "m.json")
+        assert one_json_error(3, err)["stage"] == "train"
+        assert not (tmp_path / "m.json").exists()
+
+    def test_nan_threshold_exits_3(self, synth_dir, tmp_path, capsys):
+        # no relatedness is >= NaN, so every association would be 0
+        rel = mined_relatedness(synth_dir, tmp_path / "rel.tsv")
+        code, err = run(capsys, "assoc", "--relatedness", rel, "--policy", "global_threshold",
+                        "--threshold", "nan", "--out", tmp_path / "assoc.tsv")
+        assert one_json_error(3, err)["stage"] == "assoc"
+        assert not (tmp_path / "assoc.tsv").exists()
+
     def test_assoc_on_relatedness_without_categories_exits_3(self, tmp_path, capsys):
         # a column mean over no categories would warn and mark nothing
         (tmp_path / "rel.tsv").write_text("# type=relatedness\n\tfur\tstripes\n")

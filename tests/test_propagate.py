@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -20,14 +21,17 @@ from semtransfer import (
 from semtransfer.propagate import (_BLOCK_VALUES, SeedLabels, SimilarityGraph,
                                    _median_heuristic)
 
+# the module, not the function that ``semtransfer.propagate`` names
+propagate_module = importlib.import_module("semtransfer.propagate")
+
 
 def dense_knn_oracle(X, ks, kernel):
     """Reference construction: full n x n similarities, stable argsort.
 
-    Cosine similarities come from BLAS, whose rounding for one entry can
-    differ between the full product (a SYRK call) and a row-block product
-    (GEMM), so the oracle assembles them from the same row blocks as the
-    build; Gaussian similarities come from the dense pdist matrix.
+    Gaussian similarities come from the dense pdist matrix. Cosine
+    similarities are max(0, sum_t u_it u_jt) of the unit rows, summed over
+    the dimensions t in order, with no BLAS product whose summation order
+    could change their rounding.
     """
     n = X.shape[0]
     if kernel == "gaussian":
@@ -37,9 +41,10 @@ def dense_knn_oracle(X, ks, kernel):
     else:
         norms = np.linalg.norm(X, axis=1, keepdims=True)
         unit = X / np.where(norms < 1e-12, 1.0, norms)
-        block = max(1, _BLOCK_VALUES // n)
-        sim = np.vstack([unit[lo:lo + block] @ unit.T for lo in range(0, n, block)])
-        sim = np.clip(sim, 0.0, None)
+        sim = np.zeros((n, n))
+        for u_t in unit.T:
+            sim += np.outer(u_t, u_t)
+        sim = np.maximum(sim, 0.0)
     np.fill_diagonal(sim, -np.inf)
     order = np.argsort(-sim, axis=1, kind="stable")
     graphs = {}
@@ -115,6 +120,12 @@ def _gaussian_oracle_inputs():
 GAUSSIAN_INPUTS = _gaussian_oracle_inputs()
 
 
+def narrow_cone(seed, d, spread):
+    """400 points around the all-ones direction: every cosine is within about
+    spread^2 of 1, so a row's nearest cosines crowd together."""
+    return np.ones((400, d)) + spread * np.random.default_rng(seed).normal(size=(400, d))
+
+
 def traced_build(X, k, kernel):
     """The graph and the peak of memory traced while building it."""
     tracemalloc.start()
@@ -149,10 +160,12 @@ class TestPropagationConfig:
             PropagationConfig(rho=0.0)
         with pytest.raises(ValidationError):
             PropagationConfig(rho=1.5)
-        with pytest.raises(ValidationError):
-            PropagationConfig(sigma=-1.0)
-        with pytest.raises(ValidationError):
-            PropagationConfig(tol=0.0)
+        for value in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="sigma"):
+                PropagationConfig(sigma=value)
+        for value in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="tol"):
+                PropagationConfig(tol=value)
 
 
 class TestKnnGraph:
@@ -385,12 +398,49 @@ class TestKnnGraph:
         assert graph.fallback_blocks == 0
         assert peak < 12 * 2 ** 20
 
-    def test_cosine_block_memory_is_one_float64_key_block(self):
-        # cosine keys stay float64 at full block height, 8 bytes per block
-        # value; as for Gaussian, only a row chunk is copied and masked
-        X = GAUSSIAN_INPUTS["three_blocks"][0]
-        _, peak = traced_build(X, 15, "cosine")
-        assert peak < 11 * _BLOCK_VALUES
+    def test_fewshot_shaped_cosine_build_memory(self):
+        # cosine keys come from the same float32 products as Gaussian ones,
+        # so the build meets the Gaussian bound; a full block of float64 keys
+        # would add 32 MB
+        X = np.random.default_rng(43).random((5232, 24))
+        graph, peak = traced_build(X, 15, "cosine")
+        assert graph.fallback_blocks == 0
+        assert peak < 12 * 2 ** 20
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_narrow_cone_is_filtered_in_float32(self, seed):
+        # the float32 keys of a row's near neighbors are within their rounding
+        # bound of each other; without the float32 slack the filter drops some
+        X = narrow_cone(seed, 24, 1e-2)
+        graph = build_knn_graph(X, k=15, kernel="cosine")
+        assert graph.fallback_blocks == 0
+        assert_graphs_equal(graph, *dense_knn_oracle(X, (15,), "cosine")[15])
+
+    @pytest.mark.parametrize("X, k, blocks", [
+        # in 8 dimensions with a spread of 1e-3 the float32 bound keeps over
+        # 4k candidates per row
+        pytest.param(narrow_cone(0, 8, 1e-3), 15, 1, id="narrower_cone"),
+        # 2100 directions within 1 radian: the cosines nearest 1 are closer
+        # than the float32 bound at k=1, and their float64 keys need the
+        # float64 slack where they round differently from the rescoring
+        pytest.param(ORACLE_INPUTS["large"], 1, 2, id="large"),
+    ])
+    def test_cosine_float64_fallback_matches_dense_oracle_bitwise(self, X, k, blocks):
+        graph = build_knn_graph(X, k=k, kernel="cosine")
+        assert graph.fallback_blocks == blocks
+        assert_graphs_equal(graph, *dense_knn_oracle(X, (k,), "cosine")[k])
+
+    @pytest.mark.parametrize("X", [ORACLE_INPUTS["plain"], narrow_cone(0, 24, 1e-2)],
+                             ids=["plain", "narrow_cone"])
+    def test_cosine_graph_does_not_depend_on_product_height(self, X, monkeypatch):
+        # the keys only filter and every candidate is rescored in a fixed
+        # order, so products of 3 rows in blocks of 7 give the same bits
+        want = build_knn_graph(X, k=10, kernel="cosine")
+        monkeypatch.setattr(propagate_module, "_PRODUCT_ROWS", 3)
+        monkeypatch.setattr(propagate_module, "_BLOCK_VALUES", 7 * X.shape[0])
+        graph = build_knn_graph(X, k=10, kernel="cosine")
+        assert graph.fallback_blocks == want.fallback_blocks == 0
+        assert_graphs_equal(graph, want.W, want.S)
 
     def test_median_heuristic_matches_pdist(self):
         # strided to at most 1000 rows; duplicate rows give zero distances

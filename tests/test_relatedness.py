@@ -786,7 +786,8 @@ class TestBinarize:
     def test_missing_parameters_rejected(self):
         with pytest.raises(ValidationError):
             binarize(self._rel(), "per_attribute_topk")
-        with pytest.raises(ValidationError):
-            binarize(self._rel(), "global_threshold")
+        for threshold in (None, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValidationError, match="finite threshold"):
+                binarize(self._rel(), "global_threshold", threshold=threshold)
         with pytest.raises(ValidationError):
             binarize(self._rel(), "bogus_policy")

@@ -39,10 +39,14 @@ class TestSynthConfig:
             SynthConfig(n_attributes=8, feature_dim=4)
 
     def test_flip_noise_range(self):
-        with pytest.raises(ValidationError):
-            SynthConfig(flip_noise=1.0)
-        with pytest.raises(ValidationError):
-            SynthConfig(flip_noise=-0.1)
+        for flip_noise in (1.0, -0.1, float("nan")):
+            with pytest.raises(ValidationError):
+                SynthConfig(flip_noise=flip_noise)
+
+    def test_cluster_noise_range(self):
+        for cluster_noise in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="cluster_noise"):
+                SynthConfig(cluster_noise=cluster_noise)
 
 
 class TestGenDataset:
