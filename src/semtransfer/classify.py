@@ -2,13 +2,15 @@
 
 One logistic regression per attribute on z-scored features, with L2 on the
 weights and an unpenalized bias, fitted to its optimum by Newton steps from
-zero. The steps are batched across attributes: one matrix product gives every
-gradient, an attribute leaves the batch once its gradient norm is below
-``tol``, and one stacked solve takes the other attributes' steps. ``l2 > 0``
-makes the optimum unique and finite even on separable data, unless an
-attribute's targets are all on one side. Targets come from the association
-matrix: every training instance inherits the attribute labels of its
-category. Soft targets in [0, 1] are accepted for non-binary association inputs.
+zero. The steps are batched across attributes: an attribute leaves the batch
+once its gradient norm is below ``tol``, and one stacked solve takes the other
+attributes' steps. Gradients and Hessians are summed over fixed chunks of 128
+training rows in chunk order, so a step holds arrays of attributes x 128, not
+attributes x rows. ``l2 > 0`` makes the optimum unique and finite even on
+separable data, unless an attribute's targets are all on one side. Targets
+come from the association matrix: every training instance inherits the
+attribute labels of its category. Soft targets in [0, 1] are accepted for
+non-binary association inputs.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ from .core import (
 )
 
 PROB_FLOOR = 1e-12
+# Training rows per partial sum of a Newton step. The partials are added in
+# chunk order, so the sums do not depend on the BLAS thread count.
+_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -123,33 +128,45 @@ def train_attribute_classifiers(features: FeatureMatrix, labels: Mapping[str, st
 
     mu, sd = X_raw.mean(axis=0), X_raw.std(axis=0)
     sd = np.where(sd < 1e-12, 1.0, sd)
-    X = (X_raw - mu) / sd
-
-    n, dim = X.shape
-    X1 = np.hstack([X, np.ones((n, 1))])  # the last parameter is the bias
-    X1T = np.ascontiguousarray(X1.T)
+    n, dim = X_raw.shape
+    X1 = np.ones((n, dim + 1))  # z-scored features; the last parameter is the bias
+    np.divide(np.subtract(X_raw, mu, out=X1[:, :dim]), sd, out=X1[:, :dim])
+    del X_raw
     reg = np.append(np.full(dim, config.l2), 0.0)
 
-    def objective(theta, Z, T):  # per row: mean cross-entropy plus the L2 term
-        return ((np.logaddexp(0.0, Z).sum(axis=1) - np.einsum("ij,ij->i", T, Z)) / n
-                + 0.5 * np.einsum("ij,j,ij->i", theta, reg, theta))
+    def terms(theta, rows, hessians=False):
+        """Objective and gradient of attributes ``rows`` at ``theta``, or only
+        their Hessians, summed over fixed ``_CHUNK``-row chunks in chunk order."""
+        f, G = np.zeros(len(rows)), np.zeros_like(theta)
+        H = np.zeros((len(rows) if hessians else 0, dim + 1, dim + 1))
+        for lo in range(0, n, _CHUNK):
+            Xc, Tc = X1[lo:lo + _CHUNK], targets[rows, lo:lo + _CHUNK]
+            Z = theta @ Xc.T
+            if hessians:
+                E = np.exp(-np.abs(Z))  # p(1 - p) = e / (1 + e)^2, exact in both tails
+                XcT = np.ascontiguousarray(Xc.T)
+                for h, w in zip(H, E / (n * (1.0 + E) ** 2)):
+                    h += XcT * w @ Xc
+            else:
+                f += np.logaddexp(0.0, Z).sum(axis=1) - np.einsum("ij,ij->i", Tc, Z)
+                G += (logistic(Z) - Tc) @ Xc
+        if hessians:
+            H.reshape(len(rows), -1)[:, ::dim + 2] += reg  # H + diag(reg), in place
+            return H
+        return f / n + 0.5 * np.einsum("ij,j,ij->i", theta, reg, theta), G / n + reg * theta
 
     theta = np.zeros((len(assoc.attributes), dim + 1))
     steps = np.zeros(len(assoc.attributes), dtype=int)
     active = np.arange(len(assoc.attributes))  # rows whose gradient norm is >= tol
-    Z = np.zeros((active.size, n))  # theta[active] @ X1T
-    loss = np.full(active.size, np.log(2.0))
+    loss, G = terms(theta, active)
     for step in range(config.max_iters):
-        T = targets[active]
-        G = (logistic(Z) - T) @ X1 / n + reg * theta[active]
         keep = np.sqrt(np.einsum("ij,ij->i", G, G)) >= config.tol
-        active, T, Z, G, loss = (a[keep] for a in (active, T, Z, G, loss))
+        active, G, loss = active[keep], G[keep], loss[keep]
         if not active.size:
             break
-        E = np.exp(-np.abs(Z))  # p(1 - p) = e / (1 + e)^2, exact in both tails
         # every row starts at theta = 0, so step 0 needs only one Hessian
-        H = np.array([X1T * (e / (n * (1.0 + e) ** 2)) @ X1
-                      for e in (E[:1] if step == 0 else E)]) + np.diag(reg)
+        rows = active[:1] if step == 0 else active
+        H = terms(theta[rows], rows, hessians=True)
         try:
             D = np.linalg.solve(H, G[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:  # collinear features or saturated probabilities
@@ -164,20 +181,18 @@ def train_attribute_classifiers(features: FeatureMatrix, labels: Mapping[str, st
         slack = 1e-12 * np.abs(loss)
         for _ in range(50):
             trial = theta[active] - t[:, None] * D
-            Z = trial @ X1T
-            f = objective(trial, Z, T)
+            f, trial_G = terms(trial, active)
             short = ~(f <= loss - 1e-4 * t * np.einsum("ij,ij->i", G, D) + slack)
             if not short.any():
                 break
             t[short] /= 2
-        theta[active], loss = trial, f
+        theta[active], loss, G = trial, f, trial_G
         steps[active] += 1
 
-    Z = theta @ X1T
-    G = (logistic(Z) - targets) @ X1 / n + reg * theta
+    final_loss, G = terms(theta, np.arange(len(assoc.attributes)))
     metadata = {
         "iterations": steps.tolist(),
-        "final_loss": objective(theta, Z, targets).tolist(),
+        "final_loss": final_loss.tolist(),
         "grad_norm": np.sqrt(np.einsum("ij,ij->i", G, G)).tolist(),
         "degenerate": ((targets >= 0.5).all(axis=1) | (targets < 0.5).all(axis=1)).tolist(),
         "config": asdict(config),

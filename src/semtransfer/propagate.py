@@ -226,6 +226,8 @@ def build_knn_graph(vectors, k: int, kernel: str = "gaussian",
         raise ValidationError(f"k must be >= 1, got {k}")
     if kernel not in KERNELS:
         raise ValidationError(f"unknown kernel: {kernel!r}")
+    if sigma is not None and not 0 < sigma < np.inf:
+        raise ValidationError(f"sigma must be positive and finite, got {sigma}")
 
     # the selection's buffers and inputs are gone once it returns, and the
     # assembly's sort temporaries once it does, before the graph is built

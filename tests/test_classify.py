@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -11,6 +13,7 @@ from semtransfer import (
     predict_attribute_scores,
     train_attribute_classifiers,
 )
+from semtransfer import classify
 from semtransfer.classify import AttributeModel
 from semtransfer.synth import SynthConfig, gen_dataset
 
@@ -239,6 +242,38 @@ class TestBatchedMatchesPerAttributeOracle:
         assert stopped.any() and (norms[stopped] < config.tol).all()
         # rows leave the batch at different steps
         assert len(set(iterations)) > 1
+
+
+class TestChunkedSums:
+    # 180 training rows: chunks of 7 leave a last chunk of 5, and 10**6 holds them all
+    @pytest.mark.parametrize("chunk", [7, 10**6], ids=["ragged", "one_chunk"])
+    def test_chunk_size_does_not_change_the_fit(self, chunk, monkeypatch):
+        features, labels, assoc = _synth_setup()
+        assert len(labels) == 180
+        want = train_attribute_classifiers(features, labels, assoc)
+        monkeypatch.setattr(classify, "_CHUNK", chunk)
+        got = train_attribute_classifiers(features, labels, assoc)
+        assert got.metadata["iterations"] == want.metadata["iterations"]
+        np.testing.assert_allclose(got.weights, want.weights, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(got.biases, want.biases, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(got.metadata["final_loss"], want.metadata["final_loss"],
+                                   rtol=1e-10, atol=1e-12)
+
+    def test_traced_peak_at_benchmark_shape(self):
+        # zsl-train's 3,000 training rows x 64 dims and 48 attributes: training
+        # copies 1.5 MB of features and 1.1 MB of targets, and each step's
+        # Hessians and their solve take 1.6 MB each
+        ds = gen_dataset(SynthConfig(n_known=30, n_novel=20, n_attributes=48, feature_dim=64,
+                                     train_per_known=100, test_per_novel=30))
+        labels = ds.split.train_instances
+        assert (len(labels), ds.features.dim) == (3000, 64)
+        tracemalloc.start()
+        try:
+            train_attribute_classifiers(ds.features, labels, ds.associations)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestFirstOrderOptimality:

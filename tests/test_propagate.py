@@ -269,6 +269,13 @@ class TestKnnGraph:
         with pytest.raises(ValidationError, match="finite"):
             build_knn_graph(X, k=1)
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_sigma_rejected(self, sigma):
+        # an infinite sigma would give every pair weight 1, the diagonal too
+        X = np.random.default_rng(13).normal(size=(50, 3))
+        with pytest.raises(ValidationError, match="sigma must be positive and finite"):
+            build_knn_graph(X, k=5, sigma=sigma)
+
     def test_overflowing_distances_rejected(self):
         X = np.random.default_rng(12).normal(size=(20, 3)) * 1e200
         with pytest.raises(ValidationError, match="overflow"):
