@@ -68,7 +68,7 @@ def read_json(path) -> dict:
     """Read a file holding one JSON object."""
     try:
         doc = json.loads("\n".join(line for _, line in _lines(path)))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a JSON object")
@@ -201,15 +201,20 @@ read_features = partial(read_matrix, kind=FeatureMatrix)
 read_category_scores = partial(read_matrix, kind=CategoryScoreMatrix)
 
 
-def _tsv_rows(path, width: int, what: str):
-    """(line number, cells) of each data line of a ``width``-column TSV, skipping
-    blank lines, '#' comments and headers (lines whose first cell is empty)."""
+def _tsv_rows(path, what: str, ids: int = 2):
+    """(line number, cells) of each data line of a two-column TSV, skipping
+    blank lines, '#' comments and headers (lines whose first cell is empty).
+    The first ``ids`` cells are identifiers, trimmed like every matrix axis."""
     for lineno, line in _lines(path):
         if not line.strip() or line.startswith(("#", "\t")):
             continue
         cells = line.split("\t")
-        if len(cells) != width:
+        if len(cells) != 2:
             raise ParseError(f"{path}:{lineno}: expected {what}, got {len(cells)} cells")
+        try:
+            cells[:ids] = map(clean_identifier, cells[:ids])
+        except ValidationError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
         yield lineno, cells
 
 
@@ -223,11 +228,7 @@ def write_labels(path, labels: Mapping[str, str]) -> None:
 def read_labels(path) -> dict[str, str]:
     """Instance -> category map; both cells are trimmed, like every matrix axis."""
     labels: dict[str, str] = {}
-    for lineno, cells in _tsv_rows(path, 2, "instance<TAB>category"):
-        try:
-            inst, cat = map(clean_identifier, cells)
-        except ValidationError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from None
+    for lineno, (inst, cat) in _tsv_rows(path, "instance<TAB>category"):
         if inst in labels:
             raise ParseError(f"{path}:{lineno}: duplicate instance {inst!r}")
         labels[inst] = cat
@@ -247,7 +248,7 @@ def read_corpus_jsonl(path) -> Iterator[tuple[str, str]]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         if not (isinstance(obj, dict)
                 and all(isinstance(obj.get(k), str) for k in ("id", "text"))):
@@ -256,12 +257,12 @@ def read_corpus_jsonl(path) -> Iterator[tuple[str, str]]:
 
 
 def read_taxonomy(edges_path, probs_path):
-    """Read the edge-list / probability TSV pair into a Taxonomy."""
+    """Read the edge-list / probability TSV pair into a Taxonomy; node names are trimmed."""
     from .relatedness import Taxonomy
 
     parent: dict[str, str | None] = {}
     children: set[str] = set()  # a node named as a parent may have its own edge later
-    for lineno, (child, par) in _tsv_rows(edges_path, 2, "child<TAB>parent"):
+    for lineno, (child, par) in _tsv_rows(edges_path, "child<TAB>parent"):
         if child in children:
             raise ParseError(f"{edges_path}:{lineno}: duplicate child {child!r}")
         children.add(child)
@@ -269,7 +270,7 @@ def read_taxonomy(edges_path, probs_path):
         parent.setdefault(par, None)
 
     prob: dict[str, float] = {}
-    for lineno, (node, value) in _tsv_rows(probs_path, 2, "node<TAB>probability"):
+    for lineno, (node, value) in _tsv_rows(probs_path, "node<TAB>probability", ids=1):
         if node in prob:
             raise ParseError(f"{probs_path}:{lineno}: duplicate node {node!r}")
         prob[node] = _number(probs_path, lineno, value)

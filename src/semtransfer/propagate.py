@@ -37,6 +37,7 @@ _CACHE_VALUES = 1 << 15
 
 @dataclass(frozen=True)
 class PropagationConfig:
+    """PST's parameters; a function that takes one alone checks it by building a config."""
     k: int = 10
     kernel: str = "gaussian"
     sigma: float | None = None
@@ -222,12 +223,7 @@ def build_knn_graph(vectors, k: int, kernel: str = "gaussian",
     n = X.shape[0]
     if n < 2:
         raise ValidationError(f"graph needs at least 2 nodes, got {n}")
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    if kernel not in KERNELS:
-        raise ValidationError(f"unknown kernel: {kernel!r}")
-    if sigma is not None and not 0 < sigma < np.inf:
-        raise ValidationError(f"sigma must be positive and finite, got {sigma}")
+    PropagationConfig(k=k, kernel=kernel, sigma=sigma)
 
     # the selection's buffers and inputs are gone once it returns, and the
     # assembly's sort temporaries once it does, before the graph is built
@@ -430,8 +426,7 @@ def seed_from_zeroshot(zeroshot: CategoryScoreMatrix, rho: float) -> SeedLabels:
     Seed weights are the column scores min-max rescaled to [0, 1]; a
     constant column yields no usable seeds (all-zero weights).
     """
-    if not (0.0 < rho <= 1.0):
-        raise ValidationError(f"rho must lie in (0, 1], got {rho}")
+    PropagationConfig(rho=rho)
     V = zeroshot.values
     lo = V.min(axis=0)
     span = V.max(axis=0) - lo
@@ -524,8 +519,7 @@ def propagate_closed_form(graph: SimilarityGraph, seeds: SeedLabels,
 
     if seeds.clamped:
         raise ValidationError("closed form requires unclamped seeds")
-    if not (0.0 <= alpha < 1.0):
-        raise ValidationError(f"alpha must lie in [0, 1), got {alpha}")
+    PropagationConfig(alpha=alpha)
     if graph.n != len(seeds.instances):
         raise ValidationError(
             f"graph has {graph.n} nodes but seeds cover {len(seeds.instances)} instances")
@@ -544,7 +538,5 @@ def pst(zeroshot: CategoryScoreMatrix, vectors: AttributeScoreMatrix,
     ``vectors``, aligned by id, so ``vectors`` may hold other rows too.
     """
     graph = build_knn_graph(vectors.take(zeroshot.instances), config.k, config.kernel, config.sigma)
-    seeds = seed_from_zeroshot(zeroshot, config.rho)
-    if fewshot_labels:
-        seeds = clamp_fewshot(seeds, fewshot_labels)
+    seeds = clamp_fewshot(seed_from_zeroshot(zeroshot, config.rho), fewshot_labels or {})
     return propagate(graph, seeds, config)

@@ -178,16 +178,17 @@ def _term_windows(index: CorpusIndex, terms: Sequence[str], window: int | None):
     ``window`` tokens that hold each term; a term's runs never overlap.
 
     A document of n tokens has max(1, n - window + 1) windows, and an empty
-    one has none; ``window=None`` makes each document one window. Each
-    document's windows are numbered from the start of a block of ``window``
-    numbers, and runs are split at block ends, so two runs overlap only
-    within one block. A term has at most a few runs per block for each of
-    its tokens, so pairing runs by block stays linear in the windows. A
-    multi-word term is in a window when each of its tokens is.
+    one has none; ``window=None``, like any window at least as long as the
+    longest document, makes each document one window. Each document's
+    windows are numbered from the start of a block of ``window`` numbers,
+    and runs are split at block ends, so two runs overlap only within one
+    block. A term has at most a few runs per block for each of its tokens,
+    so pairing runs by block stays linear in the windows. A multi-word term
+    is in a window when each of its tokens is.
     """
     toks, tokens, (term, col, _) = _select_tokens(index, terms)
     lengths = np.diff(index.doc_ptr)
-    window = window or max(int(lengths.max()), 1)
+    window = min(window or np.inf, max(int(lengths.max()), 1))
     n_win = np.where(lengths > 0, np.maximum(lengths - window + 1, 1), 0)
     blocks = -(-n_win // window)
     first = window * (np.cumsum(blocks) - blocks)

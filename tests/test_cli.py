@@ -126,6 +126,18 @@ class TestStepChain:
         b = sio.read_relatedness(snip)
         assert np.array_equal(a.values, b.values)
 
+    def test_snippet_window_beyond_every_document_means_whole_documents(self, synth_dir,
+                                                                        tmp_path, capsys):
+        # 10**20 does not fit an int64
+        out = {}
+        for window in (0, 10**20):
+            out[window] = tmp_path / f"snip_{window}.tsv"
+            code, err = run(capsys, "mine", "--corpus", synth_dir / "corpus.jsonl",
+                            "--terms", synth_dir / "terms.json", "--measure", "dice_snippet",
+                            "--window", window, "--out", out[window])
+            assert (code, err) == (0, "")
+        assert out[0].read_bytes() == out[10**20].read_bytes()
+
     def test_train_and_zeroshot_reproduce_the_pipeline(self, synth_dir, tmp_path, capsys):
         code, _ = run(capsys, "pipeline", "--config", data_config(synth_dir))
         assert code == 0
@@ -820,6 +832,64 @@ class TestInputValidation:
         assert (code, payload["stage"]) == (3, "pst")
         assert payload["error"] == f"not in {label}: {fewshot!r}"
 
+    @pytest.mark.parametrize("case, stage, error", [
+        ("transfer_method", "transfer", "unknown transfer method: 'bogus'"),
+        ("sim_top_k", "transfer", "top_k must be >= 1, got 0"),
+        ("hier_no_attachments", "transfer", "no novel categories to attach"),
+        ("no_output_dir", "config", "no output directory (config output_dir or --out-dir)"),
+        ("assoc_unmined", "assoc", "assoc section given but nothing was mined"),
+        ("mined_without_assoc", "assoc", "mined relatedness needs an assoc section to binarize"),
+        ("zeroshot_no_known", "zeroshot", "associations must cover known and novel categories"),
+        ("pst_no_rows", "pst", "no few-shot or test instances to propagate over"),
+    ])
+    def test_rejection_names_its_stage_and_cause(self, synth_dir, capsys, case, stage, error):
+        d = synth_dir
+
+        def pipeline(**overrides):
+            return ["pipeline", "--config", data_config(d, **overrides)]
+
+        def without_categories(key, instances):
+            doc = json.loads((d / "split.json").read_text())
+            doc.update({key: [], instances: {}})
+            doc.pop("fewshot_instances", None)
+            (d / "cut_split.json").write_text(json.dumps(doc))
+            return d / "cut_split.json"
+
+        if case == "hier_no_attachments":
+            write_taxonomy(d)
+        if case == "no_output_dir":
+            cfg = json.loads(data_config(d).read_text())
+            del cfg["output_dir"]
+            (d / "config.json").write_text(json.dumps(cfg))
+        if case == "zeroshot_no_known":
+            assert run(capsys, "train", "--features", d / "features.tsv", "--assoc",
+                       d / "associations.tsv", "--split", d / "split.json",
+                       "--out", d / "model.json")[0] == 0
+        if case == "pst_no_rows":
+            write_pst_inputs(d)
+        argv = {
+            "transfer_method": lambda: pipeline(transfer={"method": "bogus"}),
+            "sim_top_k": lambda: pipeline(transfer={"method": "sim", "top_k": 0}),
+            "hier_no_attachments": lambda: pipeline(transfer={**HIER_TRANSFER,
+                                                              "attachments": {}}),
+            "no_output_dir": lambda: ["pipeline", "--config", d / "config.json"],
+            "assoc_unmined": lambda: pipeline(assoc={"policy": "per_attribute_mean"}),
+            "mined_without_assoc": lambda: pipeline(corpus={"docs_per_pair": 2},
+                                                    mine={"measure": "dice_hit"}),
+            "zeroshot_no_known": lambda: [
+                "zeroshot", "--model", d / "model.json", "--features", d / "features.tsv",
+                "--assoc", d / "associations.tsv", "--out", d / "zs.tsv",
+                "--split", without_categories("known_categories", "train_instances")],
+            "pst_no_rows": lambda: [
+                "pst", "--zeroshot", d / "pst_zeroshot.tsv", "--vectors", d / "pst_vectors.tsv",
+                "--out", d / "pst.tsv",
+                "--split", without_categories("novel_categories", "test_instances")],
+        }[case]()
+        code, err = run(capsys, *argv)
+        payload = one_json_error(3, err)
+        assert (code, payload["stage"]) == (3, stage)
+        assert payload["error"] == (f"{stage}: {error}" if argv[0] == "pipeline" else error)
+
     @staticmethod
     def _split_with_list(d):
         doc = json.loads((d / "split.json").read_text())
@@ -1006,6 +1076,48 @@ class TestInputFiles:
             assert json.loads((tmp_path / "report.json").read_text())["accuracy"] == 1.0
         else:
             assert one_json_error(code, err)["error"] == f"{tmp_path / 'split.json'}: {error}"
+
+    @pytest.mark.parametrize("kind", ["config", "split", "terms", "model", "corpus"])
+    def test_json_nested_too_deeply_exits_2(self, synth_dir, tmp_path, capsys, kind):
+        # the decoder raises RecursionError, not JSONDecodeError, on deep nesting
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+        d, out = synth_dir, ["--out", tmp_path / "out"]
+        argv, stage, where = {
+            "config": (["pipeline", "--config", deep], "config", f"config: {deep}"),
+            "split": (["train", "--features", d / "features.tsv", "--assoc",
+                       d / "associations.tsv", "--split", deep, *out], "train", deep),
+            "terms": (["mine", "--corpus", d / "corpus.jsonl", "--terms", deep,
+                       "--measure", "dice_hit", *out], "mine", deep),
+            "model": (["zeroshot", "--model", deep, "--features", d / "features.tsv",
+                       "--assoc", d / "associations.tsv", "--split", d / "split.json", *out],
+                      "zeroshot", deep),
+            "corpus": (["mine", "--corpus", deep, "--terms", d / "terms.json",
+                        "--measure", "dice_hit", *out], "mine", f"{deep}:1"),
+        }[kind]
+        code, err = run(capsys, *argv)
+        error = one_json_error(2, err)
+        assert (code, error["stage"]) == (2, stage)
+        assert error["error"].startswith(f"{where}: invalid JSON: maximum recursion depth")
+
+    @pytest.mark.parametrize("edges, error", [
+        ("mammal\tanimal\nbear \tmammal\n fur\t mammal\n", None),
+        ("mammal\tanimal\nbear\tmammal\nfur\t\n", "edges.tsv:3: empty identifier"),
+    ], ids=["trimmed", "empty_parent"])
+    def test_taxonomy_node_names_are_trimmed_like_ids(self, tmp_path, capsys, edges, error):
+        (tmp_path / "terms.json").write_text(json.dumps({"categories": ["bear"],
+                                                         "attributes": ["fur"]}))
+        (tmp_path / "edges.tsv").write_text(edges)
+        (tmp_path / "probs.tsv").write_text("animal\t1\nmammal \t0.5\nbear \t0.25\n fur\t0.25\n")
+        code, err = run(capsys, "mine", "--terms", tmp_path / "terms.json", "--measure", "lin",
+                        "--taxonomy-edges", tmp_path / "edges.tsv",
+                        "--taxonomy-probs", tmp_path / "probs.tsv", "--out", tmp_path / "lin.tsv")
+        if error is None:
+            assert (code, err) == (0, "")
+            # 2 log p(mammal) / (log p(bear) + log p(fur))
+            assert (tmp_path / "lin.tsv").read_text().splitlines()[-1] == "bear\t0.5"
+        else:
+            assert one_json_error(2, err)["error"] == str(tmp_path / error)
 
 
 def _mutate(data: bytes, mutation: str, pick: int, byte: int) -> bytes:

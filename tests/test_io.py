@@ -489,6 +489,26 @@ class TestTaxonomyFiles:
         with pytest.raises(ParseError, match=r"twice.tsv:3: duplicate child 'k00'"):
             sio.read_taxonomy(tmp_path / "twice.tsv", probs)
 
+    @pytest.mark.parametrize("edges, probs, error", [
+        ("mid \troot\n leaf\t mid\n", "root\t1\n mid\t0.5\nleaf \t0.25\n", None),
+        ("mid\troot\nleaf\t \n", "root\t1\nmid\t0.5\nleaf\t0.25\n",
+         "edges.tsv:2: empty identifier"),
+        ("mid\troot\nleaf\tmid\n", "root\t1\n \t0.5\n", "probs.tsv:2: empty identifier"),
+        ("mid\troot\nmid \troot\n", "root\t1\nmid\t0.5\n", "edges.tsv:2: duplicate child 'mid'"),
+        ("mid\troot\nleaf\tmid\n", "root\t1\nmid\t0.5\n mid\t0.5\n",
+         "probs.tsv:3: duplicate node 'mid'"),
+    ], ids=["trimmed", "empty_parent", "empty_node", "duplicate_child", "duplicate_node"])
+    def test_node_names_are_trimmed_like_every_id(self, tmp_path, edges, probs, error):
+        (tmp_path / "edges.tsv").write_text(edges, encoding="utf-8")
+        (tmp_path / "probs.tsv").write_text(probs, encoding="utf-8")
+        if error is None:
+            tax = sio.read_taxonomy(tmp_path / "edges.tsv", tmp_path / "probs.tsv")
+            assert tax.parent == {"mid": "root", "root": None, "leaf": "mid"}
+            assert tax.prob == {"root": 1.0, "mid": 0.5, "leaf": 0.25}
+        else:
+            with pytest.raises(ParseError, match=re.escape(error) + "$"):
+                sio.read_taxonomy(tmp_path / "edges.tsv", tmp_path / "probs.tsv")
+
     def test_bad_edge_line_rejected(self, tmp_path):
         edges, probs = tmp_path / "edges.tsv", tmp_path / "probs.tsv"
         edges.write_text("leaf\n")

@@ -167,6 +167,27 @@ class TestPropagationConfig:
             with pytest.raises(ValidationError, match="tol"):
                 PropagationConfig(tol=value)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: build_knn_graph(np.eye(3), k=0), "k must be >= 1, got 0"),
+        (lambda: build_knn_graph(np.eye(3), k=1, kernel="x"), "unknown kernel: 'x'"),
+        (lambda: build_knn_graph(np.eye(3), k=1, sigma=float("nan")),
+         "sigma must be positive and finite, got nan"),
+        (lambda: seed_from_zeroshot(CategoryScoreMatrix(("i0",), ("c0",), [[0.5]]), rho=0),
+         "rho must lie in (0, 1], got 0"),
+        (lambda: propagate_closed_form(two_node_graph(), seeds_of(2), alpha=1),
+         "alpha must lie in [0, 1), got 1"),
+        (lambda: propagate_closed_form(two_node_graph(), seeds_of(3), alpha=0.5),
+         "graph has 2 nodes but seeds cover 3 instances"),
+        (lambda: PropagationConfig(max_iters=0), "max_iters must be >= 1, got 0"),
+        (lambda: build_knn_graph(np.zeros(3), k=1), "vectors must be 2-d, got shape (3,)"),
+    ], ids=["graph_k", "graph_kernel", "graph_sigma", "seed_rho", "closed_form_alpha",
+            "closed_form_nodes", "config_max_iters", "graph_1d"])
+    def test_rejections_give_the_config_rules(self, call, message):
+        # a function that takes a PST parameter alone checks it by PropagationConfig's rules
+        with pytest.raises(ValidationError) as exc:
+            call()
+        assert str(exc.value) == message
+
 
 class TestKnnGraph:
     def test_line_hand_case(self):
@@ -609,6 +630,11 @@ SWEEP_INPUTS = _sweep_inputs()
 def two_node_graph():
     # unit weight edge; S is the 0/1 swap matrix after normalization
     return build_knn_graph(np.array([[0.0], [1.0]]), k=1, kernel="gaussian", sigma=1.0)
+
+
+def seeds_of(n):
+    """Unclamped all-zero seeds of one category over n instances."""
+    return SeedLabels(tuple(f"i{i}" for i in range(n)), ("c0",), np.zeros((n, 1)))
 
 
 class TestPropagate:

@@ -677,6 +677,20 @@ class TestMatchesSparseOracle:
                                window=window).values
         assert np.array_equal(got, sparse_measure(docs, rows, cols, "dice_snippet", window))
 
+    def test_windows_at_least_the_longest_document_mean_whole_documents(self):
+        # 10**14 windows per document would overflow the int64 window
+        # numbering, and 10**20 does not fit an int64
+        docs, vocab = self._corpus(4)
+        rows, cols = vocab[:5] + self.TERMS[:4], vocab[3:] + self.TERMS[3:]
+        idx = build_corpus_index(docs)
+        longest = max(len(tokenize(text)) for _, text in docs)
+        want = mine_relatedness(idx, rows, cols, "dice_snippet", window=None).values
+        for window in (longest, longest + 1, 10**14, 10**20):
+            got = mine_relatedness(idx, rows, cols, "dice_snippet", window=window).values
+            assert got.tobytes() == want.tobytes()
+        shorter = mine_relatedness(idx, rows, cols, "dice_snippet", window=longest - 1).values
+        assert not np.array_equal(shorter, want)
+
     def test_runs_per_block_stay_few_in_long_documents(self):
         # each term 300 times in one 10,000-token document, 21 or more tokens
         # apart, and "w" nearly everywhere: pairing whole-document runs would

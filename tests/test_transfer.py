@@ -227,6 +227,18 @@ class TestHierarchyTransfer:
         with pytest.raises(ValidationError):
             hierarchy_transfer(self._tax(), known, {"n0": "ursids"})
 
+    @pytest.mark.parametrize("known, attachments, message", [
+        (("k0", "k1", "k2"), {"n0": 5},
+         "attachments must map novel categories to taxonomy node names, got {'n0': 5}"),
+        (("ursids", "mustelids"), {"n0": "novelspot"},
+         "no known leaves reachable from 'novelspot'"),
+    ], ids=["non_string_attachment", "only_inner_known"])
+    def test_rejection_names_its_cause(self, known, attachments, message):
+        scores = CategoryScoreMatrix(("i0",), known, np.full((1, len(known)), 0.5))
+        with pytest.raises(ValidationError) as exc:
+            hierarchy_transfer(self._tax(), scores, attachments)
+        assert str(exc.value) == message
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValidationError):
             hierarchy_transfer(self._tax(), self._known(), {"n0": "ursids"},
