@@ -53,6 +53,8 @@ class PropagationConfig:
             raise ValidationError(f"unknown kernel: {self.kernel!r}")
         if self.sigma is not None and not 0 < self.sigma < np.inf:
             raise ValidationError(f"sigma must be positive and finite, got {self.sigma}")
+        if self.sigma is not None and not -2.0 * self.sigma * self.sigma:  # the kernel's divisor
+            raise ValidationError(f"sigma too small: -2 sigma^2 underflows to 0, got {self.sigma}")
         if not (0.0 <= self.alpha < 1.0):
             raise ValidationError(f"alpha must lie in [0, 1), got {self.alpha}")
         if not 0 < self.tol < np.inf:
@@ -73,7 +75,7 @@ class SimilarityGraph:
     ``norm`` is ``(d_i * w_ij) * d_j`` with ``d = 1 / sqrt(degree)``, which is
     the arithmetic of SciPy's ``W.sum(axis=1)`` and ``D @ W @ D``, so ``W``
     and ``S``, the ``scipy.sparse`` views built on each read, are bit for
-    bit theirs.
+    bit theirs. Only these views need SciPy (the ``test`` extra).
 
     ``build_knn_graph`` also records the Gaussian ``sigma`` (None for
     cosine) and its filter's counts: the candidates it ranked over all rows,
@@ -146,10 +148,7 @@ def _median_heuristic(vectors: np.ndarray) -> float:
     # and deterministic for big inputs. sqrt is monotone, so the square roots
     # of the middle one or two positive squared distances, averaged, are
     # np.median of the distances bit for bit.
-    n = vectors.shape[0]
-    if n > 1000:
-        stride = int(np.ceil(n / 1000))
-        vectors = vectors[::stride]
+    vectors = vectors[::-(-vectors.shape[0] // 1000)]  # every ceil(n / 1000)-th row
     m = vectors.shape[0]
     VT = np.ascontiguousarray(vectors.T)
     step = max(1, _CACHE_VALUES // m)
@@ -256,7 +255,8 @@ def _nearest(X: np.ndarray, k: int, kernel: str, sigma: float | None):
         right = np.vstack([-2.0 * Xc.T, sq])  # [-2 xc_j; s_j]
 
         def similarity(sqdist):
-            return np.exp(sqdist / scale)
+            with np.errstate(over="ignore"):  # a quotient below -max is -inf: similarity 0
+                return np.exp(sqdist / scale)
         # The filter value of (i, j) is the product A_ij = fl(s_j - 2 xc_i.xc_j),
         # where s_j = |xc_j|^2, so A_ij + s_i is the squared distance up to
         # rounding; the row constant s_i does not change a row's order. With
@@ -513,7 +513,8 @@ def propagate(graph: SimilarityGraph, seeds: SeedLabels,
 
 def propagate_closed_form(graph: SimilarityGraph, seeds: SeedLabels,
                           alpha: float) -> CategoryScoreMatrix:
-    """Exact fixed point (1 - alpha) (I - alpha S)^(-1) Y for unclamped seeds."""
+    """Exact fixed point (1 - alpha) (I - alpha S)^(-1) Y for unclamped seeds,
+    by SciPy's sparse LU (the ``test`` extra)."""
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu
 

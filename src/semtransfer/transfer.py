@@ -130,14 +130,13 @@ def hierarchy_transfer(tax: Taxonomy, known_scores: CategoryScoreMatrix,
                               f"got {novel_nodes!r}")
     if not novel_nodes:
         raise ValidationError("no novel categories to attach")
-    known = [c for c in known_scores.categories if c in tax.parent]
-    if not known:
+    known_idx = {c: j for j, c in enumerate(known_scores.categories) if c in tax.parent}
+    if not known_idx:
         raise ValidationError("no known categories appear in the taxonomy")
-    known_idx = {c: known_scores.categories.index(c) for c in known}
     novel = tuple(novel_nodes)
 
     def leaf_column(attach: str) -> np.ndarray:
-        best = min(known, key=lambda c: (tax.tree_distance(attach, c), known_idx[c]))
+        best = min(known_idx, key=lambda c: (tax.tree_distance(attach, c), known_idx[c]))
         return known_scores.values[:, known_idx[best]]
 
     def inner_column(attach: str) -> np.ndarray:

@@ -273,6 +273,22 @@ class TestErrorContract:
         assert not (tmp_path / "rel.tsv").exists()
 
     @pytest.mark.parametrize("key", ["categories", "attributes"])
+    @pytest.mark.parametrize("value", ["missing", None, "bear"])
+    def test_terms_file_without_a_term_list_exits_2(self, tmp_path, capsys, key, value):
+        sio.write_corpus_jsonl(tmp_path / "corpus.jsonl", [("d0", "bear fur")])
+        terms = {"categories": ["bear"], "attributes": ["fur"], key: value}
+        if value == "missing":
+            del terms[key]
+        (tmp_path / "terms.json").write_text(json.dumps(terms))
+        code, err = run(capsys, "mine", "--corpus", tmp_path / "corpus.jsonl",
+                        "--terms", tmp_path / "terms.json", "--measure", "dice_hit",
+                        "--out", tmp_path / "rel.tsv")
+        assert one_json_error(2, err) == {
+            "code": 2, "stage": "mine",
+            "error": f"{tmp_path / 'terms.json'}: terms file needs a {key!r} list"}
+        assert not (tmp_path / "rel.tsv").exists()
+
+    @pytest.mark.parametrize("key", ["categories", "attributes"])
     @pytest.mark.parametrize("term", ["bear\tcub", "bear\ncub"])
     def test_term_that_no_tsv_reader_could_split_exits_3(self, tmp_path, capsys, key, term):
         # written raw, the term would leave a relatedness TSV that assoc cannot read
@@ -674,13 +690,13 @@ class TestPipeline:
 
 
 def test_cli_import_skips_unused_scipy_modules(tmp_path):
-    # Mining is NumPy only, so neither importing the CLI nor ``mine`` with any
-    # measure loads SciPy. PST's kNN graph and its sweeps are NumPy CSR arrays,
-    # its distances are computed without ``scipy.spatial`` and the logistic
-    # function is NumPy's, so neither ``pst`` nor a synth pipeline with a
-    # ``pst`` section loads SciPy either. The Gaussian kernel's median
-    # heuristic partitions its distances itself, so nothing loads ``numpy.ma``,
-    # which ``np.median`` imports.
+    # NumPy is the only runtime dependency, so every subcommand, and a
+    # pipeline through every optional stage, runs while each ``scipy`` import
+    # fails, as in an install without the ``test`` extra, and none even tries
+    # one; only ``propagate_closed_form`` and a graph's ``W`` and ``S`` views
+    # need SciPy.
+    # The Gaussian kernel's median heuristic partitions its distances itself,
+    # so nothing loads ``numpy.ma``, which ``np.median`` imports.
     rng = np.random.default_rng(3)
     instances = tuple(f"i{k}" for k in range(12))
     sio.write_category_scores(tmp_path / "zs.tsv", CategoryScoreMatrix(
@@ -695,31 +711,64 @@ def test_cli_import_skips_unused_scipy_modules(tmp_path):
     (tmp_path / "probs.tsv").write_text("root\t1\nc0\t0.5\nc1\t0.5\nx\t0.2\ny\t0.3\n")
     sio.write_split(tmp_path / "split.json", DatasetSplit(
         frozenset({"k0"}), frozenset({"c0", "c1"}), {}, dict.fromkeys(instances, "c0")))
+    data = ["--features", "data/features.tsv", "--assoc", "data/associations.tsv",
+            "--split", "data/split.json"]
+    commands = {
+        "synth": ["synth", "--out-dir", "data", "--seed", "5", "--n-known", "4",
+                  "--n-attributes", "8", "--feature-dim", "8", "--train-per-known", "10",
+                  "--test-per-novel", "10", "--corpus-docs-per-pair", "2"],
+        **{m: ["mine", "--corpus", "corpus.jsonl", "--terms", "terms.json", "--measure", m,
+               "--window", "2", "--taxonomy-edges", "edges.tsv",
+               "--taxonomy-probs", "probs.tsv", "--out", f"{m}.tsv"]
+           for m in ("dice_hit", "dice_snippet", "esa", "lin", "tfidf")},
+        "assoc": ["assoc", "--relatedness", "dice_hit.tsv", "--policy", "per_attribute_topk",
+                  "--k", "1", "--out", "assoc.tsv"],
+        "train": ["train", *data, "--out", "model.json"],
+        "zeroshot": ["zeroshot", "--model", "model.json", *data, "--out", "data_zs.tsv"],
+        "pst": ["pst", "--zeroshot", "zs.tsv", "--vectors", "vectors.tsv",
+                "--split", "split.json", "--k", "3", "--out", "pst.tsv"],
+        "eval": ["eval", "--scores", "data_zs.tsv", "--truth", "data/labels.tsv",
+                 "--split", "data/split.json", "--protocol", "both", "--out", "report.json"],
+        "pipeline": ["pipeline", "--config", "config.json"],
+    }
     probe = (
-        "import sys, semtransfer.cli as cli\n"
-        "def loaded(): return sorted(m for m in sys.modules\n"
-        "                            if m.split('.')[0] == 'scipy'\n"
-        "                            or m.split('.')[:2] == ['numpy', 'ma'])\n"
+        "import sys\n"
+        "tried = []\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            tried.append(name)\n"
+        "            raise ModuleNotFoundError(f'No module named {name!r}', name=name)\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "import numpy as np, semtransfer.cli as cli\n"
+        "from semtransfer.propagate import SeedLabels, build_knn_graph, propagate_closed_form\n"
+        "def loaded(): return tried + sorted(m for m in sys.modules\n"
+        "                                     if m.split('.')[:2] == ['numpy', 'ma'])\n"
         "print('import', loaded())\n"
-        "for m in ('dice_hit', 'dice_snippet', 'esa', 'lin', 'tfidf'):\n"
-        "    code = cli.main(['mine', '--corpus', 'corpus.jsonl', '--terms', 'terms.json',"
-        " '--measure', m, '--window', '2', '--taxonomy-edges', 'edges.tsv',"
-        " '--taxonomy-probs', 'probs.tsv', '--out', m + '.tsv'])\n"
-        "    print(m, code, loaded())\n"
-        "code = cli.main(['pst', '--zeroshot', 'zs.tsv', '--vectors', 'vectors.tsv',"
-        " '--split', 'split.json', '--k', '3', '--out', 'pst.tsv'])\n"
-        "print('pst', code, loaded())\n"
-        "code = cli.main(['pipeline', '--config', 'config.json'])\n"
-        "print('pipeline', code, loaded())\n")
-    pipeline_config(tmp_path, output_dir=str(tmp_path / "run"))
+        f"for name, argv in {commands!r}.items():\n"
+        "    print(name, cli.main(argv), loaded())\n"
+        "graph = build_knn_graph(np.eye(3), k=1)\n"
+        "seeds = SeedLabels(('i0', 'i1', 'i2'), ('c0',), np.ones((3, 1)))\n"
+        "for name, call in [('W', lambda: graph.W), ('S', lambda: graph.S),\n"
+        "                   ('closed_form', lambda: propagate_closed_form(graph, seeds, 0.5))]:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ModuleNotFoundError as exc:\n"
+        "        print(name, exc)\n")
+    # corpus -> mine dice_snippet -> assoc -> sim transfer -> cosine PST -> eval both
+    pipeline_config(tmp_path, output_dir=str(tmp_path / "run"),
+                    mine={"measure": "dice_snippet", "window": 5},
+                    transfer={"method": "sim", "top_k": 3},
+                    pst={"k": 8, "rho": 0.15, "alpha": 0.8, "kernel": "cosine"})
     src = str(Path(sio.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         check=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
-                         timeout=120)
+                         cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [
-        "import []", *(f"{m} 0 []" for m in ("dice_hit", "dice_snippet", "esa", "lin", "tfidf")),
-        "pst 0 []", "pipeline 0 []"]
+        "import []", *(f"{name} 0 []" for name in commands),
+        *(f"{name} No module named 'scipy'" for name in ("W", "S", "closed_form"))]
     assert all((tmp_path / f"{m}.tsv").exists() for m in ("esa", "lin", "tfidf", "pst"))
+    assert (tmp_path / "report.json").exists()
     assert (tmp_path / "run" / "pst_scores.tsv").exists()
 
 
@@ -767,6 +816,11 @@ def write_leaky_split(data_dir) -> str:
     doc["test_instances"][inst] = cat
     (data_dir / "leaky.json").write_text(json.dumps(doc))
     return inst
+
+
+# a valid two-attribute model over two features
+MODEL = {"attributes": ["a0", "a1"], "weights": [[0.0, 1.0], [2.0, 0.0]], "biases": [0.0, 0.0],
+         "feature_mean": [0.0, 0.0], "feature_std": [1.0, 1.0]}
 
 
 class TestInputValidation:
@@ -841,12 +895,53 @@ class TestInputValidation:
         ("mined_without_assoc", "assoc", "mined relatedness needs an assoc section to binarize"),
         ("zeroshot_no_known", "zeroshot", "associations must cover known and novel categories"),
         ("pst_no_rows", "pst", "no few-shot or test instances to propagate over"),
+        ("pst_tiny_sigma", "pst", "sigma too small: -2 sigma^2 underflows to 0, got 1e-200"),
+        ("model_weights", "zeroshot", "weights must be (2, dim), got (1, 2)"),
+        ("model_biases", "zeroshot", "biases must have one entry per attribute, got (1,)"),
+        ("model_mean", "zeroshot", "standardization vectors must match feature dim"),
+        ("model_nan", "zeroshot", "non-finite model parameters"),
+        ("model_std", "zeroshot", "feature_std entries must be positive"),
+        ("lin_probs", "mine", "probabilities for unknown nodes: ['z']"),
+        ("synth_n_known", "synth", "need at least one known and one novel category"),
+        ("synth_n_attributes", "synth", "need at least one attribute"),
+        ("synth_train", "synth", "need at least one train and one test instance per category"),
+        ("synth_distractors", "synth", "instance counts must be non-negative"),
+        ("synth_seed", "synth", "seed must be >= 0, got -1"),
+        ("corpus_docs_per_pair", "corpus", "docs_per_pair must be >= 1, got 0"),
+        ("corpus_filler_docs", "corpus", "filler_docs must be >= 0"),
+        ("eval_no_novel_rows", "eval", "no novel-category test instances"),
+        ("eval_unscored_novel", "eval", "novel test category never scored: 'n01'"),
     ])
     def test_rejection_names_its_stage_and_cause(self, synth_dir, capsys, case, stage, error):
         d = synth_dir
 
         def pipeline(**overrides):
             return ["pipeline", "--config", data_config(d, **overrides)]
+
+        def mined(**corpus):
+            return pipeline(corpus=corpus, mine={"measure": "dice_hit"},
+                            assoc={"policy": "per_attribute_topk", "k": 2})
+
+        def model(**fields):
+            return self._model(d, {**MODEL, **fields})
+
+        def lin(probs):
+            (d / "edges.tsv").write_text("x\troot\n")
+            (d / "probs.tsv").write_text(probs)
+            return ["mine", "--terms", d / "terms.json", "--measure", "lin", "--taxonomy-edges",
+                    d / "edges.tsv", "--taxonomy-probs", d / "probs.tsv", "--out", d / "lin.tsv"]
+
+        def evaluate(categories, test_instances):
+            doc = json.loads((d / "split.json").read_text())
+            write_category_scores(d)
+            scores = sio.read_matrix(d / "scores.tsv", CategoryScoreMatrix)
+            sio.write_matrix(d / "scores.tsv", CategoryScoreMatrix(
+                scores.instances, categories, scores.values[:, :len(categories)]))
+            split = {**doc, "test_instances": doc[test_instances], "train_instances": {},
+                     "fewshot_instances": {}}
+            (d / "eval_split.json").write_text(json.dumps(split))
+            return ["eval", "--scores", d / "scores.tsv", "--truth", d / "labels.tsv",
+                    "--split", d / "eval_split.json", "--out", d / "report.json"]
 
         def without_categories(key, instances):
             doc = json.loads((d / "split.json").read_text())
@@ -865,7 +960,7 @@ class TestInputValidation:
             assert run(capsys, "train", "--features", d / "features.tsv", "--assoc",
                        d / "associations.tsv", "--split", d / "split.json",
                        "--out", d / "model.json")[0] == 0
-        if case == "pst_no_rows":
+        if case.startswith("pst_"):
             write_pst_inputs(d)
         argv = {
             "transfer_method": lambda: pipeline(transfer={"method": "bogus"}),
@@ -884,6 +979,25 @@ class TestInputValidation:
                 "pst", "--zeroshot", d / "pst_zeroshot.tsv", "--vectors", d / "pst_vectors.tsv",
                 "--out", d / "pst.tsv",
                 "--split", without_categories("novel_categories", "test_instances")],
+            "pst_tiny_sigma": lambda: [
+                "pst", "--zeroshot", d / "pst_zeroshot.tsv", "--vectors", d / "pst_vectors.tsv",
+                "--split", d / "split.json", "--sigma", "1e-200", "--out", d / "pst.tsv"],
+            "model_weights": lambda: model(weights=[[0.0, 1.0]]),
+            "model_biases": lambda: model(biases=[0.0]),
+            "model_mean": lambda: model(feature_mean=[0.0]),
+            "model_nan": lambda: model(weights=[[0.0, float("nan")], [2.0, 0.0]]),
+            "model_std": lambda: model(feature_std=[1.0, 0.0]),
+            "lin_probs": lambda: lin("root\t1\nx\t0.5\nz\t0.5\n"),
+            "synth_n_known": lambda: ["synth", "--out-dir", d / "s", "--n-known", "0"],
+            "synth_n_attributes": lambda: ["synth", "--out-dir", d / "s", "--n-attributes", "0"],
+            "synth_train": lambda: ["synth", "--out-dir", d / "s", "--train-per-known", "0"],
+            "synth_distractors": lambda: ["synth", "--out-dir", d / "s",
+                                          "--distractor-per-known", "-1"],
+            "synth_seed": lambda: ["synth", "--out-dir", d / "s", "--seed", "-1"],
+            "corpus_docs_per_pair": lambda: mined(docs_per_pair=0),
+            "corpus_filler_docs": lambda: mined(filler_docs=-1),
+            "eval_no_novel_rows": lambda: evaluate(("n00", "n01"), "train_instances"),
+            "eval_unscored_novel": lambda: evaluate(("n00",), "test_instances"),
         }[case]()
         code, err = run(capsys, *argv)
         payload = one_json_error(3, err)
@@ -925,8 +1039,7 @@ class TestInputValidation:
             return ["pipeline", "--config", data_config(
                 synth_dir, transfer={**HIER_TRANSFER, "attachments": attachments})]
 
-        model = {"attributes": ["a0", "a1"], "weights": [[0.0, 1.0], [2.0]],
-                 "biases": [0.0, 0.0], "feature_mean": [0.0, 0.0], "feature_std": [1.0, 1.0]}
+        model = {**MODEL, "weights": [[0.0, 1.0], [2.0]]}
         argv = {
             "split_list": lambda: self._split_with_list(synth_dir),
             "ragged_weights": lambda: self._model(synth_dir, model),
@@ -1059,7 +1172,11 @@ class TestInputFiles:
         ({"test_instances": {"i0": "n0", "i1": " "}}, 2, "test_instances: empty identifier"),
         ({"test_instances": {"i0": "n0", "i0 ": "n1"}}, 2,
          "test_instances: duplicate instance 'i0' after trimming"),
-    ], ids=["trimmed", "empty", "duplicate"])
+        ({"test_instances": {"i0": "n0", "i1": "n1"}, "known_categories": "k0"}, 2,
+         "known_categories must be a list of category names"),
+        ({"test_instances": {"i0": "n0", "i1": "n1"}, "novel_categories": ["n0", 1]}, 2,
+         "novel_categories must be a list of category names"),
+    ], ids=["trimmed", "empty", "duplicate", "known_string", "novel_number"])
     def test_split_ids_are_trimmed_like_tsv_ids(self, tmp_path, capsys, ids, code, error):
         # untrimmed, "i0 " would be a test instance without a truth label
         (tmp_path / "scores.tsv").write_text(
@@ -1075,7 +1192,8 @@ class TestInputFiles:
             assert (got, err) == (code, "")
             assert json.loads((tmp_path / "report.json").read_text())["accuracy"] == 1.0
         else:
-            assert one_json_error(code, err)["error"] == f"{tmp_path / 'split.json'}: {error}"
+            assert one_json_error(code, err) == {
+                "code": code, "stage": "eval", "error": f"{tmp_path / 'split.json'}: {error}"}
 
     @pytest.mark.parametrize("kind", ["config", "split", "terms", "model", "corpus"])
     def test_json_nested_too_deeply_exits_2(self, synth_dir, tmp_path, capsys, kind):

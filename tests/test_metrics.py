@@ -74,6 +74,15 @@ class TestRocAuc:
         with pytest.raises(ValidationError):
             roc_auc([0.1, 0.2], [False, False])
 
+    @pytest.mark.parametrize("scores, positives, error", [
+        ([[0.1, 0.2]], [[True, False]], r"positives must be 1-d, got shape \(1, 2\)"),
+        ([0.1, 0.2, 0.3], [True, False], "scores and positives must have equal length"),
+        ([0.1, np.nan], [True, False], "scores must be finite"),
+    ], ids=["2d", "lengths", "nan"])
+    def test_malformed_inputs_rejected(self, scores, positives, error):
+        with pytest.raises(ValidationError, match=error):
+            roc_auc(scores, positives)
+
     def test_average_ranks_match_scipy_rankdata(self):
         from scipy.stats import rankdata
         from semtransfer.metrics import _average_ranks
@@ -207,6 +216,16 @@ class TestMulticlassAccuracy:
         scores = CategoryScoreMatrix(("i0",), ("c0",), np.array([[1.0]]))
         with pytest.raises(ValidationError, match="duplicate"):
             multiclass_accuracy(scores, {"i0": "c0"}, ["i0", "i0"])
+
+    @pytest.mark.parametrize("truth, instances, error", [
+        ({"i9": "c0"}, None, "no instances to score"),
+        ({"i0": "c0"}, [], "no instances to score"),
+        ({"i0": "c0"}, ["i0", "i1"], "instance without truth label: 'i1'"),
+    ], ids=["no_truth", "empty", "unlabelled"])
+    def test_unscorable_instances_rejected(self, truth, instances, error):
+        scores = CategoryScoreMatrix(("i0", "i1"), ("c0",), np.array([[1.0], [0.0]]))
+        with pytest.raises(ValidationError, match=error):
+            multiclass_accuracy(scores, truth, instances)
 
 
 def _eval_fixture():

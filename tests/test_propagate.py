@@ -1,5 +1,6 @@
 import importlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +173,8 @@ class TestPropagationConfig:
         (lambda: build_knn_graph(np.eye(3), k=1, kernel="x"), "unknown kernel: 'x'"),
         (lambda: build_knn_graph(np.eye(3), k=1, sigma=float("nan")),
          "sigma must be positive and finite, got nan"),
+        (lambda: build_knn_graph(np.eye(3), k=1, sigma=1e-200),
+         "sigma too small: -2 sigma^2 underflows to 0, got 1e-200"),
         (lambda: seed_from_zeroshot(CategoryScoreMatrix(("i0",), ("c0",), [[0.5]]), rho=0),
          "rho must lie in (0, 1], got 0"),
         (lambda: propagate_closed_form(two_node_graph(), seeds_of(2), alpha=1),
@@ -180,8 +183,8 @@ class TestPropagationConfig:
          "graph has 2 nodes but seeds cover 3 instances"),
         (lambda: PropagationConfig(max_iters=0), "max_iters must be >= 1, got 0"),
         (lambda: build_knn_graph(np.zeros(3), k=1), "vectors must be 2-d, got shape (3,)"),
-    ], ids=["graph_k", "graph_kernel", "graph_sigma", "seed_rho", "closed_form_alpha",
-            "closed_form_nodes", "config_max_iters", "graph_1d"])
+    ], ids=["graph_k", "graph_kernel", "graph_sigma", "graph_tiny_sigma", "seed_rho",
+            "closed_form_alpha", "closed_form_nodes", "config_max_iters", "graph_1d"])
     def test_rejections_give_the_config_rules(self, call, message):
         # a function that takes a PST parameter alone checks it by PropagationConfig's rules
         with pytest.raises(ValidationError) as exc:
@@ -296,6 +299,18 @@ class TestKnnGraph:
         X = np.random.default_rng(13).normal(size=(50, 3))
         with pytest.raises(ValidationError, match="sigma must be positive and finite"):
             build_knn_graph(X, k=5, sigma=sigma)
+
+    def test_tiny_sigma_keeps_identical_rows_at_weight_one(self):
+        # at sigma 1e-160 every positive squared distance over -2 sigma^2
+        # overflows to -inf, a similarity of 0, floored like any underflow
+        X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            graph = build_knn_graph(X, k=2, sigma=1e-160)
+        W = graph.W.toarray()
+        assert W[0, 1] == W[1, 0] == 1.0
+        assert graph.indices.size == 10
+        assert np.all(W[(W > 0) & (W < 1)] == np.finfo(float).tiny)
 
     def test_overflowing_distances_rejected(self):
         X = np.random.default_rng(12).normal(size=(20, 3)) * 1e200

@@ -414,6 +414,8 @@ class TestLin:
         with pytest.raises(ValidationError):  # cycle
             Taxonomy(parent={"a": None, "b": "c", "c": "b"},
                      prob={"a": 1.0, "b": 0.5, "c": 0.5})
+        with pytest.raises(ValidationError, match="parent of 'b' is unknown node 'ghost'"):
+            Taxonomy(parent={"a": None, "b": "ghost"}, prob={"a": 1.0, "b": 0.5})
 
     def test_validation_is_linear_in_depth(self):
         # a walk from each node to the root with a fresh set took 3.6 s here

@@ -48,6 +48,13 @@ class TestSynthConfig:
             with pytest.raises(ValidationError, match="cluster_noise"):
                 SynthConfig(cluster_noise=cluster_noise)
 
+    def test_signatures_too_crowded_to_sample_rejected(self):
+        # 15 categories fit 4 attributes' 15 non-zero signatures, but random
+        # draws almost never give all 15 distinct rows at once
+        config = SynthConfig(n_known=10, n_novel=5, n_attributes=4, feature_dim=4)
+        with pytest.raises(ValidationError, match="could not sample distinct category signatures"):
+            gen_dataset(config)
+
 
 class TestGenDataset:
     def test_same_seed_same_dataset(self):
@@ -67,6 +74,15 @@ class TestGenDataset:
         sig = ds.associations.values
         assert len({tuple(r) for r in sig}) == sig.shape[0]
         assert (sig.sum(axis=1) > 0).all()
+
+    def test_one_known_category_keeps_the_first_distinct_signatures(self):
+        # a single known category makes every known column constant, so the
+        # first draw of distinct non-zero rows is kept
+        ds = gen_dataset(SynthConfig(n_known=1, n_novel=3, n_attributes=3, feature_dim=3))
+        sig = ds.associations.values
+        assert sig.shape == (4, 3)
+        assert (sig.sum(axis=1) > 0).all()
+        assert len({tuple(row) for row in sig}) == 4
 
     def test_known_columns_not_constant(self):
         # every attribute must have positive and negative known categories,
@@ -134,6 +150,43 @@ class TestCorpusPlan:
         with pytest.raises(ValidationError):
             CorpusPlan(category_counts={"c": 1}, attribute_counts={"a": 1},
                        joint_counts={("ghost", "a"): 1})
+
+    @pytest.mark.parametrize("plan, error", [
+        ({"category_counts": {}, "attribute_counts": {"a": 1}},
+         "plan needs categories and attributes"),
+        ({"category_counts": {"c": -1}, "attribute_counts": {"a": 1}},
+         "negative category count for 'c'"),
+        ({"category_counts": {"c": 1}, "attribute_counts": {"a": -1}},
+         "negative attribute count for 'a'"),
+        ({"category_counts": {"c": 1}, "attribute_counts": {"a": 1}, "filler_docs": -1},
+         "filler_docs must be >= 0"),
+        ({"category_counts": {"c": 1}, "attribute_counts": {"a": 1},
+          "joint_counts": {("c", "a"): -1}}, r"negative joint count for \('c', 'a'\)"),
+        ({"category_counts": {"c": 1}, "attribute_counts": {"a": 1},
+          "joint_counts": {("c", "ghost"): 1}}, "joint pair uses unknown attribute 'ghost'"),
+        ({"category_counts": {"c": 1, "!?": 1}, "attribute_counts": {"a": 1}},
+         r"plan term has no tokens: '!\?'"),
+        ({"category_counts": {"c": 1}, "attribute_counts": {"Filler": 1}, "filler_docs": 1},
+         "plan terms collide with the filler token"),
+    ], ids=["empty", "category_count", "attribute_count", "filler_docs", "joint_count",
+            "joint_attribute", "no_tokens", "filler_token"])
+    def test_malformed_plan_rejected(self, plan, error):
+        with pytest.raises(ValidationError, match=error):
+            CorpusPlan(**plan)
+
+    def test_dice_of_unplanned_term_rejected(self):
+        plan = CorpusPlan(category_counts={"c": 1}, attribute_counts={"a": 1})
+        with pytest.raises(ValidationError, match="unknown category 'a'"):
+            plan.dice("a", "a")
+        with pytest.raises(ValidationError, match="unknown attribute 'c'"):
+            plan.dice("c", "c")
+
+    def test_plan_without_documents(self):
+        # no documents: Dice is 0, and no corpus realizes the plan
+        plan = CorpusPlan(category_counts={"c": 0}, attribute_counts={"a": 0})
+        assert plan.dice("c", "a") == 0.0
+        with pytest.raises(ValidationError, match="plan produces an empty corpus"):
+            gen_corpus(plan)
 
     def test_plan_dice_closed_form(self):
         plan = CorpusPlan(category_counts={"c": 4}, attribute_counts={"a": 5},

@@ -39,6 +39,11 @@ class TestAttributePrior:
         with pytest.raises(ValidationError):
             AttributePrior(("a0",), np.array([0.0]))
 
+    def test_prior_needs_one_value_per_attribute(self):
+        with pytest.raises(ValidationError,
+                           match=r"prior must have one value per attribute, got \(1,\)"):
+            AttributePrior(("a0", "a1"), np.array([0.5]))
+
 
 def brute_dap(p_row, assoc_row, prior):
     """Oracle: literal per-attribute posterior ratio product, in logs."""
