@@ -28,11 +28,12 @@ _BLOCK_VALUES = 1 << 22
 # fallback), in one buffer: ~2.7 MB at n = 5232. Every product packs its
 # whole right operand again, so fewer rows slow a large build.
 _PRODUCT_ROWS = 128
-# Keys per row chunk of a product that is partitioned and masked at a time
-# (~2 MB of float64).
-_CHUNK_VALUES = 1 << 18
+# Keys per row chunk of a product partitioned and masked at a time (~0.5 MB of float64).
+_CHUNK_VALUES = 1 << 16
 # Distances per row block of the median heuristic (~256 KB of float64).
 _CACHE_VALUES = 1 << 15
+# Scores per row block of a propagation sweep, which stays in cache (~256 KB of float64).
+_SWEEP_VALUES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -242,17 +243,19 @@ def _nearest(X: np.ndarray, k: int, kernel: str, sigma: float | None):
     g = (d + 3) * v / (1 - (d + 3) * v)
 
     if kernel == "gaussian":
-        left = np.ones((n, d + 1))  # [xc_i, 1]
-        Xc = np.subtract(X, X.mean(axis=0), out=left[:, :d])
-        sq = np.einsum("ij,ij->i", Xc, Xc)
+        def operands():  # [xc_i, 1] and [-2 xc_j; s_j]
+            left = np.ones((n, d + 1))
+            Xc = np.subtract(X, X.mean(axis=0), out=left[:, :d])
+            return left, np.vstack([-2.0 * Xc.T, np.einsum("ij,ij->i", Xc, Xc)])
+        exact = operands()
+        sq = exact[1][d].copy()
         top = sq.max()
         if not np.isfinite(4.0 * top):  # no squared distance exceeds 4 max s
             raise ValidationError("vectors too large: squared distances overflow")
         if sigma is None:
             sigma = _median_heuristic(X)
         scale = -2.0 * sigma * sigma
-        coords, term = np.ascontiguousarray(X.T), _squared_difference
-        right = np.vstack([-2.0 * Xc.T, sq])  # [-2 xc_j; s_j]
+        coords, term = X.T, _squared_difference
 
         def similarity(sqdist):
             with np.errstate(over="ignore"):  # a quotient below -max is -inf: similarity 0
@@ -288,9 +291,12 @@ def _nearest(X: np.ndarray, k: int, kernel: str, sigma: float | None):
         f32 = 2.0 ** -100 <= top and 4.0 * top <= np.finfo(np.float32).max
     else:
         norms = np.linalg.norm(X, axis=1, keepdims=True)
-        left = X / np.where(norms < 1e-12, 1.0, norms)  # u_i
-        coords, term = np.ascontiguousarray(left.T), np.multiply
-        right = -coords  # -u_j
+        norms[norms < 1e-12] = 1.0
+        coords, term = np.ascontiguousarray((X / norms).T), np.multiply
+
+        def operands():  # u_i and -u_j
+            return X / norms, -coords
+        exact = operands()
 
         def similarity(dot):
             return np.maximum(dot, 0.0)
@@ -304,8 +310,8 @@ def _nearest(X: np.ndarray, k: int, kernel: str, sigma: float | None):
         slack = np.full(n, 2 * (d + 2) * 2.0 ** -53)
         slack32 = slack + g + d * 2.0 ** -147
         f32 = True
-    exact = left, right
     rounded = tuple(a.astype(np.float32) for a in exact) if f32 and d < 1 << 22 else None
+    exact = None if rounded else exact  # a fallback block rebuilds them, bit for bit
 
     block = min(n, max(1, _BLOCK_VALUES // n))
     # a product has `rows32` float32 rows, or `rows64` float64 ones in the same buffer
@@ -372,6 +378,7 @@ def _nearest(X: np.ndarray, k: int, kernel: str, sigma: float | None):
         if rounded is not None and rank(lo, hi, True):
             continue
         counts["fallback_blocks"] += 1
+        exact = exact or operands()
         rank(lo, hi, False)
     if kernel == "gaussian":
         np.maximum(vals, tiny, out=vals)
@@ -388,18 +395,20 @@ def _symmetric_max(cols: np.ndarray, vals: np.ndarray):
     order of an edge's two copies does not matter.
     """
     n, k = cols.shape
-    src = np.repeat(np.arange(n), k)
-    key = np.concatenate([src * n + cols.ravel(), cols.ravel() * n + src])
-    del src
-    order = np.argsort(key)
-    key = key[order]
-    first = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+    key = np.empty(2 * n * k, dtype=np.intp)  # i n + j, then j n + i
+    np.add(np.arange(0, n * n, n)[:, None], cols, out=key[:n * k].reshape(n, k))
+    np.add(cols * n, np.arange(n)[:, None], out=key[n * k:].reshape(n, k))
     # position p >= n k of the doubled edge list is edge p - n k again
-    weights = np.maximum.reduceat(np.take(vals.ravel(), order, mode="wrap"), first)
-    del order
+    weights = np.take(vals.ravel(), np.argsort(key), mode="wrap")
+    key.sort()  # equal keys are equal values, so this is key[argsort(key)]
+    # an edge has at most two copies; the first keeps their maximum
+    twin = np.flatnonzero(key[1:] == key[:-1])
+    weights[twin] = np.maximum(weights[twin], weights[twin + 1])
     keep = weights > 0
-    edge = key[first][keep]
-    return np.searchsorted(edge, np.arange(n + 1) * n), edge % n, weights[keep]
+    keep[twin + 1] = False
+    key = key[keep]
+    weights = weights[keep]
+    return np.searchsorted(key, np.arange(n + 1) * n), key % n, weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -424,17 +433,20 @@ def seed_from_zeroshot(zeroshot: CategoryScoreMatrix, rho: float) -> SeedLabels:
     """Seed the ceil(rho * n) highest scoring instances per category.
 
     Seed weights are the column scores min-max rescaled to [0, 1]; a
-    constant column yields no usable seeds (all-zero weights).
+    constant column yields no usable seeds (all-zero weights). Ties at a
+    column's cut go to the earliest instances, as a stable sort would.
     """
     PropagationConfig(rho=rho)
     V = zeroshot.values
+    m = int(np.ceil(rho * V.shape[0]))
     lo = V.min(axis=0)
     span = V.max(axis=0) - lo
-    top = np.argsort(-V, axis=0, kind="stable")[:int(np.ceil(rho * V.shape[0]))]
+    cut = np.partition(V, -m, axis=0)[-m].copy()  # each column's m-th highest score
+    top, ties = V > cut, V == cut
+    # the earliest ties fill the places that the scores above the cut leave
+    top |= ties & (np.cumsum(ties, axis=0) <= m - top.sum(axis=0))
     # a constant column's span becomes inf, so its weights are 0
-    scaled = (np.take_along_axis(V, top, axis=0) - lo) / np.where(span > 0.0, span, np.inf)
-    Y = np.zeros(V.shape)
-    np.put_along_axis(Y, top, scaled, axis=0)
+    Y = np.where(top, (V - lo) / np.where(span > 0.0, span, np.inf), 0.0)
     return SeedLabels(zeroshot.instances, zeroshot.categories, Y)
 
 
@@ -470,39 +482,51 @@ def propagate(graph: SimilarityGraph, seeds: SeedLabels,
     and layer s adds the s-th edge of every row that has more than s edges,
     a prefix of that order, with one gather, one multiply and one add. So
     each row sums 0 + s_0 F_0 + s_1 F_1 + ... over its ascending columns, as
-    SciPy's ``S @ F`` does, and every sweep is bit for bit SciPy's.
+    SciPy's ``S @ F`` does, and every sweep is bit for bit SciPy's. Sweeps run
+    in place, over blocks of ``_SWEEP_VALUES / C`` rows that stay in cache.
     """
     if graph.n != len(seeds.instances):
         raise ValidationError(
             f"graph has {graph.n} nodes but seeds cover {len(seeds.instances)} instances")
+    if not seeds.categories:
+        raise ValidationError("seeds have no categories to propagate")
     count = np.diff(graph.indptr)
     order = np.argsort(-count, kind="stable")
     pos = np.empty(graph.n, dtype=np.intp)  # row i sits at pos[i] in that order
     pos[order] = np.arange(graph.n)
-    Y = seeds.values[order]
-    clamped = pos[sorted(seeds.clamped)]
-    alpha = config.alpha
-    base = (1.0 - alpha) * Y
-    F = Y.copy()  # clamped rows of Y already hold their one-hot targets
-    SF, term = np.empty_like(F), np.empty_like(F)
+    F = seeds.values[order]  # clamped rows already hold their one-hot targets
+    base = (1.0 - config.alpha) * F
+    clamped = np.sort(pos[list(seeds.clamped)])
+    pinned, SF = F[clamped], np.empty_like(F)
+    step = max(1, _SWEEP_VALUES // F.shape[1])
+    term = np.empty_like(F[:step])
     first = graph.indptr[order]
-    layers = []
-    for s, m in enumerate(np.searchsorted(-count[order], -np.arange(count.max()))):
-        edges = first[:m] + s
-        layers.append((pos[graph.indices[edges]], graph.norm[edges, None], SF[:m], term[:m]))
+    layers = [(pos[graph.indices[first[:m] + s]], graph.norm[first[:m] + s, None])
+              for s, m in enumerate(np.searchsorted(-count[order], -np.arange(count.max())))]
+    blocks = []  # per block, its rows of each layer; F and SF are never swapped under these views
+    for a in range(0, graph.n, step):
+        rows, pin = slice(a, a + step), slice(*np.searchsorted(clamped, [a, a + step]))
+        blocks.append((SF[rows], base[rows], F[rows], clamped[pin] - a, pinned[pin],
+                       [(c[rows], w[rows], SF[a:a + c[rows].size], term[:c[rows].size])
+                        for c, w in layers if c.size > a]))
     for iterations in range(1, config.max_iters + 1):
-        SF.fill(0.0)
-        for cols, weights, acc, t in layers:
-            # cols are in range; mode "raise" would gather through a temporary
-            np.take(F, cols, axis=0, out=t, mode="clip")
-            np.multiply(t, weights, out=t)
-            acc += t
-        Fn = alpha * SF + base
-        Fn[clamped] = Y[clamped]
-        delta = float(np.abs(Fn - F).max())
-        F = Fn
+        delta = 0.0
+        for acc, add, old, pin_rows, pin_vals, parts in blocks:
+            acc.fill(0.0)
+            for cols, weights, out, t in parts:
+                # cols are in range; mode "raise" would gather through a temporary
+                np.take(F, cols, axis=0, out=t, mode="clip")
+                np.multiply(t, weights, out=t)
+                out += t
+            np.multiply(acc, config.alpha, out=acc)
+            acc += add
+            acc[pin_rows] = pin_vals
+            diff = np.subtract(acc, old, out=term[:len(acc)])
+            delta = max(delta, float(np.abs(diff, out=diff).max()))
+        np.copyto(F, SF)
         if delta < config.tol:
             break
+    del blocks, layers, SF, base, term
     F = F[pos]
     picks = np.argmax(F, axis=1)  # np.argmax takes the first maximum on ties
     return PropagationResult(

@@ -20,7 +20,7 @@ from semtransfer import (
     seed_from_zeroshot,
 )
 from semtransfer.propagate import (_BLOCK_VALUES, SeedLabels, SimilarityGraph,
-                                   _median_heuristic)
+                                   _median_heuristic, _nearest, _symmetric_max)
 
 # the module, not the function that ``semtransfer.propagate`` names
 propagate_module = importlib.import_module("semtransfer.propagate")
@@ -127,14 +127,23 @@ def narrow_cone(seed, d, spread):
     return np.ones((400, d)) + spread * np.random.default_rng(seed).normal(size=(400, d))
 
 
-def traced_build(X, k, kernel):
-    """The graph and the peak of memory traced while building it."""
+def traced(fn, *args, **kwargs):
+    """What ``fn`` returns and the peak of memory traced while it ran."""
     tracemalloc.start()
     try:
-        graph = build_knn_graph(X, k=k, kernel=kernel)
-        return graph, tracemalloc.get_traced_memory()[1]
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def traced_build(X, k, kernel):
+    """The graph and the peak of memory traced while building it."""
+    return traced(build_knn_graph, X, k=k, kernel=kernel)
+
+
+# the fewshot-graph benchmark's PST shape: 5232 nodes, 24 attributes
+FEWSHOT_SHAPED = np.random.default_rng(43).random((5232, 24))
 
 
 def assert_graphs_equal(graph, W, S):
@@ -371,8 +380,7 @@ class TestKnnGraph:
             assert np.exp(-d2.min() / (2.0 * sigma * sigma)) == 0.0
 
     def test_fewshot_shaped_input_stays_in_float32(self):
-        # the fewshot-graph benchmark's PST shape: 5232 nodes, 24 attributes
-        X = np.random.default_rng(43).random((5232, 24))
+        X = FEWSHOT_SHAPED
         k = 15
         graph = build_knn_graph(X, k=k)
         assert graph.fallback_blocks == 0 and graph.weak_rows == 0
@@ -432,23 +440,30 @@ class TestKnnGraph:
 
     def test_fewshot_shaped_build_memory(self):
         # at the fewshot-graph benchmark's PST shape the peak is one product
-        # of float32 keys and the partition buffer (2.7 and 2.1 MB), the
-        # filter's float64 and float32 inputs and the exact distances'
-        # coordinates (4.2 MB) and the neighbors (1.3 MB); a full block of
+        # of float32 keys (2.7 MB), the float32 operands (1 MB), the partition
+        # buffer (0.5 MB), the neighbors (1.3 MB) and one row block's
+        # candidates; the exact distances read the input in place, and the
+        # float64 operands (2.1 MB) are dropped once rounded. A full block of
         # keys would add 14 MB
-        X = np.random.default_rng(43).random((5232, 24))
-        graph, peak = traced_build(X, 15, "gaussian")
+        graph, peak = traced_build(FEWSHOT_SHAPED, 15, "gaussian")
         assert graph.fallback_blocks == 0
-        assert peak < 12 * 2 ** 20
+        assert peak < 7.5 * 2 ** 20
 
     def test_fewshot_shaped_cosine_build_memory(self):
-        # cosine keys come from the same float32 products as Gaussian ones,
-        # so the build meets the Gaussian bound; a full block of float64 keys
-        # would add 32 MB
-        X = np.random.default_rng(43).random((5232, 24))
-        graph, peak = traced_build(X, 15, "cosine")
+        # cosine keys come from the same float32 products as Gaussian ones;
+        # the exact cosines add a transposed copy of the unit vectors (1 MB).
+        # A full block of float64 keys would add 32 MB
+        graph, peak = traced_build(FEWSHOT_SHAPED, 15, "cosine")
         assert graph.fallback_blocks == 0
-        assert peak < 12 * 2 ** 20
+        assert peak < 8.5 * 2 ** 20
+
+    def test_fewshot_shaped_edge_assembly_memory(self):
+        # the doubled edge keys, their sort order and the gathered weights
+        # (1.3 MB each) at once, or the keys and weights and four arrays over
+        # the 44K edges selected from both ends (0.36 MB each)
+        cols, vals, _, _ = _nearest(FEWSHOT_SHAPED, 15, "gaussian", None)
+        _, peak = traced(_symmetric_max, cols, vals)
+        assert peak < 3 * 2 * cols.nbytes * 1.15
 
     @pytest.mark.parametrize("seed", range(6))
     def test_narrow_cone_is_filtered_in_float32(self, seed):
@@ -534,11 +549,19 @@ class TestSeeds:
         assert seeds.values[0, 0] == 1.0
         assert seeds.values[1, 0] == 0.0
 
-    @pytest.mark.parametrize("rho", [0.05, 0.3, 1.0])
-    def test_matches_per_column_loop_bitwise(self, rho):
-        # rounded scores tie often; column 0 is constant
+    @pytest.mark.parametrize("rho, levels", [
+        *(pytest.param(rho, None, id=str(rho)) for rho in (0.05, 0.3, 1.0)),
+        *(pytest.param(rho, 3, id=f"{rho}-3_levels") for rho in (0.05, 0.3))])
+    def test_matches_per_column_loop_bitwise(self, rho, levels):
+        # rounded scores tie often, and scores of 3 levels tie across the cut
+        # of most columns; column 0 is constant
         rng = np.random.default_rng(17)
         V = np.round(rng.normal(size=(40, 6)), 1)
+        if levels:
+            V = rng.integers(levels, size=V.shape) / levels
+            m = int(np.ceil(rho * len(V)))
+            cut = -np.sort(-V, axis=0)[m - 1]
+            assert np.sum(((V > cut).sum(axis=0) < m) & ((V >= cut).sum(axis=0) > m)) >= 3
         V[:, 0] = 0.7
         want = np.zeros_like(V)
         for j in range(V.shape[1]):
@@ -733,6 +756,44 @@ class TestPropagate:
             result = propagate(graph, seeds, config)
             assert result.scores.values.tobytes() == F.tobytes()
             assert (result.iterations, result.delta) == (iterations, delta)
+
+    @pytest.mark.parametrize("name", sorted(set(SWEEP_INPUTS) - {"two_nodes"}))
+    def test_blocked_sweeps_match_scipy_loop_bitwise(self, name, monkeypatch):
+        # blocks of (n - 1) // 3 rows: at least three, the last one ragged
+        # (two nodes cannot make three blocks)
+        X, k, kernel = SWEEP_INPUTS[name]
+        graph = build_knn_graph(X, k=k, kernel=kernel)
+        seeds = random_seeds(graph.n, 3, np.random.default_rng(67), n_clamped=5)
+        rows = (graph.n - 1) // 3
+        monkeypatch.setattr(propagate_module, "_SWEEP_VALUES", 3 * rows)
+        assert graph.n // rows >= 3 and graph.n % rows
+        count = np.diff(graph.indptr)
+        at = np.argsort(np.argsort(-count, kind="stable"))  # each row's place, most edges first
+        assert len({p // rows for p in at[sorted(seeds.clamped)]}) >= 2
+        if count.min() < count.max():  # some layer ends inside a block
+            ends = (count[:, None] > np.arange(count.max())).sum(axis=0)
+            assert np.any(ends[ends < graph.n] % rows)
+        for config in (PropagationConfig(), PropagationConfig(alpha=0.99, max_iters=40)):
+            F, iterations, delta = sweep_oracle(graph, seeds, config)
+            result = propagate(graph, seeds, config)
+            assert result.scores.values.tobytes() == F.tobytes()
+            assert (result.iterations, result.delta) == (iterations, delta)
+
+    def test_fewshot_shaped_sweep_memory(self):
+        # the scores, their product with S and the seed term (0.67 MB each),
+        # one block's term buffer (0.25 MB) and the layers' columns and
+        # weights (16 bytes an edge, 1.8 MB); a sweep makes no n x C temporary
+        graph = build_knn_graph(FEWSHOT_SHAPED, k=15)
+        seeds = random_seeds(graph.n, 16, np.random.default_rng(71), n_clamped=32)
+        result, peak = traced(propagate, graph, seeds)
+        assert result.converged
+        assert peak < 5.8 * 2 ** 20
+
+    def test_seeds_without_categories_rejected(self):
+        graph = build_knn_graph(np.random.default_rng(73).random((10, 2)), k=3)
+        seeds = SeedLabels(tuple(f"i{i}" for i in range(10)), (), np.zeros((10, 0)))
+        with pytest.raises(ValidationError, match="no categories"):
+            propagate(graph, seeds)
 
     def test_non_convergence_reported_not_raised(self):
         graph = two_node_graph()
