@@ -11,7 +11,7 @@ doubles as an independent check on the iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -22,18 +22,15 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 KERNELS = ("gaussian", "cosine")
-# Keys per row block of the kNN build, whose rows are filtered and ranked together.
-_BLOCK_VALUES = 1 << 22
-# Rows per product of keys, float32 (half as many float64 rows in the
-# fallback), in one buffer: ~2.7 MB at n = 5232. Every product packs its
+# Rows per block of the kNN build: one product of float32 keys (half as many float64
+# rows in the fallback) in one buffer, ~2.7 MB at n = 5232. Every product packs its
 # whole right operand again, so fewer rows slow a large build.
 _PRODUCT_ROWS = 128
 # Keys per row chunk of a product partitioned and masked at a time (~0.5 MB of float64).
 _CHUNK_VALUES = 1 << 16
-# Distances per row block of the median heuristic (~256 KB of float64).
+# Values per row block that stays in cache (~256 KB of float64): distances
+# of the median heuristic, scores of a propagation sweep.
 _CACHE_VALUES = 1 << 15
-# Scores per row block of a propagation sweep, which stays in cache (~256 KB of float64).
-_SWEEP_VALUES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -80,9 +77,9 @@ class SimilarityGraph:
 
     ``build_knn_graph`` also records the Gaussian ``sigma`` (None for
     cosine) and its filter's counts: the candidates it ranked over all rows,
-    the row blocks whose filter fell back from float32 to float64, and the
-    Gaussian rows ranked over every column because their k-th similarity
-    underflowed.
+    the blocks of ``_PRODUCT_ROWS`` rows whose filter fell back from float32
+    to float64, and the Gaussian rows ranked over every column because their
+    k-th similarity underflowed.
     """
 
     n: int
@@ -189,29 +186,27 @@ def build_knn_graph(vectors, k: int, kernel: str = "gaussian",
     """Mutual-max kNN graph: each node keeps its k most similar neighbors,
     and an edge survives if either endpoint selected it.
 
-    Neighbors are ranked by similarity descending, then by index ascending,
-    so ties go to the lower index. Rows are ranked in blocks of about
-    ``_BLOCK_VALUES / n`` rows. Their keys come from products of
-    ``_PRODUCT_ROWS`` rows and are partitioned and masked in chunks of about
-    ``_CHUNK_VALUES / n`` rows, so memory is one product's keys plus
+    Neighbors are ranked by similarity descending, then by index ascending, so
+    ties go to the lower index. Rows are ranked in blocks of ``_PRODUCT_ROWS``
+    rows, each from one product of keys partitioned and masked in chunks of
+    about ``_CHUNK_VALUES / n`` rows, so memory is one product's keys plus
     O(chunk * n + n * k) rather than O(n^2). Gaussian weights of selected
-    neighbors are floored at the smallest normal float, so an outlier far
-    from everything keeps its k edges instead of underflowing to an isolated
-    node; a cosine similarity of 0 is genuine isolation and still raises.
+    neighbors are floored at the smallest normal float, so an outlier far from
+    everything keeps its k edges instead of underflowing to an isolated node;
+    a cosine similarity of 0 is genuine isolation and still raises.
 
     A row gets one key per column that rises with distance, from float32
-    matrix products: the negated dot product of the unit vectors (cosine),
-    or approximate squared distances on the column-centered vectors
-    (Gaussian). Columns within the row's k-th key plus twice a rounding
-    bound are candidates. The filter falls back to float64 keys, from
-    products of half as many rows in the same buffer, where float32 could
-    overflow or underflow, or as soon as a block's chunks keep more than 4k
-    candidates per row. Candidates are ranked by their exact similarity,
-    summed over the dimensions in order: max(0, u_i.u_j) for cosine, and
-    for Gaussian the ``exp`` of squared distances that are bit for bit
-    SciPy's ``cdist``. A Gaussian row whose k-th similarity is below the
-    smallest normal float, where an excluded column could still tie with
-    it, is ranked again over every other column.
+    matrix products: the negated dot product of the unit vectors (cosine), or
+    approximate squared distances on the column-centered vectors (Gaussian).
+    Columns within the row's k-th key plus twice a rounding bound are
+    candidates. A block falls back to float64 keys, from products of half as
+    many rows in the same buffer, where float32 could overflow or underflow,
+    or as soon as its chunks keep more than 4k candidates per row. Candidates
+    are ranked by their exact similarity, summed over the dimensions in order:
+    max(0, u_i.u_j) for cosine, and for Gaussian the ``exp`` of squared
+    distances that are bit for bit SciPy's ``cdist``. A Gaussian row whose
+    k-th similarity is below the smallest normal float, where an excluded
+    column could still tie with it, is ranked again over every other column.
     """
     if isinstance(vectors, AttributeScoreMatrix):
         vectors = vectors.values
@@ -313,14 +308,13 @@ def _nearest(X: np.ndarray, k: int, kernel: str, sigma: float | None):
     rounded = tuple(a.astype(np.float32) for a in exact) if f32 and d < 1 << 22 else None
     exact = None if rounded else exact  # a fallback block rebuilds them, bit for bit
 
-    block = min(n, max(1, _BLOCK_VALUES // n))
-    # a product has `rows32` float32 rows, or `rows64` float64 ones in the same buffer
-    rows32 = min(block, _PRODUCT_ROWS)
-    rows64 = max(1, rows32 // 2)
-    chunk = min(block, max(1, _CHUNK_VALUES // n))
+    # a block is one product of `rows32` float32 rows, or products of `rows64` float64 ones
+    rows32 = min(n, _PRODUCT_ROWS)
+    rows64 = rows32 // 2
+    chunk = min(rows32, max(1, _CHUNK_VALUES // n))
     # Reused by every block; fresh buffers per block made peak RSS swing by ~30 MB.
     # A chunk of a product's rows at a time is copied for the partition and masked.
-    key_buf = np.empty(max(rows64 * n, -(-rows32 * n // 2)))
+    key_buf = np.empty(-(-rows32 * n // 2))
     part_buf = np.empty(chunk * n)
     keep_buf = np.empty((chunk, n), dtype=bool)
     cols = np.empty((n, k), dtype=np.intp)
@@ -337,32 +331,30 @@ def _nearest(X: np.ndarray, k: int, kernel: str, sigma: float | None):
                                         i.shape, term))
         cols[lo + rows], vals[lo + rows] = _top_k(i, c, sim, rows.size, k)
 
-    def rank(lo, hi, f32):
-        # filters and ranks rows lo..hi; False if float32 keys kept over 4k
-        # candidates per row, leaving the rows unranked
-        dtype, step = (np.float32, rows32) if f32 else (float, rows64)
+    def rank(lo, f32):
+        # filters and ranks the rows of one product from lo; False if float32
+        # keys kept over 4k candidates per row, leaving the rows unranked
+        dtype, hi = (np.float32, min(lo + rows32, n)) if f32 else (float, min(lo + rows64, n))
         L, R = rounded if f32 else exact
         margin = 2.0 * (slack32 if f32 else slack)
+        key = key_buf.view(dtype)[:(hi - lo) * n].reshape(hi - lo, n)
+        np.matmul(L[lo:hi], R, out=key)
+        key[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
         found, kept = [], 0
-        for a in range(lo, hi, step):
-            b = min(a + step, hi)
-            key = key_buf.view(dtype)[:(b - a) * n].reshape(b - a, n)
-            np.matmul(L[a:b], R, out=key)
-            key[np.arange(b - a), np.arange(a, b)] = np.inf
-            for c in range(a, b, chunk):
-                e = min(c + chunk, b)
-                part = part_buf.view(dtype)[:(e - c) * n].reshape(e - c, n)
-                np.copyto(part, key[c - a:e - a])
-                part.partition(k - 1, axis=1)
-                bound = part[:, k - 1] + margin[c:e]
-                if f32:
-                    bound = np.nextafter(np.minimum(bound, np.finfo(np.float32).max)
-                                         .astype(np.float32), np.float32(np.inf))
-                keep = np.less_equal(key[c - a:e - a], bound[:, None], out=keep_buf[:e - c])
-                found.append(np.flatnonzero(keep) + (c - lo) * n)
-                kept += found[-1].size
-                if f32 and kept > 4 * k * (hi - lo):
-                    return False
+        for a in range(0, hi - lo, chunk):
+            b = min(a + chunk, hi - lo)
+            part = part_buf.view(dtype)[:(b - a) * n].reshape(b - a, n)
+            np.copyto(part, key[a:b])
+            part.partition(k - 1, axis=1)
+            bound = part[:, k - 1] + margin[lo + a:lo + b]
+            if f32:
+                bound = np.nextafter(np.minimum(bound, np.finfo(np.float32).max)
+                                     .astype(np.float32), np.float32(np.inf))
+            keep = np.less_equal(key[a:b], bound[:, None], out=keep_buf[:b - a])
+            found.append(np.flatnonzero(keep) + a * n)
+            kept += found[-1].size
+            if f32 and kept > 4 * k * (hi - lo):
+                return False
         flat = np.concatenate(found)
         counts["candidates"] += flat.size
         select(lo, np.arange(hi - lo), flat)
@@ -373,13 +365,13 @@ def _nearest(X: np.ndarray, k: int, kernel: str, sigma: float | None):
             select(lo, weak, np.flatnonzero(np.arange(n) != (lo + weak)[:, None]))
         return True
 
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        if rounded is not None and rank(lo, hi, True):
+    for lo in range(0, n, rows32):
+        if rounded is not None and rank(lo, True):
             continue
         counts["fallback_blocks"] += 1
         exact = exact or operands()
-        rank(lo, hi, False)
+        for a in range(lo, min(lo + rows32, n), rows64):
+            rank(a, False)
     if kernel == "gaussian":
         np.maximum(vals, tiny, out=vals)
     return cols, vals, sigma, counts
@@ -427,6 +419,12 @@ class SeedLabels(LabelledMatrix):
         super().__post_init__()
         if bad := [i for i in self.clamped if not 0 <= i < len(self.instances)]:
             raise ValidationError(f"clamped rows out of range: {bad}")
+
+    def take(self, ids: Sequence[str]) -> SeedLabels:
+        """The rows named by ``ids``, in that order; a clamped row stays clamped."""
+        rows = positions(self.instances, ids, "instances")
+        return SeedLabels(tuple(ids), self.categories, self.values[rows],
+                          frozenset(i for i, r in enumerate(rows) if r in self.clamped))
 
 
 def seed_from_zeroshot(zeroshot: CategoryScoreMatrix, rho: float) -> SeedLabels:
@@ -483,7 +481,7 @@ def propagate(graph: SimilarityGraph, seeds: SeedLabels,
     a prefix of that order, with one gather, one multiply and one add. So
     each row sums 0 + s_0 F_0 + s_1 F_1 + ... over its ascending columns, as
     SciPy's ``S @ F`` does, and every sweep is bit for bit SciPy's. Sweeps run
-    in place, over blocks of ``_SWEEP_VALUES / C`` rows that stay in cache.
+    in place, over blocks of ``_CACHE_VALUES / C`` rows that stay in cache.
     """
     if graph.n != len(seeds.instances):
         raise ValidationError(
@@ -498,7 +496,7 @@ def propagate(graph: SimilarityGraph, seeds: SeedLabels,
     base = (1.0 - config.alpha) * F
     clamped = np.sort(pos[list(seeds.clamped)])
     pinned, SF = F[clamped], np.empty_like(F)
-    step = max(1, _SWEEP_VALUES // F.shape[1])
+    step = max(1, _CACHE_VALUES // F.shape[1])
     term = np.empty_like(F[:step])
     first = graph.indptr[order]
     layers = [(pos[graph.indices[first[:m] + s]], graph.norm[first[:m] + s, None])

@@ -25,6 +25,7 @@ from .core import (
     CategoryScoreMatrix,
     RelatednessMatrix,
     ValidationError,
+    clean_identifier,
     freeze,
 )
 from .relatedness import Taxonomy
@@ -117,10 +118,10 @@ def hierarchy_transfer(tax: Taxonomy, known_scores: CategoryScoreMatrix,
     """Score novel categories from known leaves around taxonomy attachments.
 
     ``novel_nodes`` maps each novel category to the taxonomy node it
-    attaches to. ``leaf`` copies the closest known leaf (tree distance,
-    ties broken toward the earlier known category); ``inner`` averages the
-    known leaves under the attachment, walking up to the first ancestor
-    with any; ``all`` averages the two answers.
+    attaches to, trimmed like every id. ``leaf`` copies the closest known
+    leaf (tree distance, ties broken toward the earlier known category);
+    ``inner`` averages the known leaves under the attachment, walking up to
+    the first ancestor with any; ``all`` averages the two answers.
     """
     if mode not in ("leaf", "inner", "all"):
         raise ValidationError(f"unknown hierarchy mode: {mode!r}")
@@ -149,7 +150,7 @@ def hierarchy_transfer(tax: Taxonomy, known_scores: CategoryScoreMatrix,
 
     out = np.zeros((len(known_scores.instances), len(novel)))
     for j, cat in enumerate(novel):
-        attach = novel_nodes[cat]
+        attach = clean_identifier(novel_nodes[cat])
         if attach not in tax.parent:
             raise ValidationError(f"attachment is not a taxonomy node: {attach!r}")
         if mode == "leaf":

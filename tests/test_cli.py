@@ -551,6 +551,19 @@ class TestErrorContract:
         assert one_json_error(code, err) == {
             "code": 3, "stage": "transfer", "error": "transfer: hier transfer needs taxonomy_edges"}
 
+    def test_hier_pipeline_trims_attachments(self, synth_dir, capsys):
+        # attachment node names are trimmed like the taxonomy's own names
+        write_taxonomy(synth_dir)
+        scores = []
+        for out, attachments in (("plain", {"n00": "g0", "n01": "g1"}),
+                                 ("padded", {"n00": "g0 ", "n01": "\tg1"})):
+            config = data_config(synth_dir, transfer={**HIER_TRANSFER,
+                                                      "attachments": attachments})
+            assert run(capsys, "pipeline", "--config", config, "--out-dir",
+                       synth_dir / out)[0] == 0
+            scores.append((synth_dir / out / "zeroshot_scores.tsv").read_bytes())
+        assert scores[0] == scores[1]
+
     @pytest.mark.parametrize("protocol,want", [("novel_only", 0), ("bogus", 3)])
     def test_python_warnings_keep_the_stderr_contract(self, synth_dir, capsys, protocol, want):
         # top-1 mining leaves n00 without an attribute, which core warns about
@@ -890,6 +903,7 @@ class TestInputValidation:
         ("transfer_method", "transfer", "unknown transfer method: 'bogus'"),
         ("sim_top_k", "transfer", "top_k must be >= 1, got 0"),
         ("hier_no_attachments", "transfer", "no novel categories to attach"),
+        ("hier_empty_attachment", "transfer", "empty identifier"),
         ("no_output_dir", "config", "no output directory (config output_dir or --out-dir)"),
         ("assoc_unmined", "assoc", "assoc section given but nothing was mined"),
         ("mined_without_assoc", "assoc", "mined relatedness needs an assoc section to binarize"),
@@ -950,7 +964,7 @@ class TestInputValidation:
             (d / "cut_split.json").write_text(json.dumps(doc))
             return d / "cut_split.json"
 
-        if case == "hier_no_attachments":
+        if case.startswith("hier_"):
             write_taxonomy(d)
         if case == "no_output_dir":
             cfg = json.loads(data_config(d).read_text())
@@ -967,6 +981,8 @@ class TestInputValidation:
             "sim_top_k": lambda: pipeline(transfer={"method": "sim", "top_k": 0}),
             "hier_no_attachments": lambda: pipeline(transfer={**HIER_TRANSFER,
                                                               "attachments": {}}),
+            "hier_empty_attachment": lambda: pipeline(transfer={
+                **HIER_TRANSFER, "attachments": {"n00": " ", "n01": "g1"}}),
             "no_output_dir": lambda: ["pipeline", "--config", d / "config.json"],
             "assoc_unmined": lambda: pipeline(assoc={"policy": "per_attribute_mean"}),
             "mined_without_assoc": lambda: pipeline(corpus={"docs_per_pair": 2},

@@ -19,7 +19,7 @@ from semtransfer import (
     pst,
     seed_from_zeroshot,
 )
-from semtransfer.propagate import (_BLOCK_VALUES, SeedLabels, SimilarityGraph,
+from semtransfer.propagate import (_PRODUCT_ROWS, SeedLabels, SimilarityGraph,
                                    _median_heuristic, _nearest, _symmetric_max)
 
 # the module, not the function that ``semtransfer.propagate`` names
@@ -105,12 +105,12 @@ def _gaussian_oracle_inputs():
         "far_grid": (far_grid, (6, 7)),
         "far_outlier": (outlier, (1, 5, 15)),
         "copies": (copies, (1, 15)),
-        # 3000 rows make key blocks of 1398, 1398 and a ragged 204 rows,
-        # filtered in chunks of 87
+        # 3000 rows make 23 blocks of 128 rows and a ragged 56, filtered in
+        # chunks of 21
         "three_blocks": (rng.normal(size=(3000, 3)), (15,)),
     }
-    # the same blocks with an outlier in the second and one in the ragged
-    # last: every similarity of their rows underflows to 0
+    # the same blocks with an outlier in the 12th and one in the 23rd:
+    # every similarity of their rows underflows to 0
     far_rows = rng.normal(size=(3000, 3))
     far_rows[1500] += 1e3
     far_rows[2900] -= 1e3
@@ -366,14 +366,13 @@ class TestKnnGraph:
         assert_graphs_equal(build_knn_graph(X, k=k), W, S)
 
     def test_three_blocks_with_ragged_last(self):
+        # at least three blocks, the last one ragged
         n = GAUSSIAN_INPUTS["three_blocks"][0].shape[0]
-        block = _BLOCK_VALUES // n
-        assert -(-n // block) == 3 and n % block
+        assert n // _PRODUCT_ROWS >= 3 and n % _PRODUCT_ROWS
 
     def test_far_rows_underflow_in_later_blocks(self):
         X, _ = GAUSSIAN_INPUTS["far_rows_in_later_blocks"]
-        block = _BLOCK_VALUES // X.shape[0]
-        assert [row // block for row in (1500, 2900)] == [1, 2]
+        assert [row // _PRODUCT_ROWS for row in (1500, 2900)] == [11, 22]
         sigma = _median_heuristic(X)
         for row in (1500, 2900):
             d2 = np.delete(((X - X[row]) ** 2).sum(axis=1), row)
@@ -405,21 +404,21 @@ class TestKnnGraph:
             assert (graph.fallback_blocks, graph.weak_rows) == (0, 2)
             assert_graphs_equal(graph, W, S)
 
+    # every 128-row block falls back: blocks is ceil(n / 128)
     @pytest.mark.parametrize("X, k, blocks", [
-        # 4 max s overflows float32
-        pytest.param(1e20 * np.random.default_rng(47).normal(size=(300, 4)), 10, 1,
+        # 4 max s overflows float32: 300 rows
+        pytest.param(1e20 * np.random.default_rng(47).normal(size=(300, 4)), 10, 3,
                      id="overflow"),
         # float32 products go subnormal (max s < 2^-100) and lose precision:
-        # a tied lattice whose coordinates are scaled to about 1e-20 ...
-        pytest.param(2.0 ** -70 * GAUSSIAN_INPUTS["grid_tie"][0], 7, 1, id="subnormal_grid"),
-        # ... and, near 1e-25, underflow to 0
-        pytest.param(1e-25 * np.random.default_rng(53).normal(size=(300, 4)), 10, 1,
+        # a tied lattice of 636 rows whose coordinates are scaled to about 1e-20 ...
+        pytest.param(2.0 ** -70 * GAUSSIAN_INPUTS["grid_tie"][0], 7, 5, id="subnormal_grid"),
+        # ... and, near 1e-25, underflow to 0: 300 rows
+        pytest.param(1e-25 * np.random.default_rng(53).normal(size=(300, 4)), 10, 3,
                      id="subnormal"),
-        # mixed scales: the lattice rows' bound admits most of the square
-        pytest.param(GAUSSIAN_INPUTS["far_grid"][0], 7, 1, id="mixed_scale"),
-        # 3000 rows in 3 blocks, the last two with a far row; the float64
-        # fallback splits each block in half
-        pytest.param(GAUSSIAN_INPUTS["far_rows_in_later_blocks"][0], 4, 3,
+        # mixed scales, 600 rows: the lattice rows' bound admits most of the square
+        pytest.param(GAUSSIAN_INPUTS["far_grid"][0], 7, 5, id="mixed_scale"),
+        # 3000 rows, two of them far; the float64 fallback splits each block in half
+        pytest.param(GAUSSIAN_INPUTS["far_rows_in_later_blocks"][0], 4, 24,
                      id="mixed_scale_blocks"),
     ])
     def test_float64_fallback_matches_dense_oracle_bitwise(self, X, k, blocks):
@@ -428,34 +427,49 @@ class TestKnnGraph:
         W, S = dense_knn_oracle(X, (k,), "gaussian")[k]
         assert_graphs_equal(graph, W, S)
 
+    @pytest.mark.parametrize("kernel", ["gaussian", "cosine"])
+    def test_block_falls_back_alone(self, kernel):
+        # rows 0-119 are 20 copies each of 6 points: at k = 1 their float32
+        # keys keep 19 tied candidates a row, over 4k, so the first block falls
+        # back to float64 and the other 23 stay in float32
+        rng = np.random.default_rng(61)
+        X = rng.normal(size=(3000, 3))
+        X[:120] = np.repeat(rng.normal(size=(6, 3)), 20, axis=0)
+        graph = build_knn_graph(X, k=1, kernel=kernel)
+        assert graph.fallback_blocks == 1
+        assert_graphs_equal(graph, *dense_knn_oracle(X, (1,), kernel)[1])
+
     @pytest.mark.parametrize("name, k", [("three_blocks", 15), ("far_rows_in_later_blocks", 4)])
     def test_float32_filter_and_its_fallback_share_the_block_memory(self, name, k):
-        # one product's keys, float32 or float64, and a chunk of its rows
-        # partitioned and masked; the rest grows with n k. A full block of
-        # float32 keys would add 4 bytes per block value
+        # the peak (5.0 MiB) is the median heuristic's: the 500K squared
+        # distances of its 1000-row subsample (3.8 MiB). Ranking a block, in
+        # float32 or in its float64 fallback, holds one product's keys (1.5 MB)
+        # in the same buffer, a chunk of its rows partitioned and masked, and
+        # what grows with n k: 3.1 MiB at most
         X = GAUSSIAN_INPUTS[name][0]
         graph, peak = traced_build(X, k, "gaussian")
-        assert graph.fallback_blocks == (0 if name == "three_blocks" else 3)
-        assert peak < 3 * _BLOCK_VALUES
+        assert graph.fallback_blocks == (0 if name == "three_blocks" else 24)
+        assert peak < 5.8 * 2 ** 20
 
     def test_fewshot_shaped_build_memory(self):
-        # at the fewshot-graph benchmark's PST shape the peak is one product
-        # of float32 keys (2.7 MB), the float32 operands (1 MB), the partition
-        # buffer (0.5 MB), the neighbors (1.3 MB) and one row block's
-        # candidates; the exact distances read the input in place, and the
-        # float64 operands (2.1 MB) are dropped once rounded. A full block of
-        # keys would add 14 MB
+        # at the fewshot-graph benchmark's PST shape the peak (6.1 MiB) is the
+        # median heuristic's 380K distances (2.9 MiB) beside the float64
+        # operands (2.1 MB). Ranking a block holds 5.6 MiB: one product of
+        # float32 keys (2.7 MB), the float32 operands (1 MB), the partition
+        # buffer (0.5 MB), the neighbors (1.3 MB) and the block's candidates;
+        # the exact distances read the input in place, and the float64
+        # operands are dropped once rounded
         graph, peak = traced_build(FEWSHOT_SHAPED, 15, "gaussian")
         assert graph.fallback_blocks == 0
-        assert peak < 7.5 * 2 ** 20
+        assert peak < 7.0 * 2 ** 20
 
     def test_fewshot_shaped_cosine_build_memory(self):
         # cosine keys come from the same float32 products as Gaussian ones;
-        # the exact cosines add a transposed copy of the unit vectors (1 MB).
-        # A full block of float64 keys would add 32 MB
+        # the exact cosines add a transposed copy of the unit vectors (1 MB):
+        # 6.5 MiB
         graph, peak = traced_build(FEWSHOT_SHAPED, 15, "cosine")
         assert graph.fallback_blocks == 0
-        assert peak < 8.5 * 2 ** 20
+        assert peak < 7.5 * 2 ** 20
 
     def test_fewshot_shaped_edge_assembly_memory(self):
         # the doubled edge keys, their sort order and the gathered weights
@@ -474,14 +488,15 @@ class TestKnnGraph:
         assert graph.fallback_blocks == 0
         assert_graphs_equal(graph, *dense_knn_oracle(X, (15,), "cosine")[15])
 
+    # every 128-row block falls back: blocks is ceil(n / 128)
     @pytest.mark.parametrize("X, k, blocks", [
         # in 8 dimensions with a spread of 1e-3 the float32 bound keeps over
-        # 4k candidates per row
-        pytest.param(narrow_cone(0, 8, 1e-3), 15, 1, id="narrower_cone"),
+        # 4k candidates per row of the 400
+        pytest.param(narrow_cone(0, 8, 1e-3), 15, 4, id="narrower_cone"),
         # 2100 directions within 1 radian: the cosines nearest 1 are closer
         # than the float32 bound at k=1, and their float64 keys need the
         # float64 slack where they round differently from the rescoring
-        pytest.param(ORACLE_INPUTS["large"], 1, 2, id="large"),
+        pytest.param(ORACLE_INPUTS["large"], 1, 17, id="large"),
     ])
     def test_cosine_float64_fallback_matches_dense_oracle_bitwise(self, X, k, blocks):
         graph = build_knn_graph(X, k=k, kernel="cosine")
@@ -492,10 +507,9 @@ class TestKnnGraph:
                              ids=["plain", "narrow_cone"])
     def test_cosine_graph_does_not_depend_on_product_height(self, X, monkeypatch):
         # the keys only filter and every candidate is rescored in a fixed
-        # order, so products of 3 rows in blocks of 7 give the same bits
+        # order, so blocks of 3 rows give the same bits
         want = build_knn_graph(X, k=10, kernel="cosine")
         monkeypatch.setattr(propagate_module, "_PRODUCT_ROWS", 3)
-        monkeypatch.setattr(propagate_module, "_BLOCK_VALUES", 7 * X.shape[0])
         graph = build_knn_graph(X, k=10, kernel="cosine")
         assert graph.fallback_blocks == want.fallback_blocks == 0
         assert_graphs_equal(graph, want.W, want.S)
@@ -577,6 +591,16 @@ class TestSeeds:
         zs = CategoryScoreMatrix(("i0",), ("c0",), np.array([[0.5]]))
         with pytest.raises(ValidationError):
             seed_from_zeroshot(zs, rho=0.0)
+
+    def test_take_keeps_clamped_rows_with_their_instances(self):
+        # a clamped row stays clamped at its new position; a dropped one drops out
+        seeds = SeedLabels(("a", "b", "c"), ("c0",), np.array([[1.0], [0.5], [0.0]]),
+                           frozenset({0}))
+        taken = seeds.take(["c", "a"])
+        assert taken.instances == ("c", "a")
+        assert np.array_equal(taken.values, [[0.0], [1.0]])
+        assert taken.clamped == frozenset({1})
+        assert seeds.take(["b"]).clamped == frozenset()
 
 
 class TestClamping:
@@ -765,7 +789,7 @@ class TestPropagate:
         graph = build_knn_graph(X, k=k, kernel=kernel)
         seeds = random_seeds(graph.n, 3, np.random.default_rng(67), n_clamped=5)
         rows = (graph.n - 1) // 3
-        monkeypatch.setattr(propagate_module, "_SWEEP_VALUES", 3 * rows)
+        monkeypatch.setattr(propagate_module, "_CACHE_VALUES", 3 * rows)
         assert graph.n // rows >= 3 and graph.n % rows
         count = np.diff(graph.indptr)
         at = np.argsort(np.argsort(-count, kind="stable"))  # each row's place, most edges first

@@ -227,6 +227,13 @@ class TestHierarchyTransfer:
         with pytest.raises(ValidationError):
             hierarchy_transfer(self._tax(), self._known(), {"n0": "ghost"})
 
+    def test_attachments_are_trimmed_like_every_id(self):
+        want = hierarchy_transfer(self._tax(), self._known(), {"n0": "novelspot"})
+        got = hierarchy_transfer(self._tax(), self._known(), {"n0": " novelspot\t"})
+        assert got.values.tobytes() == want.values.tobytes()
+        with pytest.raises(ValidationError, match="^empty identifier$"):
+            hierarchy_transfer(self._tax(), self._known(), {"n0": " "})
+
     def test_no_known_leaves_rejected(self):
         known = CategoryScoreMatrix(("i0",), ("x0", "x1"), np.array([[0.4, 0.8]]))
         with pytest.raises(ValidationError):
